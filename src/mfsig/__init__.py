@@ -23,7 +23,6 @@ from .mfdfa import (
 from .pipeline import RunConfig, analyze_recording, analyze_series
 from .protocol import (
     Condition,
-    ElectrodeRegistry,
     ProtocolTimeline,
     RecognitionTable,
     ResponseSheet,
@@ -40,7 +39,6 @@ from .spectrum import (
     fit_spectrum,
     scaling_exponents,
     singularity_spectrum,
-    width,
 )
 from .synth import binomial_cascade, cascade_hurst_oracle, fgn, tone, white_noise
 from .wavelet import WaveletCoeffs, dwt, idwt
@@ -51,7 +49,6 @@ __all__ = [
     "AnalysisReport",
     "BandSpec",
     "Condition",
-    "ElectrodeRegistry",
     "HurstCurve",
     "ImfSet",
     "MfdfaConfig",
@@ -101,5 +98,4 @@ __all__ = [
     "split_bands",
     "tone",
     "white_noise",
-    "width",
 ]

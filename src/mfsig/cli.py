@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +63,28 @@ def cmd_split_bands(args) -> int:
     return 0
 
 
+def _q_range(args) -> tuple[float, float, float]:
+    """(q_min, q_max, q_step), the default grid's values filling unset flags."""
+    return (
+        args.q_min if args.q_min is not None else -5.0,
+        args.q_max if args.q_max is not None else 5.0,
+        args.q_step if args.q_step is not None else 0.25,
+    )
+
+
+def _check_q_range(parser: argparse.ArgumentParser, args) -> None:
+    """Usage error for a q grid ``mfdfa`` cannot build."""
+    lo, hi, step = _q_range(args)
+    if not step > 0:
+        parser.error(f"argument --q-step: must be positive, got {step:g}")
+    if not hi >= lo:
+        parser.error(f"argument --q-max: {hi:g} is below --q-min {lo:g}")
+
+
 def _mfdfa_config_from_args(args) -> RunConfig:
     q_grid = None
     if args.q_min is not None or args.q_max is not None or args.q_step is not None:
-        lo = args.q_min if args.q_min is not None else -5.0
-        hi = args.q_max if args.q_max is not None else 5.0
-        step = args.q_step if args.q_step is not None else 0.25
+        lo, hi, step = _q_range(args)
         n = int(round((hi - lo) / step)) + 1
         q_grid = list(np.linspace(lo, hi, n))
     return RunConfig(
@@ -75,7 +92,6 @@ def _mfdfa_config_from_args(args) -> RunConfig:
         scales=_parse_int_list(args.scales) if args.scales else None,
         q_grid=q_grid,
         bidirectional=args.bidirectional,
-        seed=args.seed,
     )
 
 
@@ -85,7 +101,7 @@ def cmd_mfdfa(args) -> int:
     cfg.input_path = str(args.input)
     result, fit = analyze_series(ts, cfg.mfdfa_config())
     payload = {
-        "config": cfg.to_json_dict(),
+        "config": asdict(cfg),
         "inputs": {"path": str(args.input), "sha256": dataio.sha256_file(args.input)},
         "mfdfa": result.to_json_dict(),
         "spectrum": fit.to_json_dict(),
@@ -121,7 +137,6 @@ def cmd_analyze(args) -> int:
         rhythm_method=args.rhythm_method,
         use_envelope=not args.no_envelope,
         emd_drop=_parse_int_list(args.emd_drop) if args.emd_drop else [],
-        seed=args.seed,
         input_path=str(args.input),
     )
     if args.electrodes:
@@ -201,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=float, default=None)
     p.add_argument("--q-step", type=float, default=None)
     p.add_argument("--bidirectional", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mfdfa)
 
     p = sub.add_parser("analyze", help="full EEG pipeline for one recording")
@@ -218,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-envelope", action="store_true", help="analyze band signals, not envelopes")
     p.add_argument("--emd-drop", default=None, help="comma-separated IMF indices to remove first")
     p.add_argument("--electrodes", default=None, help="comma-separated subset to analyze")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synth", help="generate a benchmark series as CSV")
@@ -251,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "mfdfa":
+        _check_q_range(parser, args)
     try:
         return args.func(args)
     except (AnalysisError, OSError, ValueError) as exc:

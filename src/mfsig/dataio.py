@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import wave
 from pathlib import Path
@@ -37,7 +38,25 @@ def read_series_csv(path: str | Path, sample_rate_hz: float = 1.0) -> TimeSeries
                 raise DataFormatError(f"{path}: line {lineno}: {row[0]!r} is not a number") from exc
     if not values:
         raise DataFormatError(f"{path}: no data rows")
-    return TimeSeries(np.array(values), sample_rate_hz)
+    samples = np.array(values)
+    _check_finite(path, samples)
+    return TimeSeries(samples, sample_rate_hz)
+
+
+def _check_finite(path: str | Path, samples: np.ndarray, column: int = 0, name: str = "") -> None:
+    """Raise DataFormatError naming the line of the first non-finite value.
+
+    ``samples[k]`` came from the k-th non-blank row after the header; the
+    file is read again only on failure, to find that row's line number.
+    """
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size == 0:
+        return
+    with open(path, newline="") as fh:
+        data_rows = ((n, row) for n, row in enumerate(csv.reader(fh), start=1) if n > 1 and row)
+        lineno, row = next(itertools.islice(data_rows, int(bad[0]), None))
+    where = f"column {name}: " if name else ""
+    raise DataFormatError(f"{path}: line {lineno}: {where}{row[column]!r} is not a finite number")
 
 
 def write_series_csv(path: str | Path, ts: TimeSeries, header: str = "value") -> None:
@@ -76,7 +95,10 @@ def read_eeg_csv(path: str | Path) -> dict[str, np.ndarray]:
                     raise DataFormatError(
                         f"{path}: line {lineno}: {cell!r} is not a number"
                     ) from exc
-    return {name: np.array(col) for name, col in zip(channels, columns)}
+    arrays = [np.array(col) for col in columns]
+    for i, (name, samples) in enumerate(zip(channels, arrays), start=1):
+        _check_finite(path, samples, column=i, name=name)
+    return dict(zip(channels, arrays))
 
 
 def write_eeg_csv(path: str | Path, channels: dict[str, np.ndarray]) -> None:
@@ -143,15 +165,6 @@ def read_response_sheets(path: str | Path) -> list[ResponseSheet]:
     if not order:
         raise DataFormatError(f"{path}: no data rows")
     return [ResponseSheet(subject_id=s, marks=marks[s]) for s in order]
-
-
-def write_response_sheets(path: str | Path, sheets: list[ResponseSheet]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("subject,clip," + ",".join(f"part{p}" for p in range(1, N_PARTS + 1)) + "\n")
-        for sheet in sheets:
-            for clip in range(1, N_CLIPS_SHEET + 1):
-                cells = ",".join(str(int(v)) for v in sheet.marks[clip - 1])
-                fh.write(f"{sheet.subject_id},{clip},{cells}\n")
 
 
 def read_wav(path: str | Path) -> TimeSeries:

@@ -41,10 +41,6 @@ class InsufficientQPointsError(AnalysisError):
     """Too few q points for finite-difference derivatives."""
 
 
-class NonConcaveSpectrumError(AnalysisError):
-    """Quadratic fit of the singularity spectrum is not concave."""
-
-
 class BandOutOfRangeError(AnalysisError):
     """Requested frequency band does not fit below the Nyquist frequency."""
 

@@ -10,15 +10,15 @@ worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bands
 from .emd import emd_denoise
-from .errors import DataFormatError, RecordingTooShortError
+from .errors import DataFormatError
 from .mfdfa import MfdfaConfig, MfdfaResult, run_mfdfa
-from .protocol import DEFAULT_ANALYZED, ProtocolTimeline
+from .protocol import DEFAULT_ANALYZED, ProtocolTimeline, segment_recording
 from .report import AnalysisReport, WidthRecord, record_sort_key
 from .series import TimeSeries
 from .spectrum import SpectrumFit, fit_spectrum, singularity_spectrum
@@ -39,9 +39,7 @@ class RunConfig:
     rhythm_method: str = "fft"
     use_envelope: bool = True
     emd_drop: list = field(default_factory=list)
-    baseline: str = "initial_rest"
     electrodes: list = field(default_factory=lambda: list(DEFAULT_ANALYZED))
-    seed: int = 0
     input_path: str = ""
     outdir: str = ""
 
@@ -52,23 +50,6 @@ class RunConfig:
             q_grid=None if self.q_grid is None else np.asarray(self.q_grid),
             bidirectional=self.bidirectional,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "detrend_order": self.detrend_order,
-            "scales": self.scales,
-            "q_grid": self.q_grid,
-            "bidirectional": self.bidirectional,
-            "rhythms": {k: list(v) for k, v in self.rhythms.items()},
-            "rhythm_method": self.rhythm_method,
-            "use_envelope": self.use_envelope,
-            "emd_drop": self.emd_drop,
-            "baseline": self.baseline,
-            "electrodes": self.electrodes,
-            "seed": self.seed,
-            "input_path": self.input_path,
-            "outdir": self.outdir,
-        }
 
 
 def analyze_series(ts: TimeSeries, config: MfdfaConfig | None = None) -> tuple[MfdfaResult, SpectrumFit]:
@@ -91,42 +72,38 @@ def _fit_flags(result: MfdfaResult, fit: SpectrumFit) -> str:
     return ";".join(flags)
 
 
-def _h2_diagnostics(result: MfdfaResult) -> tuple[float, float]:
+def _h2_r2(result: MfdfaResult) -> float:
+    """R^2 of the h(2) regression; NaN when the q grid has no q = 2."""
     idx = np.flatnonzero(np.isclose(result.q_grid, 2.0, atol=1e-12))
-    if idx.size == 0:
-        return float("nan"), float("nan")
-    return float(result.hurst.h[idx[0]]), float(result.hurst.r2[idx[0]])
+    return float(result.hurst.r2[idx[0]]) if idx.size else float("nan")
 
 
-def _run_job(job: tuple) -> list[dict]:
+def _run_job(job: tuple) -> list[WidthRecord]:
     """Analyze one (electrode, condition) window across all rhythms."""
-    subject, electrode, label, samples, fs, cfg_dict = job
-    cfg = RunConfig(**cfg_dict)
-    window = TimeSeries(samples, fs)
-    if cfg.emd_drop:
-        window = emd_denoise(window, drop_imfs=list(cfg.emd_drop))
+    subject, electrode, condition, window, config = job
+    if config.emd_drop:
+        window = emd_denoise(window, drop_imfs=list(config.emd_drop))
     records = []
-    for rhythm_name in sorted(cfg.rhythms):
-        low, high = cfg.rhythms[rhythm_name]
+    for rhythm_name in sorted(config.rhythms):
+        low, high = config.rhythms[rhythm_name]
         spec = bands.RhythmSpec(rhythm_name, bands.BandSpec(low, high, rhythm_name))
-        signal = bands.extract_rhythm(window, spec, method=cfg.rhythm_method)
-        if cfg.use_envelope:
+        signal = bands.extract_rhythm(window, spec, method=config.rhythm_method)
+        if config.use_envelope:
             signal = bands.envelope(signal)
-        result, fit = analyze_series(signal, cfg.mfdfa_config())
-        _, h2_r2 = _h2_diagnostics(result)
+        result, fit = analyze_series(signal, config.mfdfa_config())
         records.append(
-            {
-                "subject": subject,
-                "electrode": electrode,
-                "rhythm": rhythm_name,
-                "condition": label,
-                "w": fit.width,
-                "fit_a": fit.a,
-                "fit_b": fit.b,
-                "alpha0": fit.alpha0,
-                "h2_r2": h2_r2,
-                "flags": _fit_flags(result, fit),
-            }
+            WidthRecord(
+                subject_id=subject,
+                electrode=electrode,
+                rhythm=rhythm_name,
+                condition=condition,
+                w=fit.width,
+                fit_a=fit.a,
+                fit_b=fit.b,
+                alpha0=fit.alpha0,
+                h2_r2=_h2_r2(result),
+                flags=_fit_flags(result, fit),
+            )
         )
     return records
 
@@ -144,23 +121,21 @@ def analyze_recording(
     The baseline window (initial rest) and every stimulus window are
     analyzed; deltas against the baseline are computed at emission time.
     """
+    if not config.electrodes:
+        raise ValueError("the electrode list is empty")
+    repeated = sorted({e for e in config.electrodes if config.electrodes.count(e) > 1})
+    if repeated:
+        raise ValueError(f"electrode(s) listed more than once: {', '.join(repeated)}")
     missing = [e for e in config.electrodes if e not in channels]
     if missing:
         raise DataFormatError(f"recording is missing electrode column(s): {', '.join(missing)}")
 
     conditions = [timeline.baseline()] + timeline.stimulus_conditions()
-    cfg_dict = config.to_json_dict()
-    jobs = []
-    for electrode in config.electrodes:
-        ts = TimeSeries(channels[electrode], fs)
-        for cond in conditions:
-            lo = int(round(cond.start_s * fs))
-            hi = int(round(cond.end_s * fs))
-            if hi > len(ts):
-                raise RecordingTooShortError(
-                    f"recording ends before condition {cond.label!r}"
-                )
-            jobs.append((subject_id, electrode, cond.label, ts.samples[lo:hi], fs, cfg_dict))
+    jobs = [
+        (subject_id, electrode, cond.label, window, config)
+        for electrode in config.electrodes
+        for cond, window in segment_recording(TimeSeries(channels[electrode], fs), conditions)
+    ]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -168,12 +143,7 @@ def analyze_recording(
     else:
         results = [_run_job(job) for job in jobs]
 
-    report = AnalysisReport(registry=tuple(config.electrodes), config=cfg_dict)
-    records = [WidthRecord(
-        subject_id=d["subject"], electrode=d["electrode"], rhythm=d["rhythm"],
-        condition=d["condition"], w=d["w"], fit_a=d["fit_a"], fit_b=d["fit_b"],
-        alpha0=d["alpha0"], h2_r2=d["h2_r2"], flags=d["flags"],
-    ) for per_job in results for d in per_job]
-    for rec in sorted(records, key=record_sort_key):
+    report = AnalysisReport(registry=tuple(config.electrodes), config=asdict(config))
+    for rec in sorted((r for per_job in results for r in per_job), key=record_sort_key):
         report.add(rec)
     return report

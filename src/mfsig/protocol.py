@@ -1,5 +1,5 @@
 """Experiment protocol: stimulus timeline, recording segmentation,
-electrode registry, and listening-test aggregation.
+analyzed electrodes, and listening-test aggregation.
 
 Each clip is presented as the original followed by five band-filtered
 parts in a fixed jumbled order; the timeline places a 60 s rest at the
@@ -8,6 +8,7 @@ start, 5 s silent gaps between stimuli, and a 30 s rest after each clip.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,26 +33,7 @@ STIMULUS_S = 20.0
 GAP_S = 5.0
 CLIP_REST_S = 30.0
 
-ALL_ELECTRODES = (
-    "Fp1", "Fp2", "F7", "F3", "Fz", "F4", "F8",
-    "T3", "C3", "Cz", "C4", "T4",
-    "T5", "P3", "Pz", "P4", "T6",
-    "O1", "O2",
-)
 DEFAULT_ANALYZED = ("F3", "F4", "F7", "F8", "T3", "T4", "T5", "T6", "O1", "O2")
-
-
-@dataclass(frozen=True)
-class ElectrodeRegistry:
-    """The full 10-20 montage and the subset selected for analysis."""
-
-    all: tuple = ALL_ELECTRODES
-    analyzed: tuple = DEFAULT_ANALYZED
-
-    def __post_init__(self):
-        missing = [e for e in self.analyzed if e not in self.all]
-        if missing:
-            raise ValueError(f"analyzed electrodes not in montage: {missing}")
 
 
 @dataclass(frozen=True)
@@ -185,15 +167,16 @@ def timeline_from_markers(markers: list[dict], n_clips: int | None = None) -> Pr
     )
 
 
-def segment_recording(eeg: TimeSeries, timeline: ProtocolTimeline) -> list:
-    """Cut the recording into per-condition windows.
+def segment_recording(eeg: TimeSeries, conditions: Iterable[Condition]) -> list:
+    """Cut the recording into one window per condition.
 
     Windows are [round(start * fs), round(end * fs)); the recording must
-    cover the whole timeline.
+    cover every condition given. Pass ``timeline.conditions`` to cut the
+    whole timeline.
     """
     fs = eeg.sample_rate_hz
     out = []
-    for cond in timeline.conditions:
+    for cond in conditions:
         lo = int(round(cond.start_s * fs))
         hi = int(round(cond.end_s * fs))
         if hi > len(eeg):

@@ -8,7 +8,7 @@ distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,13 +57,9 @@ class ProfileSeries:
     """Cumulative sum of the mean-removed signal; the object that is detrended."""
 
     values: np.ndarray
-    source_length: int = field(default=0)
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", arr)
-        if self.source_length == 0:
-            object.__setattr__(self, "source_length", arr.size)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
     def __len__(self) -> int:
         return self.values.size
@@ -94,7 +90,7 @@ def profile(ts: TimeSeries) -> ProfileSeries:
         raise EmptySeriesError("profile needs at least 2 samples")
     ensure_finite(ts.samples)
     y = np.cumsum(ts.samples - ts.samples.mean())
-    return ProfileSeries(y, source_length=len(ts))
+    return ProfileSeries(y)
 
 
 class SplitMix64:

@@ -137,8 +137,3 @@ def fit_spectrum(spec: SingularitySpectrum) -> SpectrumFit:
         a=a, b=b, alpha0=alpha0, width=hi - lo,
         root_alpha_1=hi, root_alpha_2=lo, raw_width=raw,
     )
-
-
-def width(fit: SpectrumFit) -> float:
-    """The multifractal width W; larger means more multifractal."""
-    return fit.width

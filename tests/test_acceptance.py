@@ -214,7 +214,7 @@ class TestC8EndToEndDeterminism:
             outdir = tmp_path / name
             rc = main([
                 "analyze", str(eeg_fixture_csv), "--fs", "256", "--clips", "4",
-                "--outdir", str(outdir), "--workers", str(workers), "--seed", "7",
+                "--outdir", str(outdir), "--workers", str(workers),
             ])
             assert rc == 0
             outs.append(outdir)

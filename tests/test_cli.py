@@ -4,18 +4,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfsig import build_timeline, tone, white_noise
+from mfsig import RunConfig, analyze_recording, build_timeline, tone, white_noise
 from mfsig.cli import main
 from mfsig.dataio import read_wav, write_eeg_csv, write_series_csv, write_wav
+from mfsig.errors import RecordingTooShortError
 
 from oracles import energy
 
 FIXDIR = Path(__file__).parent / "fixtures"
 
 
-def make_eeg_fixture(path, electrodes=("F3", "T4"), n_clips=1, fs=256.0, seed=0):
+def make_eeg_fixture(path, electrodes=("F3", "T4"), n_clips=1, fs=256.0, seed=0, duration_s=None):
     timeline = build_timeline(n_clips)
-    n = int(timeline.total_duration_s * fs)
+    n = int((duration_s or timeline.total_duration_s) * fs)
     rng = np.random.default_rng(seed)
     channels = {e: rng.standard_normal(n) for e in electrodes}
     write_eeg_csv(path, channels)
@@ -53,6 +54,22 @@ class TestMfdfaCommand:
         bad.write_text("value\n1.0\nnot_a_number\n2.0\n")
         assert main(["mfdfa", str(bad)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--q-step", "0"], "--q-step"),
+            (["--q-step", "-0.5"], "--q-step"),
+            (["--q-min", "2", "--q-max", "1"], "--q-max"),
+        ],
+    )
+    def test_bad_q_range_is_usage_error(self, tmp_path, capsys, flags, named):
+        series_csv = tmp_path / "series.csv"
+        write_series_csv(series_csv, white_noise(1024, seed=3))
+        with pytest.raises(SystemExit) as exc:
+            main(["mfdfa", str(series_csv), "-o", str(tmp_path / "r.json"), *flags])
+        assert exc.value.code == 2
+        assert f"argument {named}" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         series_csv = tmp_path / "series.csv"
@@ -118,6 +135,48 @@ class TestAnalyzeCommand:
         ])
         assert rc == 1
         assert "O2" in capsys.readouterr().err
+
+    def test_repeated_electrode_rejected(self, tmp_path, capsys):
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg)
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--clips", "1",
+            "--electrodes", "F3,F3,T4", "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "listed more than once: F3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_electrode_list_rejected(self, tmp_path, capsys):
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg)
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--clips", "1",
+            "--electrodes", ",", "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "electrode list is empty" in capsys.readouterr().err
+
+    def test_recording_may_end_inside_final_rest(self, tmp_path):
+        eeg = tmp_path / "eeg.csv"
+        timeline = make_eeg_fixture(eeg, duration_s=215.0)  # 10 s into the 205-235 s rest
+        assert timeline.conditions[-1].start_s == 205.0
+        outdir = tmp_path / "out"
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--clips", "1",
+            "--electrodes", "F3,T4", "--outdir", str(outdir),
+        ])
+        assert rc == 0
+        lines = (outdir / "report.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 2 * 3 * 6
+
+    def test_recording_ending_inside_stimulus_fails(self):
+        fs = 256.0
+        n = int(195.0 * fs)  # inside clip1_band1, 185-205 s
+        with pytest.raises(
+            RecordingTooShortError, match=r"'clip1_band1' .*needs 52480 samples, have 49920"
+        ):
+            analyze_recording({"F3": np.zeros(n)}, fs, build_timeline(1), RunConfig(electrodes=["F3"]))
 
     def test_dwt_method_recorded_in_metadata(self, tmp_path):
         eeg = tmp_path / "eeg.csv"

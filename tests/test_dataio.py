@@ -37,6 +37,13 @@ class TestSeriesCsv:
         with pytest.raises(DataFormatError):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, cell):
+        path = tmp_path / "s.csv"
+        path.write_text(f"value\n1.5\n\n2.5\n{cell}\n")  # blank line 3 is skipped
+        with pytest.raises(DataFormatError, match=f"s.csv: line 5: '{cell}' is not a finite"):
+            read_series_csv(path)
+
 
 class TestEegCsv:
     def test_round_trip(self, tmp_path):
@@ -57,6 +64,15 @@ class TestEegCsv:
         path = tmp_path / "eeg.csv"
         path.write_text("sample,F3,F4\n0,1.0,2.0\n1,3.0\n")
         with pytest.raises(DataFormatError, match="line 3"):
+            read_eeg_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "eeg.csv"
+        path.write_text(f"sample,F3,F4\n0,1.0,2.0\n\n1,3.0,4.0\n2,5.0,{cell}\n")
+        with pytest.raises(
+            DataFormatError, match=f"eeg.csv: line 5: column F4: '{cell}' is not a finite"
+        ):
             read_eeg_csv(path)
 
 

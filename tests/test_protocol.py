@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mfsig import (
-    ElectrodeRegistry,
     ResponseSheet,
     aggregate_responses,
     build_timeline,
@@ -72,7 +71,7 @@ class TestSegmentRecording:
         fs = 256.0
         timeline = build_timeline(1)
         eeg = white_noise(int(timeline.total_duration_s * fs), seed=1, sample_rate_hz=fs)
-        segments = segment_recording(eeg, timeline)
+        segments = segment_recording(eeg, timeline.conditions)
         by_label = {}
         for cond, window in segments:
             by_label.setdefault(cond.label, []).append(len(window))
@@ -85,7 +84,7 @@ class TestSegmentRecording:
         timeline = build_timeline(1)
         eeg = white_noise(int((timeline.total_duration_s - 1) * fs), seed=2, sample_rate_hz=fs)
         with pytest.raises(RecordingTooShortError, match="rest"):
-            segment_recording(eeg, timeline)
+            segment_recording(eeg, timeline.conditions)
 
 
 class TestPartToBand:
@@ -144,15 +143,3 @@ class TestAggregateResponses:
     def test_no_sheets(self):
         with pytest.raises(NoSheetsError):
             aggregate_responses([])
-
-
-class TestElectrodeRegistry:
-    def test_defaults(self):
-        reg = ElectrodeRegistry()
-        assert len(reg.all) == 19
-        assert set(reg.analyzed) == {"F3", "F4", "F7", "F8", "T3", "T4", "T5", "T6", "O1", "O2"}
-        assert set(reg.analyzed) <= set(reg.all)
-
-    def test_rejects_unknown_analyzed(self):
-        with pytest.raises(ValueError):
-            ElectrodeRegistry(analyzed=("F3", "XX"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfsig import fit_spectrum, scaling_exponents, singularity_spectrum, width
+from mfsig import fit_spectrum, scaling_exponents, singularity_spectrum
 from mfsig.errors import InsufficientQPointsError
 from mfsig.mfdfa import HurstCurve
 from mfsig.spectrum import SingularitySpectrum
@@ -120,7 +120,7 @@ class TestFitSpectrum:
         )
         fit = fit_spectrum(spec)
         assert fit.monofractal_degenerate
-        assert width(fit) == 0.0
+        assert fit.width == 0.0
 
     def test_nonconcave_falls_back_to_raw_range(self):
         alpha = np.linspace(0.4, 0.8, 9)
