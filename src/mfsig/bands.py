@@ -43,18 +43,11 @@ STIMULUS_BANDS = (
 SUB_BAND_FLOOR = BandSpec(0.0, 50.0, "sub50")  # residual below the stimulus bands
 
 
-@dataclass(frozen=True)
-class RhythmSpec:
-    """Named EEG rhythm and its frequency band."""
-
-    name: str
-    band: BandSpec
-
-
+# EEG rhythms analyzed per window, keyed by name.
 RHYTHMS = {
-    "alpha": RhythmSpec("alpha", BandSpec(8.0, 13.0, "alpha")),
-    "theta": RhythmSpec("theta", BandSpec(4.0, 7.0, "theta")),
-    "gamma": RhythmSpec("gamma", BandSpec(13.0, 30.0, "gamma")),
+    "alpha": BandSpec(8.0, 13.0, "alpha"),
+    "theta": BandSpec(4.0, 7.0, "theta"),
+    "gamma": BandSpec(13.0, 30.0, "gamma"),
 }
 
 
@@ -110,22 +103,21 @@ def split_bands(audio: TimeSeries, transition_hz: float = 0.0) -> dict[str, Time
     return {band.name: fft_bandpass(audio, band, transition_hz) for band in STIMULUS_BANDS}
 
 
-def extract_rhythm(eeg: TimeSeries, rhythm: RhythmSpec | str, method: str = "fft") -> TimeSeries:
-    """Band-limited rhythm signal from an EEG channel.
+def extract_rhythm(eeg: TimeSeries, name: str, method: str = "fft") -> TimeSeries:
+    """Band-limited signal of the named rhythm (a key of RHYTHMS).
 
     ``method="fft"`` applies the brick-wall filter at the rhythm's exact
     band edges. ``method="dwt"`` reconstructs the nearest dyadic wavelet
     subband instead, which only approximates the edges (at 256 Hz the
     dyadic bands are 8-16 / 4-8 / 16-32 Hz).
     """
-    if isinstance(rhythm, str):
-        rhythm = RHYTHMS[rhythm]
+    band = RHYTHMS[name]
     if method == "fft":
-        return fft_bandpass(eeg, rhythm.band)
+        return fft_bandpass(eeg, band)
     if method == "dwt":
         from .wavelet import dyadic_subband
 
-        return dyadic_subband(eeg, rhythm.band)
+        return dyadic_subband(eeg, band)
     raise ValueError(f"unknown rhythm extraction method: {method!r}")
 
 

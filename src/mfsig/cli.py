@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from . import dataio, synth
 from .bands import normalize, rms, split_bands
 from .errors import AnalysisError
+from .mfdfa import MfdfaConfig
 from .pipeline import RunConfig, analyze_recording, analyze_series
 from .protocol import aggregate_responses, build_timeline, timeline_from_markers
 from .report import emit_report, report_from_json_dict
@@ -37,15 +37,15 @@ def _default_outdir(flag_value: str | None) -> Path:
 def _default_workers(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
-    return int(os.environ.get(ENV_WORKERS, "1"))
+    text = os.environ.get(ENV_WORKERS, "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{ENV_WORKERS} must be an integer, got {text!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def cmd_split_bands(args) -> int:
@@ -81,13 +81,13 @@ def _check_q_range(parser: argparse.ArgumentParser, args) -> None:
         parser.error(f"argument --q-max: {hi:g} is below --q-min {lo:g}")
 
 
-def _mfdfa_config_from_args(args) -> RunConfig:
+def _mfdfa_config_from_args(args) -> MfdfaConfig:
     q_grid = None
     if args.q_min is not None or args.q_max is not None or args.q_step is not None:
         lo, hi, step = _q_range(args)
         n = int(round((hi - lo) / step)) + 1
-        q_grid = list(np.linspace(lo, hi, n))
-    return RunConfig(
+        q_grid = np.linspace(lo, hi, n)
+    return MfdfaConfig(
         detrend_order=args.order,
         scales=_parse_int_list(args.scales) if args.scales else None,
         q_grid=q_grid,
@@ -98,10 +98,15 @@ def _mfdfa_config_from_args(args) -> RunConfig:
 def cmd_mfdfa(args) -> int:
     ts = dataio.read_series_csv(args.input, sample_rate_hz=args.fs)
     cfg = _mfdfa_config_from_args(args)
-    cfg.input_path = str(args.input)
-    result, fit = analyze_series(ts, cfg.mfdfa_config())
+    result, fit = analyze_series(ts, cfg)
     payload = {
-        "config": asdict(cfg),
+        "config": {
+            "detrend_order": cfg.detrend_order,
+            "scales": None if cfg.scales is None else cfg.scales.tolist(),
+            "q_grid": None if cfg.q_grid is None else cfg.q_grid.tolist(),
+            "bidirectional": cfg.bidirectional,
+            "input_path": str(args.input),
+        },
         "inputs": {"path": str(args.input), "sha256": dataio.sha256_file(args.input)},
         "mfdfa": result.to_json_dict(),
         "spectrum": fit.to_json_dict(),

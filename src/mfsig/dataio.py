@@ -80,6 +80,9 @@ def read_eeg_csv(path: str | Path) -> dict[str, np.ndarray]:
         channels = [h.strip() for h in header[1:]]
         if not channels:
             raise DataFormatError(f"{path}: no channel columns")
+        repeated = next((c for i, c in enumerate(channels) if c in channels[:i]), None)
+        if repeated is not None:
+            raise DataFormatError(f"{path}: line 1: column {repeated!r} appears more than once")
         columns: list[list[float]] = [[] for _ in channels]
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -123,15 +123,6 @@ def emd(ts: TimeSeries, max_imfs: int = 10) -> ImfSet:
     return ImfSet(imfs=imfs, residue=ts.with_samples(residue))
 
 
-def imf_oscillation_counts(imf: TimeSeries) -> tuple[int, int]:
-    """(number of extrema, number of zero crossings) for one component."""
-    x = imf.samples
-    maxima, minima = local_extrema(x)
-    signs = np.sign(x[x != 0])
-    crossings = int(np.count_nonzero(np.diff(signs) != 0))
-    return int(maxima.size + minima.size), crossings
-
-
 def emd_denoise(ts: TimeSeries, drop_imfs: list[int] | None = None, max_imfs: int = 10) -> TimeSeries:
     """Input minus the listed IMFs (1-based; default drops the fastest).
 

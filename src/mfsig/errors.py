@@ -17,10 +17,6 @@ class NonFiniteError(AnalysisError):
     """Input contains NaN or infinity."""
 
 
-class ScaleTooLargeError(AnalysisError):
-    """Segment scale exceeds the series length."""
-
-
 class DegenerateFitError(AnalysisError):
     """Too few points in a segment for the requested polynomial order."""
 
@@ -67,10 +63,6 @@ class SilentInputError(AnalysisError):
 
 class RecordingTooShortError(AnalysisError):
     """Recording ends before the experiment timeline does."""
-
-
-class BadPartError(AnalysisError):
-    """Listening-test part index outside 1..5."""
 
 
 class NoSheetsError(AnalysisError):

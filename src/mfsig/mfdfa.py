@@ -12,7 +12,7 @@ over them in parallel without changing any result bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import (
     DegenerateFitError,
     InsufficientDataError,
     InsufficientScalesError,
-    ScaleTooLargeError,
 )
 from .series import ProfileSeries, TimeSeries, ensure_finite, profile
 
@@ -30,14 +29,14 @@ DEFAULT_N_SCALES = 19
 DEFAULT_MIN_SCALE = 16
 
 
-def default_scales(n: int, n_scales: int = DEFAULT_N_SCALES, min_scale: int = DEFAULT_MIN_SCALE) -> np.ndarray:
-    """Log-spaced integer scales from min_scale to n // 4."""
+def default_scales(n: int) -> np.ndarray:
+    """DEFAULT_N_SCALES log-spaced integer scales from DEFAULT_MIN_SCALE to n // 4."""
     max_scale = n // 4
-    if max_scale < min_scale:
+    if max_scale < DEFAULT_MIN_SCALE:
         raise InsufficientDataError(
-            f"series of length {n} supports no scales in [{min_scale}, n/4]"
+            f"series of length {n} supports no scales in [{DEFAULT_MIN_SCALE}, n/4]"
         )
-    grid = np.geomspace(min_scale, max_scale, n_scales)
+    grid = np.geomspace(DEFAULT_MIN_SCALE, max_scale, DEFAULT_N_SCALES)
     return np.unique(np.round(grid).astype(int))
 
 
@@ -85,15 +84,6 @@ class MfdfaConfig:
         return MfdfaConfig(self.detrend_order, scales, q_grid, self.bidirectional)
 
 
-def segment_count(n: int, s: int) -> int:
-    """Number of whole segments of size s in a series of length n."""
-    if s < 1:
-        raise ValueError(f"scale must be >= 1, got {s}")
-    if s > n:
-        raise ScaleTooLargeError(f"scale {s} exceeds series length {n}")
-    return n // s
-
-
 def _detrend_residual_ms(segments: np.ndarray, order: int) -> np.ndarray:
     """Mean squared residual of an order-m least-squares fit, per row.
 
@@ -109,17 +99,6 @@ def _detrend_residual_ms(segments: np.ndarray, order: int) -> np.ndarray:
     return np.mean(resid**2, axis=0)
 
 
-def local_fluctuation(prof: ProfileSeries, s: int, v: int, m: int) -> float:
-    """Squared local fluctuation F2(s, v) of segment v (1-based) at scale s."""
-    if s < m + 2:
-        raise DegenerateFitError(f"scale {s} too small for polynomial order {m}")
-    ns = segment_count(len(prof), s)
-    if not 1 <= v <= ns:
-        raise ValueError(f"segment index {v} outside 1..{ns}")
-    seg = prof.values[(v - 1) * s : v * s]
-    return float(_detrend_residual_ms(seg[np.newaxis, :], m)[0])
-
-
 def segment_fluctuations(
     prof: ProfileSeries, s: int, m: int, bidirectional: bool = False
 ) -> np.ndarray:
@@ -132,7 +111,7 @@ def segment_fluctuations(
     if s < m + 2:
         raise DegenerateFitError(f"scale {s} too small for polynomial order {m}")
     n = len(prof)
-    ns = segment_count(n, s)
+    ns = n // s
     y = prof.values
     forward = y[: ns * s].reshape(ns, s)
     f2 = _detrend_residual_ms(forward, m)
@@ -223,16 +202,14 @@ def hurst_exponents(fq: np.ndarray, scales: np.ndarray, q_grid: np.ndarray) -> H
 
 @dataclass(frozen=True)
 class MfdfaResult:
-    """Everything the analysis produced, including intermediates."""
+    """Fluctuation function, Hurst curve, and degeneracy counters."""
 
     scales: np.ndarray
     q_grid: np.ndarray
     fq: np.ndarray  # shape (len(q_grid), len(scales))
     hurst: HurstCurve
-    segment_f2: list = field(repr=False, default_factory=list)  # per scale
     zero_variance_segments: int = 0
     negative_q_blowup: bool = False
-    config: MfdfaConfig | None = None
 
     @property
     def log_fq(self) -> np.ndarray:
@@ -297,8 +274,6 @@ def run_mfdfa(ts: TimeSeries, config: MfdfaConfig | None = None) -> MfdfaResult:
         q_grid=cfg.q_grid,
         fq=fq,
         hurst=hurst,
-        segment_f2=per_scale,
         zero_variance_segments=zero_total,
         negative_q_blowup=blowup_any,
-        config=cfg,
     )

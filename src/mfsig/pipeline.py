@@ -24,32 +24,21 @@ from .series import TimeSeries
 from .spectrum import SpectrumFit, fit_spectrum, singularity_spectrum
 
 
-DEFAULT_RHYTHM_BANDS = {name: (r.band.low_hz, r.band.high_hz) for name, r in bands.RHYTHMS.items()}
-
-
 @dataclass
 class RunConfig:
-    """Resolved settings for one analysis run; JSON-serializable."""
+    """Resolved settings of one ``analyze`` run; JSON-serializable.
+
+    Every window is analyzed with the default scale and q grids.
+    """
 
     detrend_order: int = 1
-    scales: list | None = None  # None = auto per window length
-    q_grid: list | None = None  # None = default -5..5 step 0.25
     bidirectional: bool = False
-    rhythms: dict = field(default_factory=lambda: dict(DEFAULT_RHYTHM_BANDS))
     rhythm_method: str = "fft"
     use_envelope: bool = True
     emd_drop: list = field(default_factory=list)
     electrodes: list = field(default_factory=lambda: list(DEFAULT_ANALYZED))
     input_path: str = ""
     outdir: str = ""
-
-    def mfdfa_config(self) -> MfdfaConfig:
-        return MfdfaConfig(
-            detrend_order=self.detrend_order,
-            scales=None if self.scales is None else np.asarray(self.scales),
-            q_grid=None if self.q_grid is None else np.asarray(self.q_grid),
-            bidirectional=self.bidirectional,
-        )
 
 
 def analyze_series(ts: TimeSeries, config: MfdfaConfig | None = None) -> tuple[MfdfaResult, SpectrumFit]:
@@ -83,14 +72,15 @@ def _run_job(job: tuple) -> list[WidthRecord]:
     subject, electrode, condition, window, config = job
     if config.emd_drop:
         window = emd_denoise(window, drop_imfs=list(config.emd_drop))
+    mfdfa_config = MfdfaConfig(
+        detrend_order=config.detrend_order, bidirectional=config.bidirectional
+    )
     records = []
-    for rhythm_name in sorted(config.rhythms):
-        low, high = config.rhythms[rhythm_name]
-        spec = bands.RhythmSpec(rhythm_name, bands.BandSpec(low, high, rhythm_name))
-        signal = bands.extract_rhythm(window, spec, method=config.rhythm_method)
+    for rhythm_name in sorted(bands.RHYTHMS):
+        signal = bands.extract_rhythm(window, rhythm_name, method=config.rhythm_method)
         if config.use_envelope:
             signal = bands.envelope(signal)
-        result, fit = analyze_series(signal, config.mfdfa_config())
+        result, fit = analyze_series(signal, mfdfa_config)
         records.append(
             WidthRecord(
                 subject_id=subject,

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadPartError,
-    DataFormatError,
-    NoSheetsError,
-    RecordingTooShortError,
-)
+from .errors import DataFormatError, NoSheetsError, RecordingTooShortError
 from .series import TimeSeries
 
 # Part order on the response template: part 1 plays band 3, and so on.
@@ -58,6 +53,7 @@ class Condition:
 
     @property
     def label(self) -> str:
+        """Inverse of parse_label."""
         if self.kind == "rest":
             return "rest"
         if self.kind == "original":
@@ -69,12 +65,31 @@ class Condition:
         return self.kind != "rest"
 
 
+def parse_label(label: str) -> tuple[str, int | None, int | None]:
+    """(kind, clip, band) of a condition label.
+
+    Labels are "rest", "clip<N>_original" and "clip<N>_band<B>"; clip and
+    band are None where the label has none. Anything else is a ValueError.
+    """
+    if label == "rest":
+        return "rest", None, None
+    clip_part, _, stim = label.partition("_")
+    try:
+        clip = int(clip_part.removeprefix("clip"))
+        if stim == "original":
+            return "original", clip, None
+        if stim.startswith("band"):
+            return "band", clip, int(stim.removeprefix("band"))
+    except ValueError:
+        pass
+    raise ValueError(f"bad label {label!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolTimeline:
     """Ordered, non-overlapping conditions covering one recording."""
 
     conditions: tuple
-    n_clips: int
 
     def __post_init__(self):
         prev_end = 0.0
@@ -96,13 +111,6 @@ class ProtocolTimeline:
             if cond.kind == "rest":
                 return cond
         raise ValueError("timeline has no rest condition")
-
-
-def part_to_band(part: int) -> int:
-    """Template position (1..5) to stimulus band id."""
-    if part not in PART_TO_BAND:
-        raise BadPartError(f"part must be 1..5, got {part}")
-    return PART_TO_BAND[part]
 
 
 def build_timeline(n_clips: int) -> ProtocolTimeline:
@@ -127,44 +135,29 @@ def build_timeline(n_clips: int) -> ProtocolTimeline:
             t += STIMULUS_S
         conditions.append(Condition("rest", t, t + CLIP_REST_S))
         t += CLIP_REST_S
-    return ProtocolTimeline(conditions=tuple(conditions), n_clips=n_clips)
+    return ProtocolTimeline(conditions=tuple(conditions))
 
 
-def timeline_from_markers(markers: list[dict], n_clips: int | None = None) -> ProtocolTimeline:
+def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
     """Timeline from explicit marker entries, overriding the nominal one.
 
-    Each marker is {"label": ..., "start_s": ..., "end_s": ...} with
-    labels "rest", "clip<N>_original", or "clip<N>_band<B>".
+    Each marker is {"label": ..., "start_s": ..., "end_s": ...}; see
+    parse_label for the labels.
     """
     conditions = []
-    clips = set()
     for i, mk in enumerate(markers):
         try:
-            label = mk["label"]
+            label = str(mk["label"])
             start, end = float(mk["start_s"]), float(mk["end_s"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"marker {i}: {exc}") from exc
-        if label == "rest":
-            conditions.append(Condition("rest", start, end))
-            continue
         try:
-            clip_part, _, stim = label.partition("_")
-            clip = int(clip_part.removeprefix("clip"))
-            if stim == "original":
-                cond = Condition("original", start, end, clip=clip)
-            elif stim.startswith("band"):
-                cond = Condition("band", start, end, clip=clip, band=int(stim.removeprefix("band")))
-            else:
-                raise ValueError(f"unknown stimulus {stim!r}")
+            kind, clip, band = parse_label(label)
+            conditions.append(Condition(kind, start, end, clip=clip, band=band))
         except ValueError as exc:
-            raise DataFormatError(f"marker {i}: bad label {label!r}") from exc
-        clips.add(clip)
-        conditions.append(cond)
+            raise DataFormatError(f"marker {i}: {exc}") from exc
     conditions.sort(key=lambda c: c.start_s)
-    return ProtocolTimeline(
-        conditions=tuple(conditions),
-        n_clips=n_clips if n_clips is not None else (max(clips) if clips else 0),
-    )
+    return ProtocolTimeline(conditions=tuple(conditions))
 
 
 def segment_recording(eeg: TimeSeries, conditions: Iterable[Condition]) -> list:

@@ -15,14 +15,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import EmptyCellError, EmptyReportError
-from .protocol import BAND_TO_PART, DEFAULT_ANALYZED
+from .protocol import BAND_TO_PART, DEFAULT_ANALYZED, PART_TO_BAND, parse_label
 
 SCHEMA_VERSION = "1"
 
 BASELINE_CONDITION = "rest"
 
 # Stimulus columns in presentation order: the original, then parts 1..5.
-STIMULUS_SLOTS = ("original", "band3", "band2", "band5", "band4", "band1")
+STIMULUS_SLOTS = ("original",) + tuple(f"band{PART_TO_BAND[p]}" for p in sorted(PART_TO_BAND))
 
 
 def baseline_delta(w_cond: float, w_rest: float) -> float:
@@ -106,19 +106,19 @@ def _nan(x):
 
 def _split_condition(label: str) -> tuple[int | None, str | None]:
     """(clip number, stimulus slot) for a stimulus label, (None, None) for rest."""
-    if not label.startswith("clip"):
+    kind, clip, band = parse_label(label)
+    if kind == "rest":
         return None, None
-    clip_part, _, stim = label.partition("_")
-    return int(clip_part.removeprefix("clip")), stim
+    return clip, "original" if kind == "original" else f"band{band}"
 
 
 def _condition_sort_key(label: str) -> tuple:
-    clip, stim = _split_condition(label)
-    if clip is None:
+    kind, clip, band = parse_label(label)
+    if kind == "rest":
         return (0, 0, 0)
-    if stim == "original":
+    if kind == "original":
         return (1, clip, 0)
-    return (1, clip, BAND_TO_PART.get(int(stim.removeprefix("band")), 9))
+    return (1, clip, BAND_TO_PART.get(band, 9))
 
 
 def record_sort_key(rec: WidthRecord) -> tuple:
@@ -170,16 +170,6 @@ class AnalysisReport:
             cell = (clip, slot, rec.electrode, rec.rhythm)
             per_cell.setdefault(cell, []).append(baseline_delta(rec.w, base[key]))
         return {cell: cell_mean_sd(vals) for cell, vals in per_cell.items()}
-
-
-def average_subjects(records: list) -> dict:
-    """Mean/SD of width over subjects per (electrode, rhythm, condition)."""
-    if not records:
-        raise EmptyCellError("no records to average")
-    cells: dict[tuple, list[float]] = {}
-    for rec in records:
-        cells.setdefault((rec.electrode, rec.rhythm, rec.condition), []).append(rec.w)
-    return {cell: cell_mean_sd(vals) for cell, vals in sorted(cells.items())}
 
 
 def _fmt(x: float) -> str:

@@ -1,4 +1,4 @@
-"""Signal container, profile construction, shuffling surrogate, basic stats.
+"""Signal container, profile construction, shuffling surrogate.
 
 The shuffle surrogate destroys temporal correlations while preserving the
 value distribution exactly; it is the reference test for whether measured
@@ -9,7 +9,6 @@ distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,18 +64,11 @@ class ProfileSeries:
         return self.values.size
 
 
-class SeriesStats(NamedTuple):
-    mean: float
-    variance: float
-    min: float
-    max: float
-
-
-def ensure_finite(samples: np.ndarray, what: str = "series") -> None:
+def ensure_finite(samples: np.ndarray) -> None:
     """Raise NonFiniteError if any value is NaN or infinite."""
     if not np.all(np.isfinite(samples)):
         bad = int(np.flatnonzero(~np.isfinite(samples))[0])
-        raise NonFiniteError(f"{what} contains a non-finite value at index {bad}")
+        raise NonFiniteError(f"series contains a non-finite value at index {bad}")
 
 
 def profile(ts: TimeSeries) -> ProfileSeries:
@@ -147,16 +139,3 @@ def shuffle(ts: TimeSeries, seed: int) -> TimeSeries:
     if len(ts) == 0:  # unreachable through TimeSeries, kept for raw callers
         raise EmptySeriesError("cannot shuffle an empty series")
     return ts.with_samples(ts.samples[permutation(len(ts), seed)])
-
-
-def basic_stats(ts: TimeSeries) -> SeriesStats:
-    """Mean, population variance (1/N), min, max."""
-    if len(ts) == 0:
-        raise EmptySeriesError("stats need a non-empty series")
-    x = ts.samples
-    return SeriesStats(
-        mean=float(x.mean()),
-        variance=float(x.var()),
-        min=float(x.min()),
-        max=float(x.max()),
-    )

@@ -21,11 +21,6 @@ from .mfdfa import HurstCurve
 _DEGENERATE_ALPHA_SPREAD = 1e-9
 
 
-def scaling_exponents(hurst: HurstCurve) -> np.ndarray:
-    """Classical scaling exponents tau(q) = q h(q) - 1, per grid point."""
-    return hurst.q_grid * hurst.h - 1.0
-
-
 @dataclass(frozen=True)
 class SingularitySpectrum:
     """(alpha, f) points with the q each point came from."""
@@ -93,10 +88,6 @@ class SpectrumFit:
             "concave": self.concave,
             "monofractal_degenerate": self.monofractal_degenerate,
         }
-
-    def to_csv_row(self) -> str:
-        vals = [self.a, self.b, self.alpha0, self.width, self.raw_width]
-        return ",".join(f"{v:.6g}" for v in vals)
 
 
 def fit_spectrum(spec: SingularitySpectrum) -> SpectrumFit:

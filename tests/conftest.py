@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from mfsig import binomial_cascade, fgn, shuffle, white_noise
 from mfsig.mfdfa import MfdfaConfig, run_mfdfa
+from mfsig.series import shuffle
+from mfsig.synth import binomial_cascade, fgn, white_noise
 
 CASCADE_A = 0.75
 SERIES_LEN = 2**16

@@ -11,26 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfsig import (
-    MfdfaConfig,
-    binomial_cascade,
-    build_timeline,
-    cascade_hurst_oracle,
-    dwt,
-    emd,
-    fft_bandpass,
-    idwt,
-    run_mfdfa,
-    shuffle,
-    split_bands,
-    tone,
-    white_noise,
-)
-from mfsig.bands import STIMULUS_BANDS, SUB_BAND_FLOOR
+from mfsig import MfdfaConfig, binomial_cascade, cascade_hurst_oracle, run_mfdfa
+from mfsig.bands import STIMULUS_BANDS, SUB_BAND_FLOOR, fft_bandpass, split_bands
 from mfsig.cli import main
 from mfsig.dataio import write_eeg_csv
+from mfsig.emd import emd
+from mfsig.protocol import build_timeline
+from mfsig.series import shuffle
 from mfsig.spectrum import fit_spectrum, singularity_spectrum
-from mfsig.synth import cascade_alpha_oracle
+from mfsig.synth import cascade_alpha_oracle, tone, white_noise
+from mfsig.wavelet import dwt, idwt
 
 from conftest import DYADIC_SCALES
 from oracles import energy, plain_dfa_slope

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from mfsig import TimeSeries, envelope, extract_rhythm, fft_bandpass, normalize, split_bands, tone, white_noise
-from mfsig.bands import RHYTHMS, STIMULUS_BANDS, SUB_BAND_FLOOR, BandSpec, rms
+from mfsig.bands import (
+    RHYTHMS,
+    STIMULUS_BANDS,
+    SUB_BAND_FLOOR,
+    BandSpec,
+    envelope,
+    extract_rhythm,
+    fft_bandpass,
+    normalize,
+    rms,
+    split_bands,
+)
 from mfsig.errors import BandOutOfRangeError, SampleRateTooLowError, SilentInputError
+from mfsig.series import TimeSeries
+from mfsig.synth import tone, white_noise
 
 from oracles import energy
 
@@ -151,9 +163,9 @@ class TestExtractRhythm:
         assert 8.0 <= freqs[np.argmax(spec)] <= 16.0
 
     def test_rhythm_band_definitions(self):
-        assert (RHYTHMS["alpha"].band.low_hz, RHYTHMS["alpha"].band.high_hz) == (8.0, 13.0)
-        assert (RHYTHMS["theta"].band.low_hz, RHYTHMS["theta"].band.high_hz) == (4.0, 7.0)
-        assert (RHYTHMS["gamma"].band.low_hz, RHYTHMS["gamma"].band.high_hz) == (13.0, 30.0)
+        assert (RHYTHMS["alpha"].low_hz, RHYTHMS["alpha"].high_hz) == (8.0, 13.0)
+        assert (RHYTHMS["theta"].low_hz, RHYTHMS["theta"].high_hz) == (4.0, 7.0)
+        assert (RHYTHMS["gamma"].low_hz, RHYTHMS["gamma"].high_hz) == (13.0, 30.0)
 
 
 class TestEnvelope:

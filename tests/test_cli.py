@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfsig import RunConfig, analyze_recording, build_timeline, tone, white_noise
 from mfsig.cli import main
 from mfsig.dataio import read_wav, write_eeg_csv, write_series_csv, write_wav
 from mfsig.errors import RecordingTooShortError
+from mfsig.pipeline import RunConfig, analyze_recording
+from mfsig.protocol import build_timeline
+from mfsig.synth import tone, white_noise
 
 from oracles import energy
 
@@ -70,6 +72,23 @@ class TestMfdfaCommand:
             main(["mfdfa", str(series_csv), "-o", str(tmp_path / "r.json"), *flags])
         assert exc.value.code == 2
         assert f"argument {named}" in capsys.readouterr().err
+
+    def test_config_holds_the_mfdfa_settings(self, tmp_path):
+        series_csv = tmp_path / "series.csv"
+        write_series_csv(series_csv, white_noise(4096, seed=4))
+        out = tmp_path / "r.json"
+        rc = main([
+            "mfdfa", str(series_csv), "-o", str(out), "--order", "2", "--bidirectional",
+            "--scales", "16,32,64,128", "--q-min", "-1", "--q-max", "1", "--q-step", "0.5",
+        ])
+        assert rc == 0
+        assert json.loads(out.read_text())["config"] == {
+            "detrend_order": 2,
+            "scales": [16, 32, 64, 128],
+            "q_grid": [-1.0, -0.5, 0.0, 0.5, 1.0],
+            "bidirectional": True,
+            "input_path": str(series_csv),
+        }
 
     def test_deterministic_output(self, tmp_path):
         series_csv = tmp_path / "series.csv"
@@ -219,6 +238,17 @@ class TestAnalyzeCommand:
         assert payload["inputs"]["markers_sha256"]
         lines = (outdir / "report.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 1 * 3 * 6
+
+    def test_bad_workers_env_named(self, tmp_path, monkeypatch, capsys):
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg, electrodes=("F3",))
+        monkeypatch.setenv("MFSIG_WORKERS", "two")
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "F3",
+            "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "MFSIG_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         eeg = tmp_path / "eeg.csv"

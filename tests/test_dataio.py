@@ -3,7 +3,6 @@ import wave
 import numpy as np
 import pytest
 
-from mfsig import tone, white_noise
 from mfsig.dataio import (
     read_eeg_csv,
     read_response_sheets,
@@ -15,6 +14,7 @@ from mfsig.dataio import (
     write_wav,
 )
 from mfsig.errors import DataFormatError
+from mfsig.synth import tone, white_noise
 
 
 class TestSeriesCsv:
@@ -58,6 +58,16 @@ class TestEegCsv:
         path = tmp_path / "eeg.csv"
         path.write_text("time,F3\n0,1.0\n")
         with pytest.raises(DataFormatError, match="line 1"):
+            read_eeg_csv(path)
+
+    @pytest.mark.parametrize("header", ["sample,F3,F3", "sample,F3,O2, F3"])
+    def test_repeated_column_names_path_line_and_column(self, tmp_path, header):
+        path = tmp_path / "eeg.csv"
+        n_fields = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["0"] + ["1.0"] * (n_fields - 1)) + "\n")
+        with pytest.raises(
+            DataFormatError, match="eeg.csv: line 1: column 'F3' appears more than once"
+        ):
             read_eeg_csv(path)
 
     def test_field_count_mismatch_names_line(self, tmp_path):

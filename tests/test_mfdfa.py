@@ -1,23 +1,21 @@
 import numpy as np
 import pytest
 
-from mfsig import TimeSeries, cascade_hurst_oracle, fgn, run_mfdfa, white_noise
 from mfsig.errors import (
     AllSegmentsDegenerateError,
     DegenerateFitError,
     InsufficientDataError,
     InsufficientScalesError,
-    ScaleTooLargeError,
 )
 from mfsig.mfdfa import (
     MfdfaConfig,
     hurst_exponents,
-    local_fluctuation,
     q_order_mean,
-    segment_count,
+    run_mfdfa,
     segment_fluctuations,
 )
-from mfsig.series import ProfileSeries, profile
+from mfsig.series import ProfileSeries, TimeSeries, profile
+from mfsig.synth import cascade_hurst_oracle, white_noise
 
 from oracles import normal_equations_residual_ms, plain_dfa_slope
 
@@ -25,34 +23,34 @@ from oracles import normal_equations_residual_ms, plain_dfa_slope
 class TestSegmentCount:
     @pytest.mark.parametrize("n,s,expected", [(1000, 100, 10), (1050, 100, 10), (5120, 16, 320)])
     def test_values(self, n, s, expected):
-        assert segment_count(n, s) == expected
+        prof = ProfileSeries(np.arange(n, dtype=float) ** 2)
+        assert segment_fluctuations(prof, s, 1).size == expected
 
-    def test_scale_too_large(self):
-        with pytest.raises(ScaleTooLargeError):
-            segment_count(10, 11)
+
+def local_fluctuation(values, m):
+    """F2 of a profile that is exactly one segment long."""
+    prof = ProfileSeries(values)
+    (f2,) = segment_fluctuations(prof, len(prof), m)
+    return f2
 
 
 class TestLocalFluctuation:
     def test_exact_linear_segment(self):
-        prof = ProfileSeries(2.5 * np.arange(32) - 7.0)
-        assert local_fluctuation(prof, 32, 1, 1) <= 1e-18
+        assert local_fluctuation(2.5 * np.arange(32) - 7.0, 1) <= 1e-18
 
     def test_constant_segment(self):
-        prof = ProfileSeries(np.full(24, 3.0))
         for m in (1, 2, 3):
-            assert local_fluctuation(prof, 24, 1, m) <= 1e-18
+            assert local_fluctuation(np.full(24, 3.0), m) <= 1e-18
 
     def test_squares_vs_normal_equations(self):
         squares = (np.arange(1, 17, dtype=float)) ** 2
-        prof = ProfileSeries(squares)
-        mine = local_fluctuation(prof, 16, 1, 1)
+        mine = local_fluctuation(squares, 1)
         ref = normal_equations_residual_ms(squares, 1)
         assert mine == pytest.approx(ref, rel=1e-9)
 
     def test_degenerate_scale(self):
-        prof = ProfileSeries(np.arange(10, dtype=float))
         with pytest.raises(DegenerateFitError):
-            local_fluctuation(prof, 3, 1, 2)
+            local_fluctuation(np.arange(3, dtype=float), 2)
 
 
 class TestQOrderMean:
@@ -154,10 +152,6 @@ class TestRunMfdfa:
     def test_power_mean_monotone_across_whole_grid(self, white_result):
         diffs = np.diff(white_result.fq, axis=0)
         assert np.all(diffs >= -1e-9 * np.abs(white_result.fq[:-1]))
-
-    def test_retains_intermediates(self, white_result):
-        assert len(white_result.segment_f2) == len(white_result.scales)
-        assert all(np.all(f2 >= 0) for f2 in white_result.segment_f2)
 
     def test_json_shape(self, white_result):
         payload = white_result.to_json_dict()

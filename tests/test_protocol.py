@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from mfsig import (
+from mfsig.errors import DataFormatError, NoSheetsError, RecordingTooShortError
+from mfsig.protocol import (
+    PART_TO_BAND,
     ResponseSheet,
     aggregate_responses,
     build_timeline,
-    part_to_band,
+    parse_label,
     segment_recording,
-    white_noise,
+    timeline_from_markers,
 )
-from mfsig.errors import BadPartError, NoSheetsError, RecordingTooShortError
-from mfsig.protocol import PART_TO_BAND, timeline_from_markers
+from mfsig.synth import white_noise
 
 
 class TestTimeline:
@@ -20,7 +21,6 @@ class TestTimeline:
     def test_four_clips_duration(self):
         timeline = build_timeline(4)
         assert timeline.total_duration_s == 760.0  # about 12.7 minutes
-        assert timeline.n_clips == 4
 
     def test_opens_with_long_rest(self):
         first = build_timeline(2).conditions[0]
@@ -60,7 +60,6 @@ class TestTimeline:
         ]
         rebuilt = timeline_from_markers(markers)
         assert [c.label for c in rebuilt.conditions] == [c.label for c in timeline.conditions]
-        assert rebuilt.n_clips == 2
 
     def test_baseline_is_initial_rest(self):
         assert build_timeline(4).baseline().duration_s == 60.0
@@ -90,15 +89,30 @@ class TestSegmentRecording:
 class TestPartToBand:
     @pytest.mark.parametrize("part,band", [(1, 3), (2, 2), (3, 5), (4, 4), (5, 1)])
     def test_fixed_map(self, part, band):
-        assert part_to_band(part) == band
+        assert PART_TO_BAND[part] == band
 
     def test_bijection(self):
         assert sorted(PART_TO_BAND.values()) == [1, 2, 3, 4, 5]
 
-    @pytest.mark.parametrize("bad", [0, 6, -1])
-    def test_bad_part(self, bad):
-        with pytest.raises(BadPartError):
-            part_to_band(bad)
+
+class TestParseLabel:
+    def test_inverse_of_condition_label(self):
+        for cond in build_timeline(4).conditions:
+            assert parse_label(cond.label) == (cond.kind, cond.clip, cond.band)
+
+    @pytest.mark.parametrize(
+        "bad", ["baseline", "clip1", "clip1_band", "clipX_original", "clip1_tone"]
+    )
+    def test_bad_label(self, bad):
+        with pytest.raises(ValueError, match="bad label"):
+            parse_label(bad)
+
+    @pytest.mark.parametrize("label", ["clip1_tone", 5])
+    def test_marker_with_bad_label_names_marker(self, label):
+        markers = [{"label": "rest", "start_s": 0, "end_s": 60},
+                   {"label": label, "start_s": 60, "end_s": 80}]
+        with pytest.raises(DataFormatError, match=f"marker 1: bad label '{label}'"):
+            timeline_from_markers(markers)
 
 
 def sheet(subject, marked_cells):

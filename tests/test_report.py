@@ -2,9 +2,14 @@ import json
 
 import pytest
 
-from mfsig import AnalysisReport, WidthRecord, average_subjects, baseline_delta
 from mfsig.errors import EmptyCellError, EmptyReportError
+from mfsig.protocol import build_timeline
 from mfsig.report import (
+    STIMULUS_SLOTS,
+    AnalysisReport,
+    WidthRecord,
+    baseline_delta,
+    cell_mean_sd,
     emit_report,
     report_csv,
     report_from_json_dict,
@@ -47,30 +52,32 @@ class TestBaselineDelta:
 
 
 class TestAverageSubjects:
+    """Subject averages go through cell_mean_sd, one cell at a time."""
+
     def test_mean_and_population_sd(self):
-        recs = [
-            record("S01", "F3", "alpha", "clip1_band4", 0.2),
-            record("S02", "F3", "alpha", "clip1_band4", 0.4),
-        ]
-        stats = average_subjects(recs)[("F3", "alpha", "clip1_band4")]
+        stats = cell_mean_sd([0.2, 0.4])
         assert stats.mean == pytest.approx(0.3)
         assert stats.sd == pytest.approx(0.1)
         assert stats.n == 2
 
     def test_single_record(self):
-        stats = average_subjects([record("S01", "F3", "alpha", "rest", 0.42)])[
-            ("F3", "alpha", "rest")
-        ]
+        stats = cell_mean_sd([0.42])
         assert stats.mean == pytest.approx(0.42)
         assert stats.sd == 0.0
 
     def test_order_invariance(self):
-        recs = [record(f"S{i}", "O1", "theta", "rest", 0.1 * i) for i in range(1, 6)]
-        assert average_subjects(recs) == average_subjects(recs[::-1])
+        widths = [0.1 * i for i in range(1, 6)]
+        assert cell_mean_sd(widths) == cell_mean_sd(widths[::-1])
 
     def test_empty(self):
         with pytest.raises(EmptyCellError):
-            average_subjects([])
+            cell_mean_sd([])
+
+
+class TestStimulusSlots:
+    def test_presentation_order(self):
+        labels = [c.label for c in build_timeline(1).stimulus_conditions()]
+        assert STIMULUS_SLOTS == tuple(label.partition("_")[2] for label in labels)
 
 
 class TestEmission:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mfsig import fit_spectrum, scaling_exponents, singularity_spectrum
 from mfsig.errors import InsufficientQPointsError
-from mfsig.mfdfa import HurstCurve
-from mfsig.spectrum import SingularitySpectrum
+from mfsig.mfdfa import HurstCurve, run_mfdfa
+from mfsig.spectrum import SingularitySpectrum, fit_spectrum, singularity_spectrum
+from mfsig.synth import white_noise
 
 from oracles import binomial_alpha_closed_form
 
@@ -16,18 +16,12 @@ def curve(h_values, q_grid=Q_GRID):
     return HurstCurve(q_grid=q_grid, h=h, r2=np.ones_like(h), stderr=np.zeros_like(h))
 
 
+def scaling_exponents(hurst):
+    """tau(q) = q h(q) - 1."""
+    return hurst.q_grid * hurst.h - 1.0
+
+
 class TestScalingExponents:
-    def test_h_half_gives_zero_at_q2(self):
-        tau = scaling_exponents(curve(np.full(41, 0.5)))
-        i2 = np.flatnonzero(np.isclose(Q_GRID, 2.0))[0]
-        assert tau[i2] == pytest.approx(0.0)
-
-    def test_tau_at_zero_is_minus_one(self):
-        rng = np.random.default_rng(0)
-        tau = scaling_exponents(curve(rng.uniform(0.2, 1.2, size=41)))
-        i0 = np.flatnonzero(np.isclose(Q_GRID, 0.0))[0]
-        assert tau[i0] == pytest.approx(-1.0)
-
     def test_cascade_tau_matches_closed_form(self, cascade_result):
         tau = scaling_exponents(cascade_result.hurst)
         expected = np.array(
@@ -148,8 +142,6 @@ class TestFitSpectrum:
 
 class TestAmplitudeInvariance:
     def test_width_invariant_under_scaling(self):
-        from mfsig import run_mfdfa, white_noise
-
         ts = white_noise(8192, seed=31)
         fit1 = fit_spectrum(singularity_spectrum(run_mfdfa(ts).hurst))
         scaled = ts.with_samples(5.5 * ts.samples)

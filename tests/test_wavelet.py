@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mfsig import TimeSeries, dwt, idwt, white_noise
 from mfsig.errors import TooManyLevelsError
-from mfsig.wavelet import DEC_HI, DEC_LO, dyadic_level_for_band, reconstruct_level
+from mfsig.series import TimeSeries
+from mfsig.synth import white_noise
+from mfsig.wavelet import DEC_HI, DEC_LO, dwt, dyadic_level_for_band, idwt, reconstruct_level
 
 from oracles import convolution_decimation_step
 
