@@ -25,10 +25,6 @@ class AllSegmentsDegenerateError(AnalysisError):
     """Every segment has zero residual variance; fluctuation undefined."""
 
 
-class InsufficientScalesError(AnalysisError):
-    """Fewer than two usable scales for the log-log regression."""
-
-
 class InsufficientDataError(AnalysisError):
     """Series too short for the configured scale range."""
 

@@ -6,8 +6,8 @@ squared residuals, and read the generalized Hurst exponent h(q) off the
 log-log slope of the fluctuation function.
 
 All stages are pure functions of their inputs; the per-scale fluctuation
-arrays and the per-q fits are independent work items, so callers may map
-over them in parallel without changing any result bit-for-bit.
+arrays are independent work items, so callers may map over them in
+parallel without changing any result bit-for-bit.
 """
 
 from __future__ import annotations
@@ -16,17 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllSegmentsDegenerateError,
-    DegenerateFitError,
-    InsufficientDataError,
-    InsufficientScalesError,
-)
+from .errors import AllSegmentsDegenerateError, DegenerateFitError, InsufficientDataError
 from .series import ProfileSeries, TimeSeries, ensure_finite, profile
 
 DEFAULT_Q_GRID = np.linspace(-5.0, 5.0, 41)
 DEFAULT_N_SCALES = 19
 DEFAULT_MIN_SCALE = 16
+# Bounds the working memory of log_fluctuation_function at any series length.
+_BLOCK_ELEMENTS = 2**16
 
 
 def default_scales(n: int) -> np.ndarray:
@@ -121,42 +118,31 @@ def segment_fluctuations(
     return f2
 
 
-def q_order_mean(f2: np.ndarray, q: float) -> tuple[float, int, bool]:
-    """q-order overall RMS variation of one scale's squared fluctuations.
+def log_fluctuation_function(f2: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
+    """ln Fq of one scale's squared fluctuations, for every q of the grid.
 
-    Returns (Fq, n_zero_excluded, negative_q_blowup). Zero-variance
-    segments are excluded from the mean (they would send q < 0 terms to
-    infinity and the q = 0 log-average to -infinity); the count is
-    reported so callers can surface a warning. For q = 0 the power mean
-    degenerates and the logarithmic average exp(mean(ln F2) / 2) is used.
+    Fq = mean(F2^(q/2))^(1/q) is evaluated in the log domain,
+    ln Fq = (logsumexp(q/2 ln F2) - ln n) / q, which overflows for no q;
+    q = 0 takes the limit mean(ln F2) / 2.
+    Zero-variance segments are excluded: they make ln Fq infinite for q <= 0.
+    The q x segment terms are formed in row blocks of at most _BLOCK_ELEMENTS,
+    so a long series never holds a whole scale of them.
     """
     f2 = np.asarray(f2, dtype=float)
-    included = f2[f2 > 0.0]
-    n_zero = f2.size - included.size
-    if included.size == 0:
+    ln_f2 = np.log(f2[f2 > 0.0])
+    if ln_f2.size == 0:
         raise AllSegmentsDegenerateError("all segments have zero residual variance")
-    blowup = bool(q < 0 and np.any(included < 1e-300))
-    with np.errstate(over="ignore", divide="ignore"):
-        if q == 0.0:
-            fq = float(np.exp(0.5 * np.mean(np.log(included))))
-        else:
-            fq = float(np.mean(included ** (q / 2.0)) ** (1.0 / q))
-    return fq, n_zero, blowup
-
-
-def _ols_loglog(log_s: np.ndarray, log_f: np.ndarray) -> tuple[float, float, float]:
-    """Ordinary least-squares slope of log_f on log_s: (slope, r2, stderr)."""
-    n = log_s.size
-    xm = log_s - log_s.mean()
-    ym = log_f - log_f.mean()
-    sxx = float(xm @ xm)
-    slope = float(xm @ ym) / sxx
-    resid = ym - slope * xm
-    ss_res = float(resid @ resid)
-    ss_tot = float(ym @ ym)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    stderr = float(np.sqrt(ss_res / (n - 2) / sxx)) if n > 2 else float("nan")
-    return slope, r2, stderr
+    q_grid = np.asarray(q_grid, dtype=float)
+    out = np.full(q_grid.size, 0.5 * np.mean(ln_f2))
+    nonzero = np.flatnonzero(q_grid != 0.0)
+    rows = max(1, _BLOCK_ELEMENTS // ln_f2.size)
+    for start in range(0, nonzero.size, rows):
+        idx = nonzero[start : start + rows]
+        terms = 0.5 * q_grid[idx, np.newaxis] * ln_f2
+        peak = terms.max(axis=1, keepdims=True)
+        lse = peak[:, 0] + np.log(np.sum(np.exp(terms - peak), axis=1))
+        out[idx] = (lse - np.log(ln_f2.size)) / q_grid[idx]
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,52 +155,51 @@ class HurstCurve:
     stderr: np.ndarray
     monotone: bool = True
 
-    def at(self, q: float) -> float:
+    def index(self, q: float) -> int | None:
+        """Position of q on the grid, or None when the grid lacks it."""
         idx = np.flatnonzero(np.isclose(self.q_grid, q, atol=1e-12))
-        if idx.size == 0:
+        return int(idx[0]) if idx.size else None
+
+    def at(self, q: float) -> float:
+        i = self.index(q)
+        if i is None:
             raise ValueError(f"q = {q} is not on the configured grid")
-        return float(self.h[idx[0]])
+        return float(self.h[i])
 
 
-def hurst_exponents(fq: np.ndarray, scales: np.ndarray, q_grid: np.ndarray) -> HurstCurve:
-    """Per-q log-log regression of the fluctuation function on scale.
+def hurst_exponents(log_fq: np.ndarray, scales: np.ndarray, q_grid: np.ndarray) -> HurstCurve:
+    """Least-squares slopes of ln Fq on ln s, one per q, with R^2 and stderr.
 
-    Scales with non-finite or non-positive Fq are dropped from that q's
-    fit; fewer than two usable scales is an error. A violation of the
-    expected non-increase of h(q) is flagged, not raised.
+    A violation of the expected non-increase of h(q) is flagged, not raised.
     """
-    fq = np.asarray(fq, dtype=float)
     log_s = np.log(np.asarray(scales, dtype=float))
-    h = np.empty(len(q_grid))
-    r2 = np.empty(len(q_grid))
-    stderr = np.empty(len(q_grid))
-    for i in range(len(q_grid)):
-        row = fq[i]
-        usable = np.isfinite(row) & (row > 0.0)
-        if np.count_nonzero(usable) < 2:
-            raise InsufficientScalesError(
-                f"q = {q_grid[i]}: fewer than 2 scales with finite positive Fq"
-            )
-        h[i], r2[i], stderr[i] = _ols_loglog(log_s[usable], np.log(row[usable]))
+    xm = log_s - log_s.mean()
+    ym = log_fq - log_fq.mean(axis=1, keepdims=True)
+    sxx = xm @ xm
+    h = ym @ xm / sxx
+    resid = ym - h[:, np.newaxis] * xm
+    ss_res = np.sum(resid**2, axis=1)
+    ss_tot = np.sum(ym**2, axis=1)
+    r2 = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_res), where=ss_tot != 0.0)
+    n = log_s.size
+    stderr = np.sqrt(ss_res / (n - 2) / sxx) if n > 2 else np.full(h.size, np.nan)
     monotone = bool(np.all(np.diff(h) <= 1e-6))
     return HurstCurve(np.asarray(q_grid, dtype=float), h, r2, stderr, monotone)
 
 
 @dataclass(frozen=True)
 class MfdfaResult:
-    """Fluctuation function, Hurst curve, and degeneracy counters."""
+    """Log fluctuation function, Hurst curve, and zero-variance count."""
 
     scales: np.ndarray
     q_grid: np.ndarray
-    fq: np.ndarray  # shape (len(q_grid), len(scales))
+    log_fq: np.ndarray  # shape (len(q_grid), len(scales))
     hurst: HurstCurve
     zero_variance_segments: int = 0
-    negative_q_blowup: bool = False
 
     @property
-    def log_fq(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.fq)
+    def fq(self) -> np.ndarray:
+        return np.exp(self.log_fq)
 
     @property
     def h(self) -> np.ndarray:
@@ -227,21 +212,20 @@ class MfdfaResult:
         return {
             "scales": self.scales.tolist(),
             "q": self.q_grid.tolist(),
-            "log_fq": _jsonsafe(self.log_fq).tolist(),
+            "log_fq": self.log_fq.tolist(),
             "h": self.hurst.h.tolist(),
             "r2": self.hurst.r2.tolist(),
             "stderr": _jsonsafe(self.hurst.stderr).tolist(),
             "h_monotone": self.hurst.monotone,
             "zero_variance_segments": self.zero_variance_segments,
-            "negative_q_blowup": self.negative_q_blowup,
         }
 
     def to_csv_rows(self):
         """One (q, s, fq, log_fq) row per grid point."""
-        log_fq = self.log_fq
+        fq = self.fq
         for i, q in enumerate(self.q_grid):
             for j, s in enumerate(self.scales):
-                yield float(q), int(s), float(self.fq[i, j]), float(log_fq[i, j])
+                yield float(q), int(s), float(fq[i, j]), float(self.log_fq[i, j])
 
 
 def _jsonsafe(arr: np.ndarray):
@@ -252,28 +236,23 @@ def _jsonsafe(arr: np.ndarray):
 
 
 def run_mfdfa(ts: TimeSeries, config: MfdfaConfig | None = None) -> MfdfaResult:
-    """Full analysis of one series: profile, fluctuations, Fq, h(q)."""
+    """Full analysis of one series: profile, fluctuations, ln Fq, h(q)."""
     ensure_finite(ts.samples)
     cfg = (config or MfdfaConfig()).resolve(len(ts))
     prof = profile(ts)
-    per_scale = [
-        segment_fluctuations(prof, int(s), cfg.detrend_order, cfg.bidirectional)
-        for s in cfg.scales
-    ]
-    fq = np.empty((len(cfg.q_grid), len(cfg.scales)))
+    log_fq = np.empty((len(cfg.q_grid), len(cfg.scales)))
     zero_total = 0
-    blowup_any = False
-    for j, f2 in enumerate(per_scale):
-        for i, q in enumerate(cfg.q_grid):
-            fq[i, j], n_zero, blowup = q_order_mean(f2, float(q))
-            blowup_any = blowup_any or blowup
+    for j, s in enumerate(cfg.scales):
+        f2 = segment_fluctuations(prof, int(s), cfg.detrend_order, cfg.bidirectional)
+        try:
+            log_fq[:, j] = log_fluctuation_function(f2, cfg.q_grid)
+        except AllSegmentsDegenerateError as exc:
+            raise AllSegmentsDegenerateError(f"scale {s}: {exc}") from None
         zero_total += int(np.count_nonzero(f2 == 0.0))
-    hurst = hurst_exponents(fq, cfg.scales, cfg.q_grid)
     return MfdfaResult(
         scales=cfg.scales,
         q_grid=cfg.q_grid,
-        fq=fq,
-        hurst=hurst,
+        log_fq=log_fq,
+        hurst=hurst_exponents(log_fq, cfg.scales, cfg.q_grid),
         zero_variance_segments=zero_total,
-        negative_q_blowup=blowup_any,
     )

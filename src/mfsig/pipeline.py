@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bands
 from .emd import emd_denoise
-from .errors import DataFormatError
+from .errors import AnalysisError, DataFormatError
 from .mfdfa import MfdfaConfig, MfdfaResult, run_mfdfa
 from .protocol import DEFAULT_ANALYZED, ProtocolTimeline, segment_recording
 from .report import AnalysisReport, WidthRecord, record_sort_key
@@ -56,45 +56,48 @@ def _fit_flags(result: MfdfaResult, fit: SpectrumFit) -> str:
         flags.append("monofractal_degenerate")
     if not result.hurst.monotone:
         flags.append("h_nonmonotone")
-    if result.negative_q_blowup:
-        flags.append("negative_q_blowup")
     return ";".join(flags)
 
 
 def _h2_r2(result: MfdfaResult) -> float:
     """R^2 of the h(2) regression; NaN when the q grid has no q = 2."""
-    idx = np.flatnonzero(np.isclose(result.q_grid, 2.0, atol=1e-12))
-    return float(result.hurst.r2[idx[0]]) if idx.size else float("nan")
+    i = result.hurst.index(2.0)
+    return float("nan") if i is None else float(result.hurst.r2[i])
 
 
 def _run_job(job: tuple) -> list[WidthRecord]:
     """Analyze one (electrode, condition) window across all rhythms."""
     subject, electrode, condition, window, config = job
-    if config.emd_drop:
-        window = emd_denoise(window, drop_imfs=list(config.emd_drop))
+    where = f"{electrode} {condition}"
     mfdfa_config = MfdfaConfig(
         detrend_order=config.detrend_order, bidirectional=config.bidirectional
     )
     records = []
-    for rhythm_name in sorted(bands.RHYTHMS):
-        signal = bands.extract_rhythm(window, rhythm_name, method=config.rhythm_method)
-        if config.use_envelope:
-            signal = bands.envelope(signal)
-        result, fit = analyze_series(signal, mfdfa_config)
-        records.append(
-            WidthRecord(
-                subject_id=subject,
-                electrode=electrode,
-                rhythm=rhythm_name,
-                condition=condition,
-                w=fit.width,
-                fit_a=fit.a,
-                fit_b=fit.b,
-                alpha0=fit.alpha0,
-                h2_r2=_h2_r2(result),
-                flags=_fit_flags(result, fit),
+    try:
+        if config.emd_drop:
+            window = emd_denoise(window, drop_imfs=list(config.emd_drop))
+        for rhythm_name in sorted(bands.RHYTHMS):
+            where = f"{electrode} {condition} {rhythm_name}"
+            signal = bands.extract_rhythm(window, rhythm_name, method=config.rhythm_method)
+            if config.use_envelope:
+                signal = bands.envelope(signal)
+            result, fit = analyze_series(signal, mfdfa_config)
+            records.append(
+                WidthRecord(
+                    subject_id=subject,
+                    electrode=electrode,
+                    rhythm=rhythm_name,
+                    condition=condition,
+                    w=fit.width,
+                    fit_a=fit.a,
+                    fit_b=fit.b,
+                    alpha0=fit.alpha0,
+                    h2_r2=_h2_r2(result),
+                    flags=_fit_flags(result, fit),
+                )
             )
-        )
+    except AnalysisError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
     return records
 
 

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mfsig.mfdfa import MfdfaConfig, run_mfdfa
 from mfsig.series import shuffle
 from mfsig.synth import binomial_cascade, fgn, white_noise
+
+# Property tests draw the same examples on every run.
+settings.register_profile("mfsig", derandomize=True)
+settings.load_profile("mfsig")
 
 CASCADE_A = 0.75
 SERIES_LEN = 2**16

@@ -72,3 +72,15 @@ def binomial_alpha_closed_form(q, a):
 def energy(x):
     x = np.asarray(x, dtype=float)
     return float(x @ x)
+
+
+def power_mean_fq(f2, q):
+    """Fq by the direct power mean, mean(F2^(q/2))^(1/q); geometric mean at q = 0.
+
+    Overflows or underflows where F2^(q/2) leaves the double range.
+    """
+    f2 = np.asarray(f2, dtype=float)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        if q == 0:
+            return float(np.exp(0.5 * np.mean(np.log(f2))))
+        return float(np.mean(f2 ** (q / 2.0)) ** (1.0 / q))

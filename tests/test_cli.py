@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mfsig.cli import main
-from mfsig.dataio import read_wav, write_eeg_csv, write_series_csv, write_wav
-from mfsig.errors import RecordingTooShortError
+from mfsig.dataio import read_eeg_csv, read_wav, write_eeg_csv, write_series_csv, write_wav
+from mfsig.errors import AllSegmentsDegenerateError, RecordingTooShortError
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline
 from mfsig.synth import tone, white_noise
@@ -249,6 +249,24 @@ class TestAnalyzeCommand:
         ])
         assert rc == 1
         assert "MFSIG_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_flat_electrode_error_is_located(self, tmp_path, capsys, workers):
+        eeg = tmp_path / "eeg.csv"
+        n = int(build_timeline(1).total_duration_s * 256)
+        write_eeg_csv(eeg, {"F3": np.zeros(n), "T4": white_noise(n, seed=5).samples})
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "T4,F3",
+            "--workers", workers, "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: F3 rest alpha: scale 16: all segments have zero residual variance" in err
+        with pytest.raises(AllSegmentsDegenerateError, match="^F3 rest alpha: scale 16: "):
+            analyze_recording(
+                read_eeg_csv(eeg), 256.0, build_timeline(1),
+                RunConfig(electrodes=["T4", "F3"]), workers=int(workers),
+            )
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         eeg = tmp_path / "eeg.csv"

@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
-from mfsig.errors import (
-    AllSegmentsDegenerateError,
-    DegenerateFitError,
-    InsufficientDataError,
-    InsufficientScalesError,
-)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfsig.errors import AllSegmentsDegenerateError, DegenerateFitError, InsufficientDataError
 from mfsig.mfdfa import (
+    DEFAULT_Q_GRID,
     MfdfaConfig,
     hurst_exponents,
-    q_order_mean,
+    log_fluctuation_function,
     run_mfdfa,
     segment_fluctuations,
 )
 from mfsig.series import ProfileSeries, TimeSeries, profile
 from mfsig.synth import cascade_hurst_oracle, white_noise
 
-from oracles import normal_equations_residual_ms, plain_dfa_slope
+from oracles import normal_equations_residual_ms, plain_dfa_slope, power_mean_fq
 
 
 class TestSegmentCount:
@@ -53,59 +52,79 @@ class TestLocalFluctuation:
             local_fluctuation(np.arange(3, dtype=float), 2)
 
 
+def fq_at(f2, q):
+    """Fq of one q through the array function."""
+    return float(np.exp(log_fluctuation_function(f2, [q])[0]))
+
+
+# F2 values spread log-uniformly over 1e-300..1e300, the range in which
+# negative q overflowed the direct power mean.
+wide_f2 = st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=64).map(
+    lambda exps: 10.0 ** np.asarray(exps)
+)
+
+
 class TestQOrderMean:
     @pytest.mark.parametrize("q", [-2.0, 0.0, 2.0, 5.0])
     def test_constant_fluctuations_collapse(self, q):
-        fq, n_zero, _ = q_order_mean(np.full(8, 4.0), q)
-        assert fq == pytest.approx(2.0)
-        assert n_zero == 0
+        assert fq_at(np.full(8, 4.0), q) == pytest.approx(2.0)
 
     def test_q2_is_rms(self):
         f2 = np.array([1.0, 2.0, 3.0, 4.0])
-        fq, _, _ = q_order_mean(f2, 2.0)
-        assert fq == pytest.approx(np.sqrt(f2.mean()))
+        assert fq_at(f2, 2.0) == pytest.approx(np.sqrt(f2.mean()))
 
     def test_q0_log_average_by_hand(self):
-        fq, _, _ = q_order_mean(np.array([1.0, np.e**2]), 0.0)
-        assert fq == pytest.approx(np.exp(0.5), rel=1e-12)
+        assert fq_at(np.array([1.0, np.e**2]), 0.0) == pytest.approx(np.exp(0.5), rel=1e-12)
 
     def test_all_degenerate(self):
         with pytest.raises(AllSegmentsDegenerateError):
-            q_order_mean(np.zeros(4), 2.0)
+            log_fluctuation_function(np.zeros(4), np.array([2.0]))
 
     def test_zero_segments_excluded_and_counted(self):
-        fq, n_zero, _ = q_order_mean(np.array([0.0, 4.0, 0.0]), -2.0)
-        assert n_zero == 2
-        assert fq == pytest.approx(2.0)
+        assert fq_at(np.array([0.0, 4.0, 0.0]), -2.0) == pytest.approx(2.0)
+        # a profile that is flat over its first half: those segments have F2 == 0
+        ts = TimeSeries(np.concatenate([np.zeros(2048), np.tile([1.0, -1.0], 1024)]), 1.0)
+        result = run_mfdfa(ts, MfdfaConfig(scales=np.array([16, 32])))
+        assert result.zero_variance_segments == 2048 // 16 + 2048 // 32
+        assert np.all(np.isfinite(result.log_fq))
 
     def test_power_mean_monotone_in_q(self):
         rng = np.random.default_rng(3)
         f2 = rng.uniform(0.1, 5.0, size=40)
-        qs = np.linspace(-5, 5, 41)
-        vals = [q_order_mean(f2, q)[0] for q in qs]
+        vals = np.exp(log_fluctuation_function(f2, np.linspace(-5, 5, 41)))
         diffs = np.diff(vals)
         assert np.all(diffs >= -1e-9 * np.abs(vals[:-1]))
 
+    @given(wide_f2)
+    def test_monotone_and_finite_across_the_float_range(self, f2):
+        log_fq = log_fluctuation_function(f2, DEFAULT_Q_GRID)
+        assert np.all(np.isfinite(log_fq))
+        assert np.all(np.diff(log_fq) >= -1e-12 * (1.0 + np.abs(log_fq[:-1])))
+
+    @given(wide_f2)
+    def test_matches_direct_power_mean_where_it_is_representable(self, f2):
+        log_fq = log_fluctuation_function(f2, DEFAULT_Q_GRID)
+        for q, mine in zip(DEFAULT_Q_GRID, log_fq):
+            # the direct form is exact only while every term F2^(q/2) is a
+            # normal double well away from overflow
+            if np.all(np.abs(0.5 * q * np.log10(f2)) <= 300.0):
+                ref = np.log(power_mean_fq(f2, q))
+                assert mine == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
 
 class TestHurstFit:
-    def test_insufficient_usable_scales(self):
-        scales = np.array([16, 32, 64])
-        fq = np.array([[1.0, np.nan, np.inf]])
-        with pytest.raises(InsufficientScalesError):
-            hurst_exponents(fq, scales, np.array([2.0]))
-
     def test_exact_power_law(self):
         scales = np.array([16, 32, 64, 128, 256])
         q_grid = np.array([2.0])
-        fq = (scales.astype(float) ** 0.5)[np.newaxis, :]
-        curve = hurst_exponents(fq, scales, q_grid)
+        log_fq = np.log(scales.astype(float) ** 0.5)[np.newaxis, :]
+        curve = hurst_exponents(log_fq, scales, q_grid)
         assert curve.h[0] == pytest.approx(0.5, abs=1e-12)
         assert curve.r2[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_prefactor_does_not_affect_slope(self):
         scales = np.array([16, 32, 64, 128, 256])
-        fq = (3.0 * scales.astype(float) ** 0.8)[np.newaxis, :]
-        curve = hurst_exponents(fq, scales, np.array([2.0]))
+        log_fq = np.log(3.0 * scales.astype(float) ** 0.8)[np.newaxis, :]
+        curve = hurst_exponents(log_fq, scales, np.array([2.0]))
         assert curve.h[0] == pytest.approx(0.8, abs=1e-12)
 
 
@@ -134,6 +153,16 @@ class TestRunMfdfa:
         h1 = run_mfdfa(ts).hurst.h
         h2 = run_mfdfa(scaled).hurst.h
         np.testing.assert_allclose(h1, h2, atol=1e-9)
+
+    @given(st.floats(-100.0, 100.0), st.floats(-5.0, 5.0))
+    @settings(max_examples=40)
+    def test_affine_map_leaves_h_unchanged(self, log10_c, offset):
+        # x -> c*x + d with the offset in units of c, so c*x + d keeps the
+        # precision of x; c spans 1e-100..1e100
+        x = white_noise(4096, seed=24)
+        c = 10.0**log10_c
+        mapped = run_mfdfa(x.with_samples(c * x.samples + c * offset)).h
+        np.testing.assert_allclose(mapped, run_mfdfa(x).h, rtol=0, atol=1e-9)
 
     def test_unidirectional_equals_bidirectional_on_exact_multiples(self):
         ts = white_noise(4096, seed=22)
