@@ -22,7 +22,7 @@ from .errors import AnalysisError
 from .mfdfa import MfdfaConfig
 from .pipeline import RunConfig, analyze_recording, analyze_series
 from .protocol import aggregate_responses, build_timeline, timeline_from_markers
-from .report import emit_report, report_from_json_dict
+from .report import emit_report, read_report_json
 
 ENV_WORKERS = "MFSIG_WORKERS"
 ENV_OUTDIR = "MFSIG_OUTDIR"
@@ -44,8 +44,12 @@ def _default_workers(flag_value: int | None) -> int:
         raise ValueError(f"{ENV_WORKERS} must be an integer, got {text!r}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _int_list(text: str) -> list[int]:
+    """argparse type of a comma-separated integer list."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_split_bands(args) -> int:
@@ -89,7 +93,7 @@ def _mfdfa_config_from_args(args) -> MfdfaConfig:
         q_grid = np.linspace(lo, hi, n)
     return MfdfaConfig(
         detrend_order=args.order,
-        scales=_parse_int_list(args.scales) if args.scales else None,
+        scales=args.scales or None,
         q_grid=q_grid,
         bidirectional=args.bidirectional,
     )
@@ -141,7 +145,7 @@ def cmd_analyze(args) -> int:
         bidirectional=args.bidirectional,
         rhythm_method=args.rhythm_method,
         use_envelope=not args.no_envelope,
-        emd_drop=_parse_int_list(args.emd_drop) if args.emd_drop else [],
+        emd_drop=args.emd_drop or [],
         input_path=str(args.input),
     )
     if args.electrodes:
@@ -186,8 +190,7 @@ def cmd_listening(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(Path(args.input).read_text())
-    report = report_from_json_dict(payload)
+    report = read_report_json(args.input)
     written = emit_report(report, _default_outdir(args.outdir))
     print(f"re-emitted {len(written)} files")
     return 0
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write the (q, s) fluctuation table")
     p.add_argument("--fs", type=float, default=1.0, help="sample rate of the series (Hz)")
     p.add_argument("--order", type=int, default=1, help="detrending polynomial order")
-    p.add_argument("--scales", default=None, help="comma-separated scale list (default: auto)")
+    p.add_argument("--scales", type=_int_list, help="comma-separated scale list (default: auto)")
     p.add_argument("--q-min", type=float, default=None)
     p.add_argument("--q-max", type=float, default=None)
     p.add_argument("--q-step", type=float, default=None)
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--rhythm-method", choices=("fft", "dwt"), default="fft")
     p.add_argument("--no-envelope", action="store_true", help="analyze band signals, not envelopes")
-    p.add_argument("--emd-drop", default=None, help="comma-separated IMF indices to remove first")
+    p.add_argument("--emd-drop", type=_int_list, help="comma-separated IMF indices to remove first")
     p.add_argument("--electrodes", default=None, help="comma-separated subset to analyze")
     p.set_defaults(func=cmd_analyze)
 

@@ -28,15 +28,11 @@ def local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of local maxima and minima; plateaus yield their midpoint."""
     d = np.diff(x)
     nonzero = np.flatnonzero(d != 0)
-    if nonzero.size < 2:
-        return np.array([], dtype=int), np.array([], dtype=int)
     signs = np.sign(d[nonzero])
     flips = np.flatnonzero(signs[:-1] != signs[1:])
-    maxima, minima = [], []
-    for f in flips:
-        pos = (nonzero[f] + 1 + nonzero[f + 1]) // 2
-        (maxima if signs[f] > 0 else minima).append(pos)
-    return np.array(maxima, dtype=int), np.array(minima, dtype=int)
+    pos = (nonzero[flips] + 1 + nonzero[flips + 1]) // 2
+    rising = signs[flips] > 0
+    return pos[rising], pos[~rising]
 
 
 def _mirrored_envelope(idx: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,13 +1,11 @@
 """Multifractal detrended fluctuation analysis.
 
-Pipeline per series: build the profile, split it into segments at each
-scale, remove a polynomial trend per segment, form the q-order mean of the
-squared residuals, and read the generalized Hurst exponent h(q) off the
-log-log slope of the fluctuation function.
-
-All stages are pure functions of their inputs; the per-scale fluctuation
-arrays are independent work items, so callers may map over them in
-parallel without changing any result bit-for-bit.
+Per series: build the profile and tile it into segments at each scale.
+A segment's squared fluctuation F2 is the mean square of what is left
+after projecting it off the orthonormal basis of the order-m polynomials
+(the QR factor of the Vandermonde matrix on [-1, 1]). ln Fq is formed in
+the log domain, so it overflows for no q, and h(q) is the least-squares
+slope of ln Fq on ln s.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllSegmentsDegenerateError, DegenerateFitError, InsufficientDataError
-from .series import ProfileSeries, TimeSeries, ensure_finite, profile
+from .series import TimeSeries, profile
 
 DEFAULT_Q_GRID = np.linspace(-5.0, 5.0, 41)
 DEFAULT_N_SCALES = 19
@@ -81,25 +79,8 @@ class MfdfaConfig:
         return MfdfaConfig(self.detrend_order, scales, q_grid, self.bidirectional)
 
 
-def _detrend_residual_ms(segments: np.ndarray, order: int) -> np.ndarray:
-    """Mean squared residual of an order-m least-squares fit, per row.
-
-    The abscissa is rescaled to [-1, 1]; the fitted function space, and
-    hence the residual, is unchanged while the Vandermonde system stays
-    well conditioned at large segment sizes.
-    """
-    s = segments.shape[1]
-    x = np.linspace(-1.0, 1.0, s)
-    vander = np.polynomial.polynomial.polyvander(x, order)
-    coef, *_ = np.linalg.lstsq(vander, segments.T, rcond=None)
-    resid = segments.T - vander @ coef
-    return np.mean(resid**2, axis=0)
-
-
-def segment_fluctuations(
-    prof: ProfileSeries, s: int, m: int, bidirectional: bool = False
-) -> np.ndarray:
-    """All squared segment fluctuations at scale s.
+def segment_fluctuations(y: np.ndarray, s: int, m: int, bidirectional: bool = False) -> np.ndarray:
+    """F2 of every segment of the profile y at scale s, order-m trend removed.
 
     Unidirectional mode tiles from the start and discards the remainder;
     bidirectional mode adds the tiling counted from the end, so the 2*Ns
@@ -107,15 +88,12 @@ def segment_fluctuations(
     """
     if s < m + 2:
         raise DegenerateFitError(f"scale {s} too small for polynomial order {m}")
-    n = len(prof)
+    n = y.size
     ns = n // s
-    y = prof.values
-    forward = y[: ns * s].reshape(ns, s)
-    f2 = _detrend_residual_ms(forward, m)
-    if bidirectional:
-        backward = y[n - ns * s :].reshape(ns, s)
-        f2 = np.concatenate([f2, _detrend_residual_ms(backward, m)])
-    return f2
+    basis, _ = np.linalg.qr(np.polynomial.polynomial.polyvander(np.linspace(-1.0, 1.0, s), m))
+    starts = (0, n - ns * s) if bidirectional else (0,)
+    tilings = (y[a : a + ns * s].reshape(ns, s) for a in starts)
+    return np.concatenate([np.mean((g - (g @ basis) @ basis.T) ** 2, axis=1) for g in tilings])
 
 
 def log_fluctuation_function(f2: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
@@ -237,13 +215,12 @@ def _jsonsafe(arr: np.ndarray):
 
 def run_mfdfa(ts: TimeSeries, config: MfdfaConfig | None = None) -> MfdfaResult:
     """Full analysis of one series: profile, fluctuations, ln Fq, h(q)."""
-    ensure_finite(ts.samples)
     cfg = (config or MfdfaConfig()).resolve(len(ts))
-    prof = profile(ts)
+    y = profile(ts)
     log_fq = np.empty((len(cfg.q_grid), len(cfg.scales)))
     zero_total = 0
     for j, s in enumerate(cfg.scales):
-        f2 = segment_fluctuations(prof, int(s), cfg.detrend_order, cfg.bidirectional)
+        f2 = segment_fluctuations(y, int(s), cfg.detrend_order, cfg.bidirectional)
         try:
             log_fq[:, j] = log_fluctuation_function(f2, cfg.q_grid)
         except AllSegmentsDegenerateError as exc:

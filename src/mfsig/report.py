@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import EmptyCellError, EmptyReportError
+from .errors import DataFormatError, EmptyCellError, EmptyReportError
 from .protocol import BAND_TO_PART, DEFAULT_ANALYZED, PART_TO_BAND, parse_label
 
 SCHEMA_VERSION = "1"
@@ -87,7 +87,7 @@ class WidthRecord:
             electrode=d["electrode"],
             rhythm=d["rhythm"],
             condition=d["condition"],
-            w=d["w"],
+            w=float(d["w"]),
             fit_a=_nan(d.get("fit_a")),
             fit_b=_nan(d.get("fit_b")),
             alpha0=_nan(d.get("alpha0")),
@@ -235,13 +235,35 @@ def report_json_dict(report: AnalysisReport) -> dict:
     }
 
 
+def read_report_json(path: str | Path) -> AnalysisReport:
+    """The report a report.json holds; a malformed file is named in the error."""
+    try:
+        return report_from_json_dict(json.loads(Path(path).read_text()))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def report_from_json_dict(payload: dict) -> AnalysisReport:
+    if not isinstance(payload, dict):
+        raise DataFormatError("report must be a JSON object")
     report = AnalysisReport(
         baseline_condition=payload.get("baseline_condition", BASELINE_CONDITION),
         config=payload.get("config", {}),
         inputs=payload.get("inputs", {}),
     )
-    records = [WidthRecord.from_json_dict(d) for d in payload.get("records", [])]
+    entries = payload.get("records", [])
+    if not isinstance(entries, list):
+        raise DataFormatError("records must be a JSON list")
+    records = []
+    for i, d in enumerate(entries):
+        try:
+            records.append(WidthRecord.from_json_dict(d))
+        except KeyError as exc:
+            raise DataFormatError(f"record {i}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"record {i}: {exc}") from None
     electrodes = {r.electrode for r in records}
     report.registry = tuple(sorted(set(report.registry) | electrodes))
     for rec in records:

@@ -51,27 +51,7 @@ class TimeSeries:
         return TimeSeries(samples, self.sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class ProfileSeries:
-    """Cumulative sum of the mean-removed signal; the object that is detrended."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def ensure_finite(samples: np.ndarray) -> None:
-    """Raise NonFiniteError if any value is NaN or infinite."""
-    if not np.all(np.isfinite(samples)):
-        bad = int(np.flatnonzero(~np.isfinite(samples))[0])
-        raise NonFiniteError(f"series contains a non-finite value at index {bad}")
-
-
-def profile(ts: TimeSeries) -> ProfileSeries:
+def profile(ts: TimeSeries) -> np.ndarray:
     """Cumulative sum of the mean-removed samples.
 
     The final value telescopes to zero (up to rounding), which downstream
@@ -80,9 +60,10 @@ def profile(ts: TimeSeries) -> ProfileSeries:
     """
     if len(ts) < 2:
         raise EmptySeriesError("profile needs at least 2 samples")
-    ensure_finite(ts.samples)
-    y = np.cumsum(ts.samples - ts.samples.mean())
-    return ProfileSeries(y)
+    bad = np.flatnonzero(~np.isfinite(ts.samples))
+    if bad.size:
+        raise NonFiniteError(f"series contains a non-finite value at index {bad[0]}")
+    return np.cumsum(ts.samples - ts.samples.mean())
 
 
 class SplitMix64:
@@ -136,6 +117,4 @@ def permutation(n: int, seed: int) -> np.ndarray:
 
 def shuffle(ts: TimeSeries, seed: int) -> TimeSeries:
     """Random permutation of the samples; deterministic for a given seed."""
-    if len(ts) == 0:  # unreachable through TimeSeries, kept for raw callers
-        raise EmptySeriesError("cannot shuffle an empty series")
     return ts.with_samples(ts.samples[permutation(len(ts), seed)])

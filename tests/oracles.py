@@ -36,6 +36,21 @@ def plain_dfa_slope(samples, scales, order=1, bidirectional=False):
     return float(np.polyfit(np.log(np.asarray(scales, float)), np.log(f_of_s), 1)[0])
 
 
+def local_extrema_loop(x):
+    """Maxima and minima indices, one sign flip of the nonzero steps at a time.
+
+    A flip between nonzero steps i and j marks an extremum at the midpoint
+    of the plateau x[i + 1 .. j].
+    """
+    d = np.diff(np.asarray(x, dtype=float))
+    nonzero = np.flatnonzero(d != 0)
+    maxima, minima = [], []
+    for a, b in zip(nonzero[:-1], nonzero[1:]):
+        if np.sign(d[a]) != np.sign(d[b]):
+            (maxima if d[a] > 0 else minima).append((a + 1 + b) // 2)
+    return np.array(maxima, dtype=int), np.array(minima, dtype=int)
+
+
 def convolution_decimation_step(x, lo, hi):
     """One periodized analysis level by direct looped convolution."""
     n = x.size

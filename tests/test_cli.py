@@ -277,6 +277,12 @@ class TestAnalyzeCommand:
         assert (tmp_path / "envout" / "report.csv").exists()
 
 
+# One well-formed report.json record.
+GOOD_RECORD = {
+    "subject": "S01", "electrode": "F3", "rhythm": "alpha", "condition": "rest", "w": 0.5,
+}
+
+
 class TestReportCommand:
     def test_reemit_from_json(self, tmp_path):
         eeg = tmp_path / "eeg.csv"
@@ -288,3 +294,48 @@ class TestReportCommand:
         rc = main(["report", str(outdir / "report.json"), "--outdir", str(outdir2)])
         assert rc == 0
         assert (outdir2 / "report.csv").read_text() == (outdir / "report.csv").read_text()
+
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("")
+        assert main(["report", str(path), "--outdir", str(tmp_path / "out")]) == 1
+        assert f"error: {path}: invalid JSON at line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload,expected",
+        [
+            ([], "report must be a JSON object"),
+            ({"records": {}}, "records must be a JSON list"),
+            ({"records": [GOOD_RECORD, "F3"]}, "record 1: string indices must be integers"),
+            (
+                {"records": [GOOD_RECORD, {k: v for k, v in GOOD_RECORD.items() if k != "w"}]},
+                "record 1: missing key 'w'",
+            ),
+            ({"records": [dict(GOOD_RECORD, w=None)]}, "record 0: float() argument"),
+        ],
+        ids=["list", "records_not_list", "record_not_object", "missing_key", "null_width"],
+    )
+    def test_malformed_report_names_file_and_record(self, tmp_path, capsys, payload, expected):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", str(path), "--outdir", str(tmp_path / "out")]) == 1
+        assert f"error: {path}: {expected}" in capsys.readouterr().err
+
+
+
+class TestIntegerListFlags:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["mfdfa", "--scales", "16,abc"], "--scales"),
+            (["analyze", "--fs", "256", "--emd-drop", "x"], "--emd-drop"),
+        ],
+        ids=["scales", "emd_drop"],
+    )
+    def test_bad_list_is_usage_error_before_input_is_read(self, tmp_path, capsys, argv, flag):
+        # the input does not exist: reading it first would exit 1, not 2
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], missing, *argv[1:]])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected comma-separated integers" in capsys.readouterr().err

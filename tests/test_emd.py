@@ -6,6 +6,8 @@ from mfsig.errors import BadImfIndexError, TooShortError
 from mfsig.series import TimeSeries
 from mfsig.synth import tone, white_noise
 
+from oracles import local_extrema_loop
+
 FS = 256.0
 
 
@@ -26,6 +28,22 @@ class TestLocalExtrema:
     def test_monotonic_has_none(self):
         maxima, minima = local_extrema(np.arange(10.0))
         assert maxima.size == 0 and minima.size == 0
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            white_noise(5120, seed=7).samples,
+            np.round(2.0 * white_noise(5120, seed=8).samples),  # plateaus
+            np.repeat([0.0, 1.0, 0.0, 2.0], 50),  # steps
+            np.full(64, 3.0),
+            np.array([1.0, 2.0]),
+        ],
+        ids=["white", "rounded", "step", "constant", "two_samples"],
+    )
+    def test_matches_loop_oracle(self, x):
+        for mine, ref in zip(local_extrema(x), local_extrema_loop(x)):
+            assert mine.dtype == ref.dtype
+            np.testing.assert_array_equal(mine, ref)
 
 
 class TestEmd:

@@ -13,7 +13,7 @@ from mfsig.mfdfa import (
     run_mfdfa,
     segment_fluctuations,
 )
-from mfsig.series import ProfileSeries, TimeSeries, profile
+from mfsig.series import TimeSeries, profile
 from mfsig.synth import cascade_hurst_oracle, white_noise
 
 from oracles import normal_equations_residual_ms, plain_dfa_slope, power_mean_fq
@@ -22,14 +22,14 @@ from oracles import normal_equations_residual_ms, plain_dfa_slope, power_mean_fq
 class TestSegmentCount:
     @pytest.mark.parametrize("n,s,expected", [(1000, 100, 10), (1050, 100, 10), (5120, 16, 320)])
     def test_values(self, n, s, expected):
-        prof = ProfileSeries(np.arange(n, dtype=float) ** 2)
-        assert segment_fluctuations(prof, s, 1).size == expected
+        y = np.arange(n, dtype=float) ** 2
+        assert segment_fluctuations(y, s, 1).size == expected
 
 
 def local_fluctuation(values, m):
     """F2 of a profile that is exactly one segment long."""
-    prof = ProfileSeries(values)
-    (f2,) = segment_fluctuations(prof, len(prof), m)
+    y = np.asarray(values, dtype=float)
+    (f2,) = segment_fluctuations(y, y.size, m)
     return f2
 
 
@@ -193,6 +193,10 @@ class TestRunMfdfa:
         assert len(rows) == len(white_result.q_grid) * len(white_result.scales)
 
 
+def random_walk_profile(seed, n):
+    return profile(white_noise(n, seed=seed))
+
+
 class TestSegmentFluctuations:
     def test_bidirectional_doubles_segments(self):
         prof = profile(white_noise(1000, seed=2))
@@ -204,6 +208,52 @@ class TestSegmentFluctuations:
     def test_nonnegative(self):
         prof = profile(white_noise(1000, seed=2))
         assert np.all(segment_fluctuations(prof, 32, 1) >= 0)
+
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 3),
+        st.integers(16, 256),
+        st.booleans(),
+        st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+    )
+    @settings(max_examples=60)
+    def test_polynomial_trend_is_invisible(self, seed, m, s, bidirectional, coef):
+        # the kernel removes every polynomial of degree <= m from each segment
+        y = random_walk_profile(seed, 4 * s + s // 3)
+        t = np.arange(y.size) / y.size
+        trended = y + np.polynomial.polynomial.polyval(t, coef[: m + 1])
+        f2 = segment_fluctuations(y, s, m, bidirectional)
+        f2_trended = segment_fluctuations(trended, s, m, bidirectional)
+        tol = np.finfo(float).eps * np.max(np.abs(trended)) ** 2
+        np.testing.assert_allclose(f2_trended, f2, rtol=0, atol=tol)
+
+    @given(st.integers(0, 2**16), st.integers(1, 3), st.integers(16, 256))
+    @settings(max_examples=60)
+    def test_reversed_profile_reverses_bidirectional_f2(self, seed, m, s):
+        # the forward tiling of the reversed profile is the backward tiling
+        # of the profile, each segment read back to front
+        y = random_walk_profile(seed, 4 * s + s // 3)
+        f2 = segment_fluctuations(y, s, m, bidirectional=True)
+        np.testing.assert_allclose(
+            segment_fluctuations(y[::-1], s, m, bidirectional=True), f2[::-1], rtol=1e-9
+        )
+
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 3),
+        st.integers(16, 1024),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_every_segment_matches_normal_equations(self, seed, m, s, ns, bidirectional):
+        n = ns * s + s // 2
+        y = random_walk_profile(seed, n)
+        starts = [k * s for k in range(ns)]
+        if bidirectional:
+            starts += [n - ns * s + k * s for k in range(ns)]
+        ref = [normal_equations_residual_ms(y[a : a + s], m) for a in starts]
+        np.testing.assert_allclose(segment_fluctuations(y, s, m, bidirectional), ref, rtol=1e-9)
 
 
 class TestConfig:

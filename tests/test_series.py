@@ -29,16 +29,16 @@ class TestTimeSeries:
 
 class TestProfile:
     def test_constant_series_is_zero(self):
-        assert profile(series([1, 1, 1, 1])).values == pytest.approx([0, 0, 0, 0])
+        assert profile(series([1, 1, 1, 1])) == pytest.approx([0, 0, 0, 0])
 
     def test_alternating(self):
-        assert profile(series([1, -1, 1, -1])).values == pytest.approx([1, 0, 1, 0])
+        assert profile(series([1, -1, 1, -1])) == pytest.approx([1, 0, 1, 0])
 
     def test_last_value_telescopes_to_zero(self):
         ts = white_noise(4096, seed=5)
         prof = profile(ts)
-        scale = np.abs(prof.values).max()
-        assert abs(prof.values[-1]) <= 1e-9 * max(scale, 1.0)
+        scale = np.abs(prof).max()
+        assert abs(prof[-1]) <= 1e-9 * max(scale, 1.0)
 
     def test_too_short(self):
         with pytest.raises(EmptySeriesError):
@@ -53,7 +53,7 @@ class TestProfile:
         ts = white_noise(500, seed=1)
         scaled = ts.with_samples(a * ts.samples)
         np.testing.assert_allclose(
-            profile(scaled).values, a * profile(ts).values, atol=1e-9
+            profile(scaled), a * profile(ts), atol=1e-9
         )
 
 
@@ -94,4 +94,4 @@ class TestShuffle:
         shuf = shuffle(ts, seed=1)
         assert np.mean(shuf.samples) == pytest.approx(np.mean(ts.samples))
         assert np.var(shuf.samples) == pytest.approx(np.var(ts.samples))
-        assert abs(profile(shuf).values[-1]) <= 1e-9 * np.abs(profile(shuf).values).max()
+        assert abs(profile(shuf)[-1]) <= 1e-9 * np.abs(profile(shuf)).max()
