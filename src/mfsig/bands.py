@@ -127,17 +127,12 @@ def envelope(ts: TimeSeries) -> TimeSeries:
     Negative frequencies are suppressed in the frequency domain and the
     positive half doubled; the magnitude of the inverse transform is the
     instantaneous amplitude. Non-negative, same length as the input.
+    DC and, for even n, the Nyquist bin of the real FFT keep weight 1.
     """
     n = len(ts)
-    spec = np.fft.fft(ts.samples)
-    weight = np.zeros(n)
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[n // 2] = 1.0
-        weight[1 : n // 2] = 2.0
-    else:
-        weight[1 : (n + 1) // 2] = 2.0
-    return ts.with_samples(np.abs(np.fft.ifft(spec * weight)))
+    spec = np.fft.rfft(ts.samples)
+    spec[1 : (n + 1) // 2] *= 2.0
+    return ts.with_samples(np.abs(np.fft.ifft(spec, n)))
 
 
 def rms(ts: TimeSeries) -> float:

@@ -1,12 +1,12 @@
-"""File formats: series CSV, multi-channel EEG CSV, WAV audio, response
-sheets, marker files, and input hashing for provenance."""
+"""File formats: series and multi-channel EEG CSV (one numeric reader),
+WAV audio, response sheets, marker files, and input hashing for provenance."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
+import math
 import wave
 from pathlib import Path
 
@@ -25,38 +25,52 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _cell_problem(cell: str) -> str | None:
+    """What is wrong with a cell that ``np.loadtxt`` rejects or reads as non-finite."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return "is not a number"
+    if "_" in cell or not cell.strip().isascii():  # float() also takes 1_000 and non-ASCII digits
+        return "is not a number"
+    return None if math.isfinite(value) else "is not a finite number"
+
+
+def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Header names and the ``(rows, columns)`` array of a CSV of numbers.
+
+    One ``np.loadtxt`` call parses the non-empty lines; only after a failure
+    are they scanned to name the first bad line, and its column if several."""
+    # splitlines() would also break at form feeds, which csv and editors do not
+    header, *lines = Path(path).read_text().split("\n")
+    names = [name.strip() for name in header.split(",")]
+    rows = [line for line in lines if line]
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a bad cell or a ragged row
+        data = None
+    if data is None or data.shape[1] != len(names) or not np.isfinite(data).all():
+        for n, line in enumerate(lines, start=2):
+            cells = line.split(",") if line else []
+            if cells and len(cells) != len(names):
+                got = len(cells)
+                raise DataFormatError(f"{path}: line {n}: expected {len(names)} fields, got {got}")
+            for name, cell in zip(names, cells):
+                if problem := _cell_problem(cell):
+                    where = f"column {name}: " if len(names) > 1 else ""
+                    raise DataFormatError(f"{path}: line {n}: {where}{cell!r} {problem}")
+        raise DataFormatError(f"{path}: not a CSV of numbers")
+    return names, data
+
+
 def read_series_csv(path: str | Path, sample_rate_hz: float = 1.0) -> TimeSeries:
     """Single-column CSV with a one-line header."""
-    values = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno == 1 or not row:
-                continue  # header / blank line
-            try:
-                values.append(float(row[0]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {row[0]!r} is not a number") from exc
-    if not values:
-        raise DataFormatError(f"{path}: no data rows")
-    samples = np.array(values)
-    _check_finite(path, samples)
-    return TimeSeries(samples, sample_rate_hz)
-
-
-def _check_finite(path: str | Path, samples: np.ndarray, column: int = 0, name: str = "") -> None:
-    """Raise DataFormatError naming the line of the first non-finite value.
-
-    ``samples[k]`` came from the k-th non-blank row after the header; the
-    file is read again only on failure, to find that row's line number.
-    """
-    bad = np.flatnonzero(~np.isfinite(samples))
-    if bad.size == 0:
-        return
-    with open(path, newline="") as fh:
-        data_rows = ((n, row) for n, row in enumerate(csv.reader(fh), start=1) if n > 1 and row)
-        lineno, row = next(itertools.islice(data_rows, int(bad[0]), None))
-    where = f"column {name}: " if name else ""
-    raise DataFormatError(f"{path}: line {lineno}: {where}{row[column]!r} is not a finite number")
+    names, data = _read_numeric_csv(path)
+    if len(names) != 1:
+        raise DataFormatError(f"{path}: line 1: expected 1 column, got {len(names)}")
+    return TimeSeries(data[:, 0], sample_rate_hz)
 
 
 def write_series_csv(path: str | Path, ts: TimeSeries, header: str = "value") -> None:
@@ -69,39 +83,14 @@ def write_series_csv(path: str | Path, ts: TimeSeries, header: str = "value") ->
 def read_eeg_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Multi-channel recording: header ``sample,F3,F4,...`` then one row
     per sample. Returns channel name -> samples."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if not header or header[0].strip().lower() != "sample":
-            raise DataFormatError(f"{path}: line 1: expected header starting with 'sample'")
-        channels = [h.strip() for h in header[1:]]
-        if not channels:
-            raise DataFormatError(f"{path}: no channel columns")
-        repeated = next((c for i, c in enumerate(channels) if c in channels[:i]), None)
-        if repeated is not None:
-            raise DataFormatError(f"{path}: line 1: column {repeated!r} appears more than once")
-        columns: list[list[float]] = [[] for _ in channels]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(channels) + 1:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(channels) + 1} fields, got {len(row)}"
-                )
-            for i, cell in enumerate(row[1:]):
-                try:
-                    columns[i].append(float(cell))
-                except ValueError as exc:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: {cell!r} is not a number"
-                    ) from exc
-    arrays = [np.array(col) for col in columns]
-    for i, (name, samples) in enumerate(zip(channels, arrays), start=1):
-        _check_finite(path, samples, column=i, name=name)
-    return dict(zip(channels, arrays))
+    names, data = _read_numeric_csv(path)
+    if names[0].lower() != "sample" or len(names) < 2:
+        raise DataFormatError(f"{path}: line 1: expected header 'sample,<channel>,...'")
+    channels = names[1:]
+    repeated = next((c for i, c in enumerate(channels) if c in channels[:i]), None)
+    if repeated is not None:
+        raise DataFormatError(f"{path}: line 1: column {repeated!r} appears more than once")
+    return {name: data[:, i] for i, name in enumerate(channels, start=1)}
 
 
 def write_eeg_csv(path: str | Path, channels: dict[str, np.ndarray]) -> None:

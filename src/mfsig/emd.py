@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import BadImfIndexError, TooShortError
 from .series import TimeSeries
@@ -37,6 +36,8 @@ def local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _mirrored_envelope(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Natural cubic spline through (idx, x[idx]) with mirrored end knots."""
+    from scipy.interpolate import CubicSpline  # scipy is needed only when EMD sifts
+
     n = x.size
     t = idx.astype(float)
     v = x[idx]
@@ -119,22 +120,23 @@ def emd(ts: TimeSeries, max_imfs: int = 10) -> ImfSet:
     return ImfSet(imfs=imfs, residue=ts.with_samples(residue))
 
 
-def emd_denoise(ts: TimeSeries, drop_imfs: list[int] | None = None, max_imfs: int = 10) -> TimeSeries:
+def emd_denoise(ts: TimeSeries, drop_imfs: list[int] | None = None) -> TimeSeries:
     """Input minus the listed IMFs (1-based; default drops the fastest).
 
     Dropping nothing returns the input unchanged; dropping every IMF
-    leaves the residue (the trend).
+    leaves the residue (the trend). Sifting is sequential, so IMF k does
+    not depend on later IMFs and extraction stops at the deepest one listed.
     """
     if drop_imfs is None:
         drop_imfs = [1]
     if not drop_imfs:
         return ts
-    decomposition = emd(ts, max_imfs=max_imfs)
-    for index in drop_imfs:
-        if not 1 <= index <= decomposition.n_imfs:
-            raise BadImfIndexError(
-                f"IMF index {index} outside 1..{decomposition.n_imfs}"
-            )
+    if min(drop_imfs) < 1:
+        raise BadImfIndexError(f"IMF index {min(drop_imfs)} must be >= 1")
+    deepest = max(drop_imfs)
+    decomposition = emd(ts, max_imfs=deepest)
+    if decomposition.n_imfs < deepest:
+        raise BadImfIndexError(f"IMF index {deepest} outside 1..{decomposition.n_imfs}")
     cleaned = ts.samples.copy()
     for index in set(drop_imfs):
         cleaned = cleaned - decomposition.imfs[index - 1].samples

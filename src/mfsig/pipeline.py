@@ -136,7 +136,5 @@ def analyze_recording(
     else:
         results = [_run_job(job) for job in jobs]
 
-    report = AnalysisReport(registry=tuple(config.electrodes), config=asdict(config))
-    for rec in sorted((r for per_job in results for r in per_job), key=record_sort_key):
-        report.add(rec)
-    return report
+    records = sorted((r for per_job in results for r in per_job), key=record_sort_key)
+    return AnalysisReport(records=records, config=asdict(config))

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DataFormatError, EmptyCellError, EmptyReportError
-from .protocol import BAND_TO_PART, DEFAULT_ANALYZED, PART_TO_BAND, parse_label
+from .protocol import BAND_TO_PART, PART_TO_BAND, parse_label
 
 SCHEMA_VERSION = "1"
 
@@ -131,16 +131,8 @@ class AnalysisReport:
 
     records: list = field(default_factory=list)
     baseline_condition: str = BASELINE_CONDITION
-    registry: tuple = DEFAULT_ANALYZED
     config: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
-
-    def add(self, rec: WidthRecord) -> None:
-        if rec.electrode not in self.registry:
-            raise ValueError(f"electrode {rec.electrode!r} not in the analyzed registry")
-        if rec.w < 0:
-            raise ValueError("width cannot be negative")
-        self.records.append(rec)
 
     def baselines(self) -> dict:
         """Baseline width per (subject, electrode, rhythm)."""
@@ -256,18 +248,20 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
     entries = payload.get("records", [])
     if not isinstance(entries, list):
         raise DataFormatError("records must be a JSON list")
-    records = []
     for i, d in enumerate(entries):
         try:
-            records.append(WidthRecord.from_json_dict(d))
+            rec = WidthRecord.from_json_dict(d)
+            if not (math.isfinite(rec.w) and rec.w >= 0):
+                raise ValueError(f"width must be finite and non-negative, got {rec.w}")
+            texts = (rec.subject_id, rec.electrode, rec.rhythm, rec.condition, rec.flags)
+            if not all(isinstance(v, str) for v in texts):
+                raise TypeError("subject, electrode, rhythm, condition and flags must be strings")
+            parse_label(rec.condition)
         except KeyError as exc:
             raise DataFormatError(f"record {i}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"record {i}: {exc}") from None
-    electrodes = {r.electrode for r in records}
-    report.registry = tuple(sorted(set(report.registry) | electrodes))
-    for rec in records:
-        report.add(rec)
+        report.records.append(rec)
     return report
 
 

@@ -99,3 +99,17 @@ def power_mean_fq(f2, q):
         if q == 0:
             return float(np.exp(0.5 * np.mean(np.log(f2))))
         return float(np.mean(f2 ** (q / 2.0)) ** (1.0 / q))
+
+
+def analytic_envelope_weights(x):
+    """|analytic signal| from the full complex FFT and an explicit weight vector."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    weight = np.zeros(n)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[n // 2] = 1.0
+        weight[1 : n // 2] = 2.0
+    else:
+        weight[1 : (n + 1) // 2] = 2.0
+    return np.abs(np.fft.ifft(np.fft.fft(x) * weight))

@@ -17,7 +17,7 @@ from mfsig.errors import BandOutOfRangeError, SampleRateTooLowError, SilentInput
 from mfsig.series import TimeSeries
 from mfsig.synth import tone, white_noise
 
-from oracles import energy
+from oracles import analytic_envelope_weights, energy
 
 BAND2 = STIMULUS_BANDS[1]
 
@@ -189,6 +189,13 @@ class TestEnvelope:
     def test_zero_signal(self):
         env = envelope(TimeSeries(np.zeros(128), 256.0))
         assert np.all(env.samples == 0)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_matches_full_fft_weight_oracle(self, n):
+        x = white_noise(n, seed=n).samples
+        env = envelope(TimeSeries(x, 256.0)).samples
+        tol = 1e-12 * np.abs(x).max()
+        np.testing.assert_allclose(env, analytic_envelope_weights(x), rtol=0, atol=tol)
 
 
 class TestNormalize:

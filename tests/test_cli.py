@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfsig
 from mfsig.cli import main
 from mfsig.dataio import read_eeg_csv, read_wav, write_eeg_csv, write_series_csv, write_wav
 from mfsig.errors import AllSegmentsDegenerateError, RecordingTooShortError
@@ -312,8 +316,20 @@ class TestReportCommand:
                 "record 1: missing key 'w'",
             ),
             ({"records": [dict(GOOD_RECORD, w=None)]}, "record 0: float() argument"),
+            (
+                {"records": [GOOD_RECORD, dict(GOOD_RECORD, w=-0.1)]},
+                "record 1: width must be finite and non-negative, got -0.1",
+            ),
+            ({"records": [dict(GOOD_RECORD, condition="clipX")]}, "record 0: bad label 'clipX'"),
+            (
+                {"records": [dict(GOOD_RECORD, flags=5)]},
+                "record 0: subject, electrode, rhythm, condition and flags must be strings",
+            ),
         ],
-        ids=["list", "records_not_list", "record_not_object", "missing_key", "null_width"],
+        ids=[
+            "list", "records_not_list", "record_not_object", "missing_key", "null_width",
+            "negative_width", "bad_condition", "flags_not_string",
+        ],
     )
     def test_malformed_report_names_file_and_record(self, tmp_path, capsys, payload, expected):
         path = tmp_path / "report.json"
@@ -321,6 +337,28 @@ class TestReportCommand:
         assert main(["report", str(path), "--outdir", str(tmp_path / "out")]) == 1
         assert f"error: {path}: {expected}" in capsys.readouterr().err
 
+
+class TestWithoutScipy:
+    def test_mfdfa_and_analyze_run_without_scipy(self, tmp_path):
+        # scipy is needed only to sift EMD; a None entry fails every import of it
+        write_series_csv(tmp_path / "s.csv", white_noise(4096, seed=1))
+        make_eeg_fixture(tmp_path / "eeg.csv", electrodes=("F3",))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from mfsig.cli import main\n"
+            "assert main(['mfdfa', 's.csv', '-o', 'r.json']) == 0\n"
+            "assert main(['analyze', 'eeg.csv', '--fs', '256', '--clips', '1',"
+            " '--electrodes', 'F3', '--outdir', 'out']) == 0\n"
+        )
+        src = str(Path(mfsig.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "report.csv").exists()
 
 
 class TestIntegerListFlags:

@@ -1,3 +1,4 @@
+import re
 import wave
 
 import numpy as np
@@ -24,6 +25,14 @@ class TestSeriesCsv:
         write_series_csv(path, ts)
         back = read_series_csv(path)
         np.testing.assert_array_equal(back.samples, ts.samples)
+
+    def test_round_trip_exact_over_600_decades(self, tmp_path):
+        noise = white_noise(256, seed=1)
+        exponents = np.random.default_rng(2).uniform(-300, 300, 256)
+        ts = noise.with_samples(noise.samples * 10.0**exponents)
+        path = tmp_path / "s.csv"
+        write_series_csv(path, ts)
+        np.testing.assert_array_equal(read_series_csv(path).samples, ts.samples)
 
     def test_bad_value_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -84,6 +93,30 @@ class TestEegCsv:
             DataFormatError, match=f"eeg.csv: line 5: column F4: '{cell}' is not a finite"
         ):
             read_eeg_csv(path)
+
+
+@pytest.mark.parametrize(
+    "reader,text,expected",
+    [
+        (read_eeg_csv, "sample,F3,F4\n0,1.0,2.0\n1,,4.0\n", "line 3: column F3: '' is not a number"),
+        (read_series_csv, "value\n1.5\n1_000\n", "line 3: '1_000' is not a number"),
+        (read_series_csv, "value\n1.5\n  \n2.5\n", "line 3: '  ' is not a number"),
+        (read_eeg_csv, 'sample,F3\n0,1.0\n1,"2.0"\n', "line 3: column F3: '\"2.0\"' is not a number"),
+        (read_series_csv, "value\r\n1.5\r\n\r\noops\r\n", "line 4: 'oops' is not a number"),
+        (read_series_csv, "value\n1\x0c2\n", "line 2: '1\\x0c2' is not a number"),
+        (read_series_csv, "value,other\n1.5,2.5\n", "line 1: expected 1 column, got 2"),
+        (read_eeg_csv, "sample,F3\n0,1.0\nt1,2.0\n", "line 3: column sample: 't1' is not a number"),
+    ],
+    ids=[
+        "empty_cell", "digit_separator", "whitespace_line", "quoted_cell", "crlf", "form_feed",
+        "two_column_series", "non_numeric_sample",
+    ],
+)
+def test_bad_input_names_path_and_line(tmp_path, reader, text, expected):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: {expected}")):
+        reader(path)
 
 
 class TestWav:

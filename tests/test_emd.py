@@ -103,8 +103,16 @@ class TestEmdDenoise:
 
     def test_bad_index(self):
         ts = white_noise(512, seed=4, sample_rate_hz=FS)
-        with pytest.raises(BadImfIndexError):
-            emd_denoise(ts, drop_imfs=[99])
+        for index in (0, 99):
+            with pytest.raises(BadImfIndexError):
+                emd_denoise(ts, drop_imfs=[index])
+
+    def test_stopping_at_dropped_imf_matches_full_decomposition(self):
+        ts = white_noise(2048, seed=5, sample_rate_hz=FS)
+        full = emd(ts)
+        assert full.n_imfs > 1
+        out = emd_denoise(ts, drop_imfs=[1])
+        np.testing.assert_array_equal(out.samples, ts.samples - full.imfs[0].samples)
 
     def test_denoising_gain_on_jittered_sine(self):
         # Gain threshold frozen from an oracle run of this exact fixture:

@@ -29,16 +29,17 @@ def record(subject, electrode, rhythm, condition, w):
 
 
 def full_report(subjects=("S01",)):
-    report = AnalysisReport(registry=ELECTRODES)
+    report = AnalysisReport()
     w = 0.31
     for subject in subjects:
         for electrode in ELECTRODES:
             for rhythm in RHYTHMS:
-                report.add(record(subject, electrode, rhythm, "rest", 0.5))
+                report.records.append(record(subject, electrode, rhythm, "rest", 0.5))
                 for clip in range(1, 5):
                     for slot in SLOTS:
                         w = 0.3 + ((hash((subject, electrode, rhythm, clip, slot)) % 97) / 970)
-                        report.add(record(subject, electrode, rhythm, f"clip{clip}_{slot}", w))
+                        condition = f"clip{clip}_{slot}"
+                        report.records.append(record(subject, electrode, rhythm, condition, w))
     return report
 
 
@@ -108,8 +109,8 @@ class TestEmission:
         assert recovered == original
 
     def test_missing_baseline_flagged_not_dropped(self):
-        report = AnalysisReport(registry=("F3",))
-        report.add(record("S01", "F3", "alpha", "clip1_band4", 0.7))
+        report = AnalysisReport()
+        report.records.append(record("S01", "F3", "alpha", "clip1_band4", 0.7))
         lines = report_csv(report).strip().split("\n")
         assert len(lines) == 2
         assert "no_baseline" in lines[1]
@@ -119,11 +120,11 @@ class TestEmission:
 
     def test_delta_of_averages_equals_average_of_deltas(self):
         # shared per-subject baselines make the two orders algebraically equal
-        report = AnalysisReport(registry=("F3",))
+        report = AnalysisReport()
         widths = {"S01": (0.5, 0.9), "S02": (0.3, 0.4)}
         for subject, (w_rest, w_cond) in widths.items():
-            report.add(record(subject, "F3", "alpha", "rest", w_rest))
-            report.add(record(subject, "F3", "alpha", "clip1_band4", w_cond))
+            report.records.append(record(subject, "F3", "alpha", "rest", w_rest))
+            report.records.append(record(subject, "F3", "alpha", "clip1_band4", w_cond))
         stats = report.deltas()[(1, "band4", "F3", "alpha")]
         mean_delta = sum(c - r for r, c in widths.values()) / 2
         assert stats.mean == pytest.approx(mean_delta)
@@ -137,8 +138,8 @@ class TestEmission:
         assert any(r["condition"] == "rest" for r in payload["records"])
 
     def test_six_significant_digits(self):
-        report = AnalysisReport(registry=("F3",))
-        report.add(record("S01", "F3", "alpha", "rest", 0.123456789))
-        report.add(record("S01", "F3", "alpha", "clip1_band2", 0.987654321))
+        report = AnalysisReport()
+        report.records.append(record("S01", "F3", "alpha", "rest", 0.123456789))
+        report.records.append(record("S01", "F3", "alpha", "clip1_band2", 0.987654321))
         line = report_csv(report).strip().split("\n")[1]
         assert "0.987654" in line and "0.123457" in line
