@@ -100,7 +100,7 @@ def _mfdfa_config_from_args(args) -> MfdfaConfig:
 
 
 def cmd_mfdfa(args) -> int:
-    ts = dataio.read_series_csv(args.input, sample_rate_hz=args.fs)
+    ts = dataio.read_series_csv(args.input)
     cfg = _mfdfa_config_from_args(args)
     result, fit = analyze_series(ts, cfg)
     payload = {
@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="single-column CSV with header")
     p.add_argument("-o", "--output", default="result.json")
     p.add_argument("--csv", default=None, help="also write the (q, s) fluctuation table")
-    p.add_argument("--fs", type=float, default=1.0, help="sample rate of the series (Hz)")
     p.add_argument("--order", type=int, default=1, help="detrending polynomial order")
     p.add_argument("--scales", type=_int_list, help="comma-separated scale list (default: auto)")
     p.add_argument("--q-min", type=float, default=None)

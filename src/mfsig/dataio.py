@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, IoFailureError
-from .protocol import N_CLIPS_SHEET, N_PARTS, ResponseSheet
+from .protocol import N_CLIPS_SHEET, N_PARTS, ResponseSheet, check_electrode_name
 from .series import TimeSeries
 
 
@@ -65,12 +65,12 @@ def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     return names, data
 
 
-def read_series_csv(path: str | Path, sample_rate_hz: float = 1.0) -> TimeSeries:
-    """Single-column CSV with a one-line header."""
+def read_series_csv(path: str | Path) -> TimeSeries:
+    """Single-column CSV with a one-line header, read at 1 Hz."""
     names, data = _read_numeric_csv(path)
     if len(names) != 1:
         raise DataFormatError(f"{path}: line 1: expected 1 column, got {len(names)}")
-    return TimeSeries(data[:, 0], sample_rate_hz)
+    return TimeSeries(data[:, 0], 1.0)
 
 
 def write_series_csv(path: str | Path, ts: TimeSeries, header: str = "value") -> None:
@@ -87,6 +87,11 @@ def read_eeg_csv(path: str | Path) -> dict[str, np.ndarray]:
     if names[0].lower() != "sample" or len(names) < 2:
         raise DataFormatError(f"{path}: line 1: expected header 'sample,<channel>,...'")
     channels = names[1:]
+    for column, name in enumerate(channels, start=2):
+        try:
+            check_electrode_name(name)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line 1: column {column}: {exc}") from None
     repeated = next((c for i, c in enumerate(channels) if c in channels[:i]), None)
     if repeated is not None:
         raise DataFormatError(f"{path}: line 1: column {repeated!r} appears more than once")

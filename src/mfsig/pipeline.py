@@ -2,9 +2,9 @@
 spectrum fitting, and report assembly.
 
 The unit of work is one (electrode, condition) window; jobs are pure and
-independent, so they can run across processes. Results are merged by a
-deterministic key sort, which makes the emitted report identical for any
-worker count.
+independent, so they can run across processes. Results come back in job
+order for any worker count, and emission sorts the records, so the emitted
+report is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .emd import emd_denoise
 from .errors import AnalysisError, DataFormatError
 from .mfdfa import MfdfaConfig, MfdfaResult, run_mfdfa
 from .protocol import DEFAULT_ANALYZED, ProtocolTimeline, segment_recording
-from .report import AnalysisReport, WidthRecord, record_sort_key
+from .report import AnalysisReport, WidthRecord
 from .series import TimeSeries
 from .spectrum import SpectrumFit, fit_spectrum, singularity_spectrum
 
@@ -136,5 +136,5 @@ def analyze_recording(
     else:
         results = [_run_job(job) for job in jobs]
 
-    records = sorted((r for per_job in results for r in per_job), key=record_sort_key)
+    records = [r for per_job in results for r in per_job]
     return AnalysisReport(records=records, config=asdict(config))

@@ -31,6 +31,14 @@ CLIP_REST_S = 30.0
 DEFAULT_ANALYZED = ("F3", "F4", "F7", "F8", "T3", "T4", "T5", "T6", "O1", "O2")
 
 
+def check_electrode_name(name: str) -> None:
+    """Reject a name that cannot be a file name inside the plot-data directory."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ValueError(
+            f"electrode name {name!r} must not be empty, '.' or '..', or contain '/' or '\\'"
+        )
+
+
 @dataclass(frozen=True)
 class Condition:
     """One experimental condition: a rest period or a stimulus window."""

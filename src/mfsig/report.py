@@ -1,9 +1,11 @@
 """Aggregation of multifractal widths into tables and plot data.
 
 Widths are collected per (subject, electrode, rhythm, condition), turned
-into deltas against the resting baseline, averaged across subjects, and
-emitted as CSV, nested JSON, and per-electrode plot data. Emission is
-deterministic: fixed column order, fixed 6-significant-digit floats.
+into deltas against the subject's ``rest`` width, averaged across subjects,
+and emitted as CSV, nested JSON, and per-electrode plot data. Emission sorts
+the records once and formats all three from the same derived tables, so it
+is deterministic for any record order: fixed column order, fixed
+6-significant-digit floats.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DataFormatError, EmptyCellError, EmptyReportError
-from .protocol import BAND_TO_PART, PART_TO_BAND, parse_label
+from .protocol import PART_TO_BAND, check_electrode_name, parse_label
 
 SCHEMA_VERSION = "1"
 
@@ -23,6 +25,7 @@ BASELINE_CONDITION = "rest"
 
 # Stimulus columns in presentation order: the original, then parts 1..5.
 STIMULUS_SLOTS = ("original",) + tuple(f"band{PART_TO_BAND[p]}" for p in sorted(PART_TO_BAND))
+_SLOT_ORDER = {slot: i for i, slot in enumerate(STIMULUS_SLOTS)}
 
 
 def baseline_delta(w_cond: float, w_rest: float) -> float:
@@ -112,56 +115,46 @@ def _split_condition(label: str) -> tuple[int | None, str | None]:
     return clip, "original" if kind == "original" else f"band{band}"
 
 
-def _condition_sort_key(label: str) -> tuple:
-    kind, clip, band = parse_label(label)
-    if kind == "rest":
-        return (0, 0, 0)
-    if kind == "original":
-        return (1, clip, 0)
-    return (1, clip, BAND_TO_PART.get(band, 9))
-
-
 def record_sort_key(rec: WidthRecord) -> tuple:
-    return (rec.subject_id, rec.electrode, _condition_sort_key(rec.condition), rec.rhythm)
+    """Subject, electrode, rest first, then clip and presentation slot, then
+    rhythm; a band outside the protocol sorts after its clip's known slots."""
+    clip, slot = _split_condition(rec.condition)
+    order = _SLOT_ORDER.get(slot, len(STIMULUS_SLOTS))
+    return (rec.subject_id, rec.electrode, clip is not None, clip or 0, order, rec.rhythm)
 
 
 @dataclass
 class AnalysisReport:
-    """All width records for a run plus baseline bookkeeping."""
+    """All width records of a run, with its configuration and input hashes."""
 
     records: list = field(default_factory=list)
-    baseline_condition: str = BASELINE_CONDITION
     config: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
 
-    def baselines(self) -> dict:
-        """Baseline width per (subject, electrode, rhythm)."""
-        return {
-            (r.subject_id, r.electrode, r.rhythm): r.w
-            for r in self.records
-            if r.condition == self.baseline_condition
-        }
 
-    def stimulus_records(self) -> list:
-        recs = [r for r in self.records if r.condition != self.baseline_condition]
-        return sorted(recs, key=record_sort_key)
+def _tables(report: AnalysisReport) -> tuple[list, list, dict]:
+    """The tables every emitted file is formatted from.
 
-    def deltas(self) -> dict:
-        """Per-cell subject-averaged width change.
-
-        Keyed (clip, slot, electrode, rhythm); a cell appears only when
-        both the stimulus and its subject's baseline were measured.
-        """
-        base = self.baselines()
-        per_cell: dict[tuple, list[float]] = {}
-        for rec in self.stimulus_records():
-            key = (rec.subject_id, rec.electrode, rec.rhythm)
-            if key not in base:
-                continue
-            clip, slot = _split_condition(rec.condition)
-            cell = (clip, slot, rec.electrode, rec.rhythm)
-            per_cell.setdefault(cell, []).append(baseline_delta(rec.w, base[key]))
-        return {cell: cell_mean_sd(vals) for cell, vals in per_cell.items()}
+    These are the records in ``record_sort_key`` order; a (record, clip, slot,
+    rest width, delta) row per stimulus record, in the same order, with None
+    for a baseline not measured; and the ``CellStats`` per (clip, slot,
+    electrode, rhythm) cell of the measured deltas, in first-seen order.
+    """
+    records = sorted(report.records, key=record_sort_key)
+    rest = [r for r in records if r.condition == BASELINE_CONDITION]
+    base = {(r.subject_id, r.electrode, r.rhythm): r.w for r in rest}
+    rows = []
+    per_cell: dict[tuple, list[float]] = {}
+    for rec in records:
+        clip, slot = _split_condition(rec.condition)
+        if clip is None:
+            continue
+        w_rest = base.get((rec.subject_id, rec.electrode, rec.rhythm))
+        delta = None if w_rest is None else baseline_delta(rec.w, w_rest)
+        rows.append((rec, clip, slot, w_rest, delta))
+        if delta is not None:
+            per_cell.setdefault((clip, slot, rec.electrode, rec.rhythm), []).append(delta)
+    return records, rows, {cell: cell_mean_sd(vals) for cell, vals in per_cell.items()}
 
 
 def _fmt(x: float) -> str:
@@ -177,54 +170,35 @@ CSV_HEADER = (
 )
 
 
-def report_csv(report: AnalysisReport) -> str:
+def _report_csv(rows: list) -> str:
     """One row per stimulus record, with its subject's baseline alongside."""
-    base = report.baselines()
     lines = [CSV_HEADER]
-    for rec in report.stimulus_records():
-        clip, slot = _split_condition(rec.condition)
-        w_rest = base.get((rec.subject_id, rec.electrode, rec.rhythm))
-        delta = baseline_delta(rec.w, w_rest) if w_rest is not None else None
+    for rec, clip, slot, w_rest, delta in rows:
         flags = rec.flags
         if w_rest is None:
             flags = (flags + ";" if flags else "") + "no_baseline"
-        lines.append(
-            ",".join(
-                [
-                    rec.subject_id,
-                    rec.electrode,
-                    rec.rhythm,
-                    str(clip),
-                    slot,
-                    _fmt(rec.w),
-                    _fmt(w_rest),
-                    _fmt(delta),
-                    _fmt(rec.fit_a),
-                    _fmt(rec.fit_b),
-                    _fmt(rec.alpha0),
-                    _fmt(rec.h2_r2),
-                    flags,
-                ]
-            )
-        )
+        numbers = (rec.w, w_rest, delta, rec.fit_a, rec.fit_b, rec.alpha0, rec.h2_r2)
+        fields = [rec.subject_id, rec.electrode, rec.rhythm, str(clip), slot]
+        lines.append(",".join(fields + [_fmt(x) for x in numbers] + [flags]))
     return "\n".join(lines) + "\n"
 
 
-def report_json_dict(report: AnalysisReport) -> dict:
+def _report_json(report: AnalysisReport, records: list, cells: dict) -> str:
     """Nested clip -> slot -> electrode -> rhythm deltas plus raw records."""
     deltas: dict = {}
-    for (clip, slot, electrode, rhythm), stats in sorted(report.deltas().items()):
+    for (clip, slot, electrode, rhythm), stats in cells.items():
         deltas.setdefault(str(clip), {}).setdefault(slot, {}).setdefault(electrode, {})[
             rhythm
         ] = {"mean_delta_w": stats.mean, "sd": stats.sd, "n": stats.n}
-    return {
+    payload = {
         "schema_version": SCHEMA_VERSION,
-        "baseline_condition": report.baseline_condition,
+        "baseline_condition": BASELINE_CONDITION,
         "config": report.config,
         "inputs": report.inputs,
-        "records": [r.to_json_dict() for r in sorted(report.records, key=record_sort_key)],
+        "records": [r.to_json_dict() for r in records],
         "deltas": deltas,
     }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def read_report_json(path: str | Path) -> AnalysisReport:
@@ -240,11 +214,12 @@ def read_report_json(path: str | Path) -> AnalysisReport:
 def report_from_json_dict(payload: dict) -> AnalysisReport:
     if not isinstance(payload, dict):
         raise DataFormatError("report must be a JSON object")
-    report = AnalysisReport(
-        baseline_condition=payload.get("baseline_condition", BASELINE_CONDITION),
-        config=payload.get("config", {}),
-        inputs=payload.get("inputs", {}),
-    )
+    baseline = payload.get("baseline_condition", BASELINE_CONDITION)
+    if baseline != BASELINE_CONDITION:
+        raise DataFormatError(
+            f"baseline_condition must be {BASELINE_CONDITION!r}, got {baseline!r}"
+        )
+    report = AnalysisReport(config=payload.get("config", {}), inputs=payload.get("inputs", {}))
     entries = payload.get("records", [])
     if not isinstance(entries, list):
         raise DataFormatError("records must be a JSON list")
@@ -256,7 +231,8 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
             texts = (rec.subject_id, rec.electrode, rec.rhythm, rec.condition, rec.flags)
             if not all(isinstance(v, str) for v in texts):
                 raise TypeError("subject, electrode, rhythm, condition and flags must be strings")
-            parse_label(rec.condition)
+            check_electrode_name(rec.electrode)
+            _split_condition(rec.condition)
         except KeyError as exc:
             raise DataFormatError(f"record {i}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -265,41 +241,39 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
     return report
 
 
-def plotdata_csv(report: AnalysisReport, electrode: str) -> str:
-    """Grouped-bar data: mean delta-W per stimulus slot and rhythm."""
-    rhythms = sorted({r.rhythm for r in report.records})
-    deltas = report.deltas()
-    lines = ["condition," + ",".join(rhythms)]
-    for slot in STIMULUS_SLOTS:
-        row = [slot]
-        for rhythm in rhythms:
-            vals = [
-                stats.mean
-                for (clip, s, elec, rhy), stats in deltas.items()
-                if s == slot and elec == electrode and rhy == rhythm
-            ]
-            row.append(_fmt(sum(vals) / len(vals)) if vals else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _plotdata_csvs(records: list, rows: list, cells: dict) -> dict[str, str]:
+    """Grouped-bar data per electrode: mean delta-W per stimulus slot and rhythm.
+
+    A slot averages the cell means of its clips in the order the cells were
+    first seen."""
+    rhythms = sorted({r.rhythm for r in records})
+    means: dict[tuple, list[float]] = {}
+    for (clip, slot, electrode, rhythm), stats in cells.items():
+        means.setdefault((electrode, slot, rhythm), []).append(stats.mean)
+    texts = {}
+    for electrode in sorted({rec.electrode for rec, *_ in rows}):
+        lines = ["condition," + ",".join(rhythms)]
+        for slot in STIMULUS_SLOTS:
+            vals = [means.get((electrode, slot, rhythm)) for rhythm in rhythms]
+            lines.append(",".join([slot] + [_fmt(sum(v) / len(v)) if v else "" for v in vals]))
+        texts[electrode] = "\n".join(lines) + "\n"
+    return texts
 
 
 def emit_report(report: AnalysisReport, outdir: str | Path) -> list[Path]:
     """Write report.csv, report.json, and plotdata/<electrode>.csv."""
     if not report.records:
         raise EmptyReportError("nothing to emit")
+    records, rows, cells = _tables(report)
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    csv_path = outdir / "report.csv"
-    csv_path.write_text(report_csv(report))
-    written.append(csv_path)
-    json_path = outdir / "report.json"
-    json_path.write_text(json.dumps(report_json_dict(report), indent=2, sort_keys=True) + "\n")
-    written.append(json_path)
     plotdir = outdir / "plotdata"
-    plotdir.mkdir(exist_ok=True)
-    for electrode in sorted({r.electrode for r in report.stimulus_records()}):
-        path = plotdir / f"{electrode}.csv"
-        path.write_text(plotdata_csv(report, electrode))
-        written.append(path)
-    return written
+    texts = {
+        outdir / "report.csv": _report_csv(rows),
+        outdir / "report.json": _report_json(report, records, cells),
+    }
+    plots = _plotdata_csvs(records, rows, cells)
+    texts.update((plotdir / f"{electrode}.csv", text) for electrode, text in plots.items())
+    plotdir.mkdir(parents=True, exist_ok=True)
+    for path, text in texts.items():
+        path.write_text(text)
+    return list(texts)

@@ -40,24 +40,22 @@ class WaveletCoeffs:
 
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One level of periodized convolution-decimation; x must have even length."""
-    n = x.size
-    taps = DEC_LO.size
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    windows = x[idx]
+    """One level of periodized convolution-decimation; x must have even length.
+
+    Output k filters x[2k:2k+4], wrapping at the end: sample pair k next to
+    pair k+1."""
+    pairs = x.reshape(-1, 2)
+    windows = np.hstack([pairs, np.roll(pairs, -1, axis=0)])
     return windows @ DEC_LO, windows @ DEC_HI
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
-    """Adjoint of the analysis step; inverts it exactly for these filters."""
-    half = approx.size
-    n = 2 * half
-    taps = DEC_LO.size
-    x = np.zeros(n)
-    pos = (2 * np.arange(half)[:, None] + np.arange(taps)[None, :]) % n
+    """Adjoint of the analysis step; inverts it exactly for these filters.
+
+    Coefficient k spreads over samples 2k..2k+3, so each sample pair sums
+    taps 0-1 of its own coefficient and taps 2-3 of the one before."""
     contrib = approx[:, None] * DEC_LO[None, :] + detail[:, None] * DEC_HI[None, :]
-    np.add.at(x, pos, contrib)
-    return x
+    return (contrib[:, :2] + np.roll(contrib[:, 2:], 1, axis=0)).ravel()
 
 
 def dwt(ts: TimeSeries, levels: int) -> WaveletCoeffs:

@@ -325,10 +325,20 @@ class TestReportCommand:
                 {"records": [dict(GOOD_RECORD, flags=5)]},
                 "record 0: subject, electrode, rhythm, condition and flags must be strings",
             ),
+            ({"records": [dict(GOOD_RECORD, electrode="../x")]}, "record 0: electrode name '../x'"),
+            (
+                {"records": [GOOD_RECORD, dict(GOOD_RECORD, electrode="")]},
+                "record 1: electrode name ''",
+            ),
+            (
+                {"baseline_condition": "silence", "records": [GOOD_RECORD]},
+                "baseline_condition must be 'rest', got 'silence'",
+            ),
         ],
         ids=[
             "list", "records_not_list", "record_not_object", "missing_key", "null_width",
-            "negative_width", "bad_condition", "flags_not_string",
+            "negative_width", "bad_condition", "flags_not_string", "electrode_path",
+            "electrode_empty", "baseline_not_rest",
         ],
     )
     def test_malformed_report_names_file_and_record(self, tmp_path, capsys, payload, expected):
@@ -359,6 +369,25 @@ class TestWithoutScipy:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "report.csv").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["mfdfa", "{csv}", "--fs", "256"], "unrecognized arguments: --fs 256"),
+            (["analyze", "{csv}", "--rhythm-method", "cwt"], "--rhythm-method: invalid choice"),
+            (["synth", "pink"], "argument kind: invalid choice"),
+        ],
+        ids=["mfdfa_fs", "rhythm_method", "synth_kind"],
+    )
+    def test_exits_2_naming_the_argument(self, tmp_path, capsys, argv, message):
+        series_csv = tmp_path / "series.csv"
+        write_series_csv(series_csv, white_noise(1024, seed=3))
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(csv=series_csv) for arg in argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestIntegerListFlags:

@@ -106,10 +106,15 @@ class TestEegCsv:
         (read_series_csv, "value\n1\x0c2\n", "line 2: '1\\x0c2' is not a number"),
         (read_series_csv, "value,other\n1.5,2.5\n", "line 1: expected 1 column, got 2"),
         (read_eeg_csv, "sample,F3\n0,1.0\nt1,2.0\n", "line 3: column sample: 't1' is not a number"),
+        (read_eeg_csv, "sample,F3,../x\n0,1.0,2.0\n", "line 1: column 3: electrode name '../x'"),
+        (read_eeg_csv, "sample,F3,\n0,1.0,2.0\n", "line 1: column 3: electrode name ''"),
+        (read_eeg_csv, "sample,..\n0,1.0\n", "line 1: column 2: electrode name '..'"),
+        (read_eeg_csv, "sample,a\\b\n0,1.0\n", "line 1: column 2: electrode name 'a\\\\b'"),
     ],
     ids=[
         "empty_cell", "digit_separator", "whitespace_line", "quoted_cell", "crlf", "form_feed",
-        "two_column_series", "non_numeric_sample",
+        "two_column_series", "non_numeric_sample", "electrode_path", "electrode_empty",
+        "electrode_dotdot", "electrode_backslash",
     ],
 )
 def test_bad_input_names_path_and_line(tmp_path, reader, text, expected):
