@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandOutOfRangeError, SampleRateTooLowError, SilentInputError
+from .errors import AnalysisError
 from .series import TimeSeries
 
 
@@ -63,16 +63,14 @@ def fft_bandpass(ts: TimeSeries, band: BandSpec, transition_hz: float = 0.0) -> 
     """
     n = len(ts)
     if n < 16:
-        raise ValueError(f"band-pass needs at least 16 samples, got {n}")
+        raise AnalysisError(f"band-pass needs at least 16 samples, got {n}")
     nyquist = ts.sample_rate_hz / 2.0
     if band.low_hz >= nyquist:
-        raise BandOutOfRangeError(
+        raise AnalysisError(
             f"band {band.name or band.low_hz} starts at or above Nyquist ({nyquist} Hz)"
         )
     if band.high_hz is not None and band.high_hz > nyquist:
-        raise BandOutOfRangeError(
-            f"band {band.name or band.high_hz} exceeds Nyquist ({nyquist} Hz)"
-        )
+        raise AnalysisError(f"band {band.name or band.high_hz} exceeds Nyquist ({nyquist} Hz)")
     freqs = np.fft.rfftfreq(n, d=1.0 / ts.sample_rate_hz)
     spec = np.fft.rfft(ts.samples)
     if transition_hz <= 0.0:
@@ -97,7 +95,7 @@ def _edge_ramp_up(freqs: np.ndarray, edge_hz: float, width_hz: float) -> np.ndar
 def split_bands(audio: TimeSeries, transition_hz: float = 0.0) -> dict[str, TimeSeries]:
     """Split audio into the five stimulus bands, keyed by band name."""
     if audio.sample_rate_hz < 10_000:
-        raise SampleRateTooLowError(
+        raise AnalysisError(
             f"band split needs >= 10 kHz sample rate, got {audio.sample_rate_hz} Hz"
         )
     return {band.name: fft_bandpass(audio, band, transition_hz) for band in STIMULUS_BANDS}
@@ -145,5 +143,5 @@ def normalize(audio: TimeSeries, target_rms: float) -> TimeSeries:
         raise ValueError("target RMS must be positive")
     level = rms(audio)
     if level == 0.0:
-        raise SilentInputError("cannot normalize an all-zero signal")
+        raise AnalysisError("cannot normalize an all-zero signal")
     return audio.with_samples(audio.samples * (target_rms / level))

@@ -21,7 +21,7 @@ from .bands import normalize, rms, split_bands
 from .errors import AnalysisError
 from .mfdfa import MfdfaConfig
 from .pipeline import RunConfig, analyze_recording, analyze_series
-from .protocol import aggregate_responses, build_timeline, timeline_from_markers
+from .protocol import aggregate_responses, build_timeline
 from .report import emit_report, read_report_json
 
 ENV_WORKERS = "MFSIG_WORKERS"
@@ -137,7 +137,7 @@ def cmd_analyze(args) -> int:
         return 1
     channels = dataio.read_eeg_csv(args.input)
     if args.markers:
-        timeline = timeline_from_markers(dataio.read_markers(args.markers))
+        timeline = dataio.read_markers(args.markers)
     else:
         timeline = build_timeline(args.clips)
     cfg = RunConfig(
@@ -151,7 +151,6 @@ def cmd_analyze(args) -> int:
     if args.electrodes:
         cfg.electrodes = [e.strip() for e in args.electrodes.split(",") if e.strip()]
     outdir = _default_outdir(args.outdir)
-    cfg.outdir = str(outdir)
     workers = _default_workers(args.workers)
     report = analyze_recording(
         channels, fs, timeline, cfg, subject_id=args.subject, workers=workers

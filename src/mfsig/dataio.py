@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, IoFailureError
-from .protocol import N_CLIPS_SHEET, N_PARTS, ResponseSheet, check_electrode_name
+from .errors import AnalysisError, DataFormatError
+from .protocol import N_CLIPS_SHEET, N_PARTS, ProtocolTimeline, ResponseSheet
+from .protocol import check_electrode_name, timeline_from_markers
 from .series import TimeSeries
 
 
@@ -119,14 +120,18 @@ def read_fs_sidecar(path: str | Path) -> float | None:
         raise DataFormatError(f"{sidecar}: bad sidecar ({exc})") from exc
 
 
-def read_markers(path: str | Path) -> list[dict]:
+def read_markers(path: str | Path) -> ProtocolTimeline:
+    """The timeline of a JSON marker file (see ``timeline_from_markers``);
+    every error names the file."""
     try:
         payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, list):
+            raise DataFormatError("marker file must be a JSON list")
+        return timeline_from_markers(payload)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(payload, list):
-        raise DataFormatError(f"{path}: marker file must be a JSON list")
-    return payload
+    except (AnalysisError, ValueError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def read_response_sheets(path: str | Path) -> list[ResponseSheet]:
@@ -204,4 +209,4 @@ def write_wav(path: str | Path, ts: TimeSeries) -> None:
             wav.setframerate(int(round(ts.sample_rate_hz)))
             wav.writeframes(pcm.tobytes())
     except (wave.Error, OSError) as exc:
-        raise IoFailureError(f"{path}: cannot write WAV ({exc})") from exc
+        raise AnalysisError(f"{path}: cannot write WAV ({exc})") from exc

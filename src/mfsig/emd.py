@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadImfIndexError, TooShortError
+from .errors import AnalysisError
 from .series import TimeSeries
 
 SD_THRESHOLD = 0.3
@@ -98,7 +98,7 @@ def emd(ts: TimeSeries, max_imfs: int = 10) -> ImfSet:
     input therefore yields zero IMFs with the input as residue.
     """
     if len(ts) < MIN_LENGTH:
-        raise TooShortError(f"EMD needs >= {MIN_LENGTH} samples, got {len(ts)}")
+        raise AnalysisError(f"EMD needs >= {MIN_LENGTH} samples, got {len(ts)}")
     if max_imfs < 1:
         raise ValueError("max_imfs must be >= 1")
     residue = ts.samples.copy()
@@ -132,11 +132,11 @@ def emd_denoise(ts: TimeSeries, drop_imfs: list[int] | None = None) -> TimeSerie
     if not drop_imfs:
         return ts
     if min(drop_imfs) < 1:
-        raise BadImfIndexError(f"IMF index {min(drop_imfs)} must be >= 1")
+        raise AnalysisError(f"IMF index {min(drop_imfs)} must be >= 1")
     deepest = max(drop_imfs)
     decomposition = emd(ts, max_imfs=deepest)
     if decomposition.n_imfs < deepest:
-        raise BadImfIndexError(f"IMF index {deepest} outside 1..{decomposition.n_imfs}")
+        raise AnalysisError(f"IMF index {deepest} outside 1..{decomposition.n_imfs}")
     cleaned = ts.samples.copy()
     for index in set(drop_imfs):
         cleaned = cleaned - decomposition.imfs[index - 1].samples

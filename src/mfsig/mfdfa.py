@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllSegmentsDegenerateError, DegenerateFitError, InsufficientDataError
+from .errors import AnalysisError
 from .series import TimeSeries, profile
 
 DEFAULT_Q_GRID = np.linspace(-5.0, 5.0, 41)
@@ -28,7 +28,7 @@ def default_scales(n: int) -> np.ndarray:
     """DEFAULT_N_SCALES log-spaced integer scales from DEFAULT_MIN_SCALE to n // 4."""
     max_scale = n // 4
     if max_scale < DEFAULT_MIN_SCALE:
-        raise InsufficientDataError(
+        raise AnalysisError(
             f"series of length {n} supports no scales in [{DEFAULT_MIN_SCALE}, n/4]"
         )
     grid = np.geomspace(DEFAULT_MIN_SCALE, max_scale, DEFAULT_N_SCALES)
@@ -69,13 +69,11 @@ class MfdfaConfig:
         scales = self.scales if self.scales is not None else default_scales(n)
         q_grid = self.q_grid if self.q_grid is not None else DEFAULT_Q_GRID.copy()
         if scales[0] < self.detrend_order + 2:
-            raise DegenerateFitError(
+            raise AnalysisError(
                 f"scale {scales[0]} cannot support a polynomial of order {self.detrend_order}"
             )
         if n < 4 * scales[-1]:
-            raise InsufficientDataError(
-                f"series of length {n} is shorter than 4 x max scale {scales[-1]}"
-            )
+            raise AnalysisError(f"series of length {n} is shorter than 4 x max scale {scales[-1]}")
         return MfdfaConfig(self.detrend_order, scales, q_grid, self.bidirectional)
 
 
@@ -87,7 +85,7 @@ def segment_fluctuations(y: np.ndarray, s: int, m: int, bidirectional: bool = Fa
     segments jointly cover the trailing samples as well.
     """
     if s < m + 2:
-        raise DegenerateFitError(f"scale {s} too small for polynomial order {m}")
+        raise AnalysisError(f"scale {s} too small for polynomial order {m}")
     n = y.size
     ns = n // s
     basis, _ = np.linalg.qr(np.polynomial.polynomial.polyvander(np.linspace(-1.0, 1.0, s), m))
@@ -109,7 +107,7 @@ def log_fluctuation_function(f2: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
     f2 = np.asarray(f2, dtype=float)
     ln_f2 = np.log(f2[f2 > 0.0])
     if ln_f2.size == 0:
-        raise AllSegmentsDegenerateError("all segments have zero residual variance")
+        raise AnalysisError("all segments have zero residual variance")
     q_grid = np.asarray(q_grid, dtype=float)
     out = np.full(q_grid.size, 0.5 * np.mean(ln_f2))
     nonzero = np.flatnonzero(q_grid != 0.0)
@@ -223,8 +221,8 @@ def run_mfdfa(ts: TimeSeries, config: MfdfaConfig | None = None) -> MfdfaResult:
         f2 = segment_fluctuations(y, int(s), cfg.detrend_order, cfg.bidirectional)
         try:
             log_fq[:, j] = log_fluctuation_function(f2, cfg.q_grid)
-        except AllSegmentsDegenerateError as exc:
-            raise AllSegmentsDegenerateError(f"scale {s}: {exc}") from None
+        except AnalysisError as exc:
+            raise AnalysisError(f"scale {s}: {exc}") from None
         zero_total += int(np.count_nonzero(f2 == 0.0))
     return MfdfaResult(
         scales=cfg.scales,

@@ -38,7 +38,6 @@ class RunConfig:
     emd_drop: list = field(default_factory=list)
     electrodes: list = field(default_factory=lambda: list(DEFAULT_ANALYZED))
     input_path: str = ""
-    outdir: str = ""
 
 
 def analyze_series(ts: TimeSeries, config: MfdfaConfig | None = None) -> tuple[MfdfaResult, SpectrumFit]:

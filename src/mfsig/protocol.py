@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, NoSheetsError, RecordingTooShortError
+from .errors import AnalysisError, DataFormatError
 from .series import TimeSeries
 
 # Part order on the response template: part 1 plays band 3, and so on.
@@ -52,6 +52,9 @@ class Condition:
     def __post_init__(self):
         if self.kind not in ("rest", "original", "band"):
             raise ValueError(f"unknown condition kind {self.kind!r}")
+        if not np.isfinite([self.start_s, self.end_s]).all():
+            times = f"{self.start_s:g}-{self.end_s:g} s"
+            raise ValueError(f"condition times must be finite, got {times}")
         if self.end_s <= self.start_s:
             raise ValueError("condition must have positive duration")
 
@@ -95,7 +98,8 @@ def parse_label(label: str) -> tuple[str, int | None, int | None]:
 
 @dataclass(frozen=True)
 class ProtocolTimeline:
-    """Ordered, non-overlapping conditions covering one recording."""
+    """Ordered, non-overlapping conditions covering one recording, at least
+    one of them a rest."""
 
     conditions: tuple
 
@@ -105,20 +109,19 @@ class ProtocolTimeline:
             if cond.start_s < prev_end - 1e-9:
                 raise ValueError(f"conditions overlap at {cond.start_s}s")
             prev_end = cond.end_s
+        if not any(cond.kind == "rest" for cond in self.conditions):
+            raise ValueError("timeline has no rest condition")
 
     @property
     def total_duration_s(self) -> float:
-        return self.conditions[-1].end_s if self.conditions else 0.0
+        return self.conditions[-1].end_s
 
     def stimulus_conditions(self) -> list:
         return [c for c in self.conditions if c.is_stimulus]
 
     def baseline(self) -> Condition:
         """The initial long rest used as the no-music reference."""
-        for cond in self.conditions:
-            if cond.kind == "rest":
-                return cond
-        raise ValueError("timeline has no rest condition")
+        return next(cond for cond in self.conditions if cond.kind == "rest")
 
 
 def build_timeline(n_clips: int) -> ProtocolTimeline:
@@ -172,8 +175,8 @@ def segment_recording(eeg: TimeSeries, conditions: Iterable[Condition]) -> list:
     """Cut the recording into one window per condition.
 
     Windows are [round(start * fs), round(end * fs)); the recording must
-    cover every condition given. Pass ``timeline.conditions`` to cut the
-    whole timeline.
+    cover every condition given, and each window must hold a sample. Pass
+    ``timeline.conditions`` to cut the whole timeline.
     """
     fs = eeg.sample_rate_hz
     out = []
@@ -181,9 +184,14 @@ def segment_recording(eeg: TimeSeries, conditions: Iterable[Condition]) -> list:
         lo = int(round(cond.start_s * fs))
         hi = int(round(cond.end_s * fs))
         if hi > len(eeg):
-            raise RecordingTooShortError(
+            raise AnalysisError(
                 f"recording ends before condition {cond.label!r} "
                 f"({cond.start_s:g}-{cond.end_s:g} s needs {hi} samples, have {len(eeg)})"
+            )
+        if hi == lo:
+            raise AnalysisError(
+                f"condition {cond.label!r} ({cond.start_s:g}-{cond.end_s:g} s) "
+                f"covers no sample at {fs:g} Hz"
             )
         out.append((cond, eeg.with_samples(eeg.samples[lo:hi])))
     return out
@@ -228,7 +236,7 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
 def aggregate_responses(sheets: list) -> RecognitionTable:
     """Percentage of sheets marking each (clip, band), via the part map."""
     if not sheets:
-        raise NoSheetsError("no response sheets to aggregate")
+        raise AnalysisError("no response sheets to aggregate")
     counts = np.zeros((N_CLIPS_SHEET, N_PARTS), dtype=int)
     for sheet in sheets:
         counts += sheet.marks

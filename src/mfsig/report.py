@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DataFormatError, EmptyCellError, EmptyReportError
+from .errors import AnalysisError, DataFormatError
 from .protocol import PART_TO_BAND, check_electrode_name, parse_label
 
 SCHEMA_VERSION = "1"
@@ -46,7 +46,7 @@ def cell_mean_sd(values: list[float]) -> CellStats:
     order records arrived in.
     """
     if not values:
-        raise EmptyCellError("no values in cell")
+        raise AnalysisError("no values in cell")
     ordered = sorted(values)
     n = len(ordered)
     mean = sum(ordered) / n
@@ -90,11 +90,11 @@ class WidthRecord:
             electrode=d["electrode"],
             rhythm=d["rhythm"],
             condition=d["condition"],
-            w=float(d["w"]),
-            fit_a=_nan(d.get("fit_a")),
-            fit_b=_nan(d.get("fit_b")),
-            alpha0=_nan(d.get("alpha0")),
-            h2_r2=_nan(d.get("h2_r2")),
+            w=_number(d["w"], "w"),
+            fit_a=_nan(d.get("fit_a"), "fit_a"),
+            fit_b=_nan(d.get("fit_b"), "fit_b"),
+            alpha0=_nan(d.get("alpha0"), "alpha0"),
+            h2_r2=_nan(d.get("h2_r2"), "h2_r2"),
             flags=d.get("flags", ""),
         )
 
@@ -103,8 +103,15 @@ def _num(x: float):
     return None if x is None or not math.isfinite(x) else x
 
 
-def _nan(x):
-    return float("nan") if x is None else float(x)
+def _number(x, key: str) -> float:
+    """float(x) of a JSON number; float() alone also takes true, false and numeric strings."""
+    if isinstance(x, (bool, str)):
+        raise TypeError(f"{key} must be a JSON number, got {json.dumps(x)}")
+    return float(x)
+
+
+def _nan(x, key: str) -> float:
+    return float("nan") if x is None else _number(x, key)
 
 
 def _split_condition(label: str) -> tuple[int | None, str | None]:
@@ -220,9 +227,14 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
             f"baseline_condition must be {BASELINE_CONDITION!r}, got {baseline!r}"
         )
     report = AnalysisReport(config=payload.get("config", {}), inputs=payload.get("inputs", {}))
+    for key in ("config", "inputs"):
+        if not isinstance(getattr(report, key), dict):
+            raise DataFormatError(f"{key} must be a JSON object")
     entries = payload.get("records", [])
     if not isinstance(entries, list):
         raise DataFormatError("records must be a JSON list")
+    if not entries:
+        raise DataFormatError("no records")
     for i, d in enumerate(entries):
         try:
             rec = WidthRecord.from_json_dict(d)
@@ -263,7 +275,7 @@ def _plotdata_csvs(records: list, rows: list, cells: dict) -> dict[str, str]:
 def emit_report(report: AnalysisReport, outdir: str | Path) -> list[Path]:
     """Write report.csv, report.json, and plotdata/<electrode>.csv."""
     if not report.records:
-        raise EmptyReportError("nothing to emit")
+        raise AnalysisError("nothing to emit")
     records, rows, cells = _tables(report)
     outdir = Path(outdir)
     plotdir = outdir / "plotdata"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeriesError, NonFiniteError
+from .errors import AnalysisError
 
 _MASK64 = (1 << 64) - 1
 
@@ -33,7 +33,7 @@ class TimeSeries:
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
-            raise EmptySeriesError("time series must contain at least one sample")
+            raise AnalysisError("time series must contain at least one sample")
         if not self.sample_rate_hz > 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "samples", arr)
@@ -59,10 +59,10 @@ def profile(ts: TimeSeries) -> np.ndarray:
     signal, carry the scaling information.
     """
     if len(ts) < 2:
-        raise EmptySeriesError("profile needs at least 2 samples")
+        raise AnalysisError("profile needs at least 2 samples")
     bad = np.flatnonzero(~np.isfinite(ts.samples))
     if bad.size:
-        raise NonFiniteError(f"series contains a non-finite value at index {bad[0]}")
+        raise AnalysisError(f"series contains a non-finite value at index {bad[0]}")
     return np.cumsum(ts.samples - ts.samples.mean())
 
 

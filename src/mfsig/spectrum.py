@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientQPointsError
+from .errors import AnalysisError
 from .mfdfa import HurstCurve
 
 _DEGENERATE_ALPHA_SPREAD = 1e-9
@@ -43,7 +43,7 @@ def singularity_spectrum(hurst: HurstCurve) -> SingularitySpectrum:
     q = hurst.q_grid
     h = hurst.h
     if q.size < 3:
-        raise InsufficientQPointsError("need at least 3 q points for derivatives")
+        raise AnalysisError("need at least 3 q points for derivatives")
     dh = np.empty_like(h)
     dh[1:-1] = (h[2:] - h[:-2]) / (q[2:] - q[:-2])
     dh[0] = (h[1] - h[0]) / (q[1] - q[0])
@@ -108,7 +108,7 @@ def fit_spectrum(spec: SingularitySpectrum) -> SpectrumFit:
             concave=False, monofractal_degenerate=True,
         )
     if np.unique(alpha).size < 3:
-        raise InsufficientQPointsError("need at least 3 distinct alpha points to fit")
+        raise AnalysisError("need at least 3 distinct alpha points to fit")
     peak = np.flatnonzero(f == f.max())
     alpha0 = float(alpha[peak].min())
     u = alpha - alpha0

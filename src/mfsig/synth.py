@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import BandOutOfRangeError
+from .errors import AnalysisError
 from .series import TimeSeries
 
 _LN2 = math.log(2.0)
@@ -114,7 +114,7 @@ def white_noise(n: int, seed: int, sample_rate_hz: float = 1.0) -> TimeSeries:
 def tone(freq_hz: float, fs: float, duration_s: float, amplitude: float = 1.0) -> TimeSeries:
     """Exact sine tone; frequencies at or above Nyquist are rejected."""
     if not freq_hz < fs / 2:
-        raise BandOutOfRangeError(
+        raise AnalysisError(
             f"tone at {freq_hz} Hz aliases at sample rate {fs} Hz (Nyquist {fs / 2} Hz)"
         )
     n = int(round(duration_s * fs))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooManyLevelsError
+from .errors import AnalysisError
 from .series import TimeSeries
 
 _SQRT3 = math.sqrt(3.0)
@@ -64,9 +64,7 @@ def dwt(ts: TimeSeries, levels: int) -> WaveletCoeffs:
     if levels < 1:
         raise ValueError("levels must be >= 1")
     if levels > int(math.floor(math.log2(n))) - 2:
-        raise TooManyLevelsError(
-            f"{levels} levels exceed what a length-{n} signal supports"
-        )
+        raise AnalysisError(f"{levels} levels exceed what a length-{n} signal supports")
     block = 1 << levels
     padded = ts.samples
     if n % block:

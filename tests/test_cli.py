@@ -10,9 +10,9 @@ import pytest
 import mfsig
 from mfsig.cli import main
 from mfsig.dataio import read_eeg_csv, read_wav, write_eeg_csv, write_series_csv, write_wav
-from mfsig.errors import AllSegmentsDegenerateError, RecordingTooShortError
+from mfsig.errors import AnalysisError
 from mfsig.pipeline import RunConfig, analyze_recording
-from mfsig.protocol import build_timeline
+from mfsig.protocol import build_timeline, timeline_from_markers
 from mfsig.synth import tone, white_noise
 
 from oracles import energy
@@ -197,9 +197,92 @@ class TestAnalyzeCommand:
         fs = 256.0
         n = int(195.0 * fs)  # inside clip1_band1, 185-205 s
         with pytest.raises(
-            RecordingTooShortError, match=r"'clip1_band1' .*needs 52480 samples, have 49920"
+            AnalysisError, match=r"'clip1_band1' .*needs 52480 samples, have 49920"
         ):
             analyze_recording({"F3": np.zeros(n)}, fs, build_timeline(1), RunConfig(electrodes=["F3"]))
+
+    def test_window_covering_no_sample_names_condition(self):
+        fs = 256.0
+        timeline = timeline_from_markers([
+            {"label": "rest", "start_s": 0.0, "end_s": 60.0},
+            {"label": "clip1_original", "start_s": 61.0, "end_s": 61.001},
+        ])
+        with pytest.raises(
+            AnalysisError, match=r"'clip1_original' \(61-61.001 s\) covers no sample at 256 Hz"
+        ):
+            analyze_recording({"F3": np.zeros(62 * 256)}, fs, timeline, RunConfig(electrodes=["F3"]))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_too_short_stimulus_is_located(self, tmp_path, capsys, workers):
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg, electrodes=("F3",), duration_s=62.0)
+        markers = tmp_path / "markers.json"
+        markers.write_text(json.dumps([
+            {"label": "rest", "start_s": 0.0, "end_s": 60.0},
+            {"label": "clip1_original", "start_s": 61.0, "end_s": 61.03},  # 8 samples
+        ]))
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--markers", str(markers), "--electrodes", "F3",
+            "--workers", workers, "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: F3 clip1_original alpha: band-pass needs at least 16 samples, got 8" in err
+
+    @pytest.mark.parametrize(
+        "markers,expected",
+        [
+            (
+                [{"label": "clip1_original", "start_s": 60, "end_s": 80}],
+                "timeline has no rest condition",
+            ),
+            (
+                [{"label": "rest", "start_s": 0, "end_s": 60},
+                 {"label": "clip1_original", "start_s": 50, "end_s": 70}],
+                "conditions overlap at 50.0s",
+            ),
+            (
+                [{"label": "rest", "start_s": 0, "end_s": 60},
+                 {"label": "clipx", "start_s": 60, "end_s": 80}],
+                "marker 1: bad label 'clipx'",
+            ),
+            (
+                [{"label": "rest", "start_s": 0, "end_s": 60},
+                 {"label": "clip1_original", "start_s": 61, "end_s": float("inf")}],
+                "marker 1: condition times must be finite, got 61-inf s",
+            ),
+        ],
+        ids=["no_rest", "overlap", "bad_label", "infinite_time"],
+    )
+    def test_bad_markers_name_the_file(self, tmp_path, capsys, markers, expected):
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg, electrodes=("F3",))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(markers))
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--markers", str(path), "--electrodes", "F3",
+            "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert f"error: {path}: {expected}" in capsys.readouterr().err
+
+    def test_no_envelope_analyzes_band_signals(self, tmp_path):
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg, electrodes=("F3",))
+        rows = {}
+        for name, flags in (("env", []), ("noenv", ["--no-envelope"])):
+            outdir = tmp_path / name
+            rc = main([
+                "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "F3",
+                "--outdir", str(outdir), *flags,
+            ])
+            assert rc == 0
+            lines = (outdir / "report.csv").read_text().strip().split("\n")
+            assert len(lines) == 1 + 3 * 6
+            rows[name] = [line.split(",")[5] for line in lines[1:]]  # the w column
+        payload = json.loads((tmp_path / "noenv" / "report.json").read_text())
+        assert payload["config"]["use_envelope"] is False
+        assert rows["noenv"] != rows["env"]
 
     def test_dwt_method_recorded_in_metadata(self, tmp_path):
         eeg = tmp_path / "eeg.csv"
@@ -266,7 +349,7 @@ class TestAnalyzeCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error: F3 rest alpha: scale 16: all segments have zero residual variance" in err
-        with pytest.raises(AllSegmentsDegenerateError, match="^F3 rest alpha: scale 16: "):
+        with pytest.raises(AnalysisError, match="^F3 rest alpha: scale 16: "):
             analyze_recording(
                 read_eeg_csv(eeg), 256.0, build_timeline(1),
                 RunConfig(electrodes=["T4", "F3"]), workers=int(workers),
@@ -334,11 +417,32 @@ class TestReportCommand:
                 {"baseline_condition": "silence", "records": [GOOD_RECORD]},
                 "baseline_condition must be 'rest', got 'silence'",
             ),
+            (
+                {"records": [dict(GOOD_RECORD, w=True)]},
+                "record 0: w must be a JSON number, got true",
+            ),
+            (
+                {"records": [GOOD_RECORD, dict(GOOD_RECORD, w="0.5")]},
+                'record 1: w must be a JSON number, got "0.5"',
+            ),
+            (
+                {"records": [dict(GOOD_RECORD, fit_a="1e3")]},
+                'record 0: fit_a must be a JSON number, got "1e3"',
+            ),
+            (
+                {"records": [dict(GOOD_RECORD, h2_r2=False)]},
+                "record 0: h2_r2 must be a JSON number, got false",
+            ),
+            ({"config": 5, "records": [GOOD_RECORD]}, "config must be a JSON object"),
+            ({"inputs": [1], "records": [GOOD_RECORD]}, "inputs must be a JSON object"),
+            ({"records": []}, "no records"),
         ],
         ids=[
             "list", "records_not_list", "record_not_object", "missing_key", "null_width",
             "negative_width", "bad_condition", "flags_not_string", "electrode_path",
-            "electrode_empty", "baseline_not_rest",
+            "electrode_empty", "baseline_not_rest", "width_bool", "width_string",
+            "fit_a_string", "h2_r2_bool", "config_not_object", "inputs_not_object",
+            "no_records",
         ],
     )
     def test_malformed_report_names_file_and_record(self, tmp_path, capsys, payload, expected):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfsig.errors import DataFormatError, NoSheetsError, RecordingTooShortError
+from mfsig.errors import AnalysisError, DataFormatError
 from mfsig.protocol import (
     PART_TO_BAND,
     ResponseSheet,
@@ -82,7 +82,7 @@ class TestSegmentRecording:
         fs = 256.0
         timeline = build_timeline(1)
         eeg = white_noise(int((timeline.total_duration_s - 1) * fs), seed=2, sample_rate_hz=fs)
-        with pytest.raises(RecordingTooShortError, match="rest"):
+        with pytest.raises(AnalysisError, match="recording ends before condition 'rest'"):
             segment_recording(eeg, timeline.conditions)
 
 
@@ -155,5 +155,5 @@ class TestAggregateResponses:
         np.testing.assert_array_equal(once, twice)
 
     def test_no_sheets(self):
-        with pytest.raises(NoSheetsError):
+        with pytest.raises(AnalysisError, match="no response sheets to aggregate"):
             aggregate_responses([])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mfsig.errors import EmptyCellError, EmptyReportError
+from mfsig.errors import AnalysisError
 from mfsig.protocol import build_timeline
 from mfsig.report import (
     STIMULUS_SLOTS,
@@ -79,7 +79,7 @@ class TestAverageSubjects:
         assert cell_mean_sd(widths) == cell_mean_sd(widths[::-1])
 
     def test_empty(self):
-        with pytest.raises(EmptyCellError):
+        with pytest.raises(AnalysisError, match="no values in cell"):
             cell_mean_sd([])
 
 
@@ -99,7 +99,7 @@ class TestEmission:
         assert len(list((tmp_path / "plotdata").glob("*.csv"))) == 10
 
     def test_empty_report(self, tmp_path):
-        with pytest.raises(EmptyReportError):
+        with pytest.raises(AnalysisError, match="nothing to emit"):
             emit_report(AnalysisReport(), tmp_path)
         assert not (tmp_path / "report.csv").exists()
 

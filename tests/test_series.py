@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfsig.errors import EmptySeriesError, NonFiniteError
+from mfsig.errors import AnalysisError
 from mfsig.series import SplitMix64, TimeSeries, permutation, profile, shuffle
 from mfsig.synth import white_noise
 
@@ -16,7 +16,7 @@ def series(values, fs=1.0):
 
 class TestTimeSeries:
     def test_rejects_empty(self):
-        with pytest.raises(EmptySeriesError):
+        with pytest.raises(AnalysisError, match="time series must contain at least one sample"):
             TimeSeries(np.array([]), 1.0)
 
     def test_rejects_bad_rate(self):
@@ -41,11 +41,11 @@ class TestProfile:
         assert abs(prof[-1]) <= 1e-9 * max(scale, 1.0)
 
     def test_too_short(self):
-        with pytest.raises(EmptySeriesError):
+        with pytest.raises(AnalysisError, match="profile needs at least 2 samples"):
             profile(series([1.0]))
 
     def test_non_finite(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(AnalysisError, match="non-finite value at index 1"):
             profile(series([1.0, np.nan, 2.0]))
 
     @pytest.mark.parametrize("a", [2.0, -1.0])

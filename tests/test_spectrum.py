@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfsig.errors import InsufficientQPointsError
+from mfsig.errors import AnalysisError
 from mfsig.mfdfa import HurstCurve, run_mfdfa
 from mfsig.spectrum import SingularitySpectrum, fit_spectrum, singularity_spectrum
 from mfsig.synth import white_noise
@@ -57,7 +57,7 @@ class TestSingularitySpectrum:
             q_grid=np.array([1.0, 2.0]), h=np.array([0.5, 0.4]),
             r2=np.ones(2), stderr=np.zeros(2),
         )
-        with pytest.raises(InsufficientQPointsError):
+        with pytest.raises(AnalysisError, match="need at least 3 q points for derivatives"):
             singularity_spectrum(two)
 
     def test_tau_reconstruction_identity(self, cascade_result):

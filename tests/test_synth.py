@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfsig.errors import BandOutOfRangeError
+from mfsig.errors import AnalysisError
 from mfsig.spectrum import singularity_spectrum
 from mfsig.synth import (
     binomial_cascade,
@@ -124,5 +124,5 @@ class TestWhiteNoiseAndTone:
         assert np.abs(ts.samples).max() == pytest.approx(1.0, abs=1e-12)
 
     def test_tone_at_nyquist_rejected(self):
-        with pytest.raises(BandOutOfRangeError):
+        with pytest.raises(AnalysisError, match="aliases at sample rate"):
             tone(128, 256, 1)

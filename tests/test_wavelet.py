@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfsig.errors import TooManyLevelsError
+from mfsig.errors import AnalysisError
 from mfsig.series import TimeSeries
 from mfsig.synth import white_noise
 from mfsig.wavelet import DEC_HI, DEC_LO, dwt, dyadic_level_for_band, idwt, reconstruct_level
@@ -49,7 +49,7 @@ class TestRoundTrip:
             assert np.abs(detail).max() <= 1e-12
 
     def test_too_many_levels(self):
-        with pytest.raises(TooManyLevelsError):
+        with pytest.raises(AnalysisError, match="levels exceed what a length-256 signal supports"):
             dwt(white_noise(256, seed=1), 7)  # floor(log2(256)) - 2 = 6
 
 
