@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -50,6 +51,17 @@ def _int_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _sample_rate(text: str) -> float:
+    """argparse type of a sampling rate: a finite positive number."""
+    try:
+        fs = float(text)
+    except ValueError:
+        fs = float("nan")  # rejected below, with the same message
+    if not (math.isfinite(fs) and fs > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return fs
 
 
 def cmd_split_bands(args) -> int:
@@ -226,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full EEG pipeline for one recording")
     p.add_argument("input", help="EEG CSV: header sample,F3,F4,...")
-    p.add_argument("--fs", type=float, default=None, help="sample rate (Hz); else sidecar JSON")
+    p.add_argument(
+        "--fs", type=_sample_rate, default=None, help="sample rate (Hz); else sidecar JSON"
+    )
     p.add_argument("--clips", type=int, default=4, help="clips in the nominal timeline")
     p.add_argument("--markers", default=None, help="JSON marker file overriding the timeline")
     p.add_argument("--outdir", default=None)
@@ -249,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hurst", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--freq", type=float, default=440.0, help="tone frequency (Hz)")
-    p.add_argument("--fs", type=float, default=44100.0)
+    p.add_argument("--fs", type=_sample_rate, default=44100.0)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.set_defaults(func=cmd_synth)

@@ -109,15 +109,28 @@ def write_eeg_csv(path: str | Path, channels: dict[str, np.ndarray]) -> None:
 
 
 def read_fs_sidecar(path: str | Path) -> float | None:
-    """Sampling rate from ``<stem>.json`` next to the data file, if present."""
+    """Sampling rate from ``<stem>.json`` next to the data file, if present.
+
+    The sidecar is a JSON object whose ``fs_hz`` is a finite positive number.
+    """
     sidecar = Path(path).with_suffix(".json")
     if not sidecar.exists():
         return None
     try:
         payload = json.loads(sidecar.read_text())
-        return float(payload["fs_hz"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         raise DataFormatError(f"{sidecar}: bad sidecar ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{sidecar}: sidecar must be a JSON object")
+    if "fs_hz" not in payload:
+        raise DataFormatError(f"{sidecar}: sidecar has no fs_hz key")
+    fs = payload["fs_hz"]
+    is_number = isinstance(fs, (int, float)) and not isinstance(fs, bool)
+    if not (is_number and math.isfinite(fs) and fs > 0):
+        raise DataFormatError(
+            f"{sidecar}: fs_hz must be a finite positive JSON number, got {json.dumps(fs)}"
+        )
+    return float(fs)
 
 
 def read_markers(path: str | Path) -> ProtocolTimeline:

@@ -1,16 +1,18 @@
 """Multifractal detrended fluctuation analysis.
 
-Per series: build the profile and tile it into segments at each scale.
-A segment's squared fluctuation F2 is the mean square of what is left
-after projecting it off the orthonormal basis of the order-m polynomials
-(the QR factor of the Vandermonde matrix on [-1, 1]). ln Fq is formed in
-the log domain, so it overflows for no q, and h(q) is the least-squares
-slope of ln Fq on ln s.
+Per series, or per batch of equal-length series: build the profile and
+tile it into segments at each scale. A segment's squared fluctuation F2
+is the mean square of what is left after projecting it off the
+orthonormal basis of the order-m polynomials (the QR factor of the
+Vandermonde matrix on [-1, 1], built once per scale and order). ln Fq is
+formed in the log domain, so it overflows for no q, and h(q) is the
+least-squares slope of ln Fq on ln s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,48 +79,87 @@ class MfdfaConfig:
         return MfdfaConfig(self.detrend_order, scales, q_grid, self.bidirectional)
 
 
-def segment_fluctuations(y: np.ndarray, s: int, m: int, bidirectional: bool = False) -> np.ndarray:
-    """F2 of every segment of the profile y at scale s, order-m trend removed.
+def _polynomial_basis(s: int, m: int) -> np.ndarray:
+    """Orthonormal basis (s x (m+1)) of the order-m polynomials on s points."""
+    basis, _ = np.linalg.qr(np.polynomial.polynomial.polyvander(np.linspace(-1.0, 1.0, s), m))
+    return basis
 
-    Unidirectional mode tiles from the start and discards the remainder;
-    bidirectional mode adds the tiling counted from the end, so the 2*Ns
-    segments jointly cover the trailing samples as well.
+
+@lru_cache(maxsize=128)
+def _cached_basis(s: int, m: int) -> np.ndarray:
+    basis = _polynomial_basis(s, m)
+    basis.flags.writeable = False
+    return basis
+
+
+def _detrend_basis(s: int, m: int) -> np.ndarray:
+    """The detrending basis at scale s, order m.
+
+    Bases of at most _BLOCK_ELEMENTS // 8 elements (64 KB; every EEG scale
+    up to 3840 at order 1) are built once and shared read-only, at most 128
+    of them; a larger one is built per call, so that a long series does not
+    keep its large-scale bases for the life of the process.
+    """
+    if s * (m + 1) <= _BLOCK_ELEMENTS // 8:
+        return _cached_basis(s, m)
+    return _polynomial_basis(s, m)
+
+
+def segment_fluctuations(y: np.ndarray, s: int, m: int, bidirectional: bool = False) -> np.ndarray:
+    """F2 of every segment of the profiles y (..., n) at scale s, order-m trend removed.
+
+    Returns shape (..., k), k segments per profile. Unidirectional mode
+    tiles from the start and discards the remainder; bidirectional mode
+    adds the tiling counted from the end, so the 2*Ns segments jointly
+    cover the trailing samples as well.
     """
     if s < m + 2:
         raise AnalysisError(f"scale {s} too small for polynomial order {m}")
-    n = y.size
+    n = y.shape[-1]
     ns = n // s
-    basis, _ = np.linalg.qr(np.polynomial.polynomial.polyvander(np.linspace(-1.0, 1.0, s), m))
+    basis = _detrend_basis(s, m)
     starts = (0, n - ns * s) if bidirectional else (0,)
-    tilings = (y[a : a + ns * s].reshape(ns, s) for a in starts)
-    return np.concatenate([np.mean((g - (g @ basis) @ basis.T) ** 2, axis=1) for g in tilings])
+    tilings = (y[..., a : a + ns * s].reshape(*y.shape[:-1], ns, s) for a in starts)
+    return np.concatenate(
+        [np.mean((g - (g @ basis) @ basis.T) ** 2, axis=-1) for g in tilings], axis=-1
+    )
 
 
 def log_fluctuation_function(f2: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
-    """ln Fq of one scale's squared fluctuations, for every q of the grid.
+    """ln Fq of one scale's squared fluctuations (..., k), for every q: (..., q).
 
     Fq = mean(F2^(q/2))^(1/q) is evaluated in the log domain,
     ln Fq = (logsumexp(q/2 ln F2) - ln n) / q, which overflows for no q;
     q = 0 takes the limit mean(ln F2) / 2.
-    Zero-variance segments are excluded: they make ln Fq infinite for q <= 0.
-    The q x segment terms are formed in row blocks of at most _BLOCK_ELEMENTS,
-    so a long series never holds a whole scale of them.
+    Zero-variance segments are excluded per row: they would make ln Fq
+    infinite for q <= 0, so their terms are exactly 0 and n counts the
+    others. The q x row x segment terms are formed in blocks of at most
+    _BLOCK_ELEMENTS, so a long series never holds a whole scale of them.
     """
     f2 = np.asarray(f2, dtype=float)
-    ln_f2 = np.log(f2[f2 > 0.0])
-    if ln_f2.size == 0:
+    rows = f2.reshape(-1, f2.shape[-1])
+    valid = rows > 0.0
+    count = np.count_nonzero(valid, axis=-1)
+    if np.any(count == 0):
         raise AnalysisError("all segments have zero residual variance")
+    # ln F2 of an excluded segment is -inf for q > 0 and +inf for q < 0,
+    # so that q/2 ln F2 is -inf and its exp term exactly 0
+    ln_f2 = np.log(rows, out=np.full(rows.shape, -np.inf), where=valid)
+    ln_f2_neg_q = np.where(valid, ln_f2, np.inf)
     q_grid = np.asarray(q_grid, dtype=float)
-    out = np.full(q_grid.size, 0.5 * np.mean(ln_f2))
-    nonzero = np.flatnonzero(q_grid != 0.0)
-    rows = max(1, _BLOCK_ELEMENTS // ln_f2.size)
-    for start in range(0, nonzero.size, rows):
-        idx = nonzero[start : start + rows]
-        terms = 0.5 * q_grid[idx, np.newaxis] * ln_f2
-        peak = terms.max(axis=1, keepdims=True)
-        lse = peak[:, 0] + np.log(np.sum(np.exp(terms - peak), axis=1))
-        out[idx] = (lse - np.log(ln_f2.size)) / q_grid[idx]
-    return out
+    out = np.empty((q_grid.size, rows.shape[0]))
+    out[:] = 0.5 * (np.sum(np.where(valid, ln_f2, 0.0), axis=-1) / count)
+    log_count = np.log(count)
+    block = max(1, _BLOCK_ELEMENTS // rows.size)
+    for ln, sel in ((ln_f2_neg_q, q_grid < 0.0), (ln_f2, q_grid > 0.0)):
+        qs = np.flatnonzero(sel)
+        for start in range(0, qs.size, block):
+            idx = qs[start : start + block]
+            terms = 0.5 * q_grid[idx, np.newaxis, np.newaxis] * ln
+            peak = terms.max(axis=-1, keepdims=True)
+            lse = peak[..., 0] + np.log(np.sum(np.exp(terms - peak), axis=-1))
+            out[idx] = (lse - log_count) / q_grid[idx, np.newaxis]
+    return out.T.reshape(*f2.shape[:-1], q_grid.size)
 
 
 @dataclass(frozen=True)
@@ -211,23 +252,41 @@ def _jsonsafe(arr: np.ndarray):
     return out
 
 
-def run_mfdfa(ts: TimeSeries, config: MfdfaConfig | None = None) -> MfdfaResult:
-    """Full analysis of one series: profile, fluctuations, ln Fq, h(q)."""
-    cfg = (config or MfdfaConfig()).resolve(len(ts))
-    y = profile(ts)
-    log_fq = np.empty((len(cfg.q_grid), len(cfg.scales)))
-    zero_total = 0
+def run_mfdfa_batch(
+    series: list[TimeSeries], config: MfdfaConfig | None = None
+) -> list[MfdfaResult]:
+    """Full analysis of equal-length series at once, one result per series.
+
+    Each result equals that of ``run_mfdfa`` on its series; the scales are
+    walked once for all of them. A series that cannot be analyzed fails the
+    whole batch, and the error does not say which series it was.
+    """
+    n = {len(ts) for ts in series}
+    if len(n) != 1:
+        raise ValueError(f"a batch needs series of one length, got lengths {sorted(n)}")
+    cfg = (config or MfdfaConfig()).resolve(n.pop())
+    y = np.stack([profile(ts) for ts in series])
+    log_fq = np.empty((len(series), len(cfg.q_grid), len(cfg.scales)))
+    zero_total = np.zeros(len(series), dtype=int)
     for j, s in enumerate(cfg.scales):
         f2 = segment_fluctuations(y, int(s), cfg.detrend_order, cfg.bidirectional)
         try:
-            log_fq[:, j] = log_fluctuation_function(f2, cfg.q_grid)
+            log_fq[:, :, j] = log_fluctuation_function(f2, cfg.q_grid)
         except AnalysisError as exc:
             raise AnalysisError(f"scale {s}: {exc}") from None
-        zero_total += int(np.count_nonzero(f2 == 0.0))
-    return MfdfaResult(
-        scales=cfg.scales,
-        q_grid=cfg.q_grid,
-        log_fq=log_fq,
-        hurst=hurst_exponents(log_fq, cfg.scales, cfg.q_grid),
-        zero_variance_segments=zero_total,
-    )
+        zero_total += np.count_nonzero(f2 == 0.0, axis=-1)
+    return [
+        MfdfaResult(
+            scales=cfg.scales,
+            q_grid=cfg.q_grid,
+            log_fq=row,
+            hurst=hurst_exponents(row, cfg.scales, cfg.q_grid),
+            zero_variance_segments=int(zeros),
+        )
+        for row, zeros in zip(log_fq, zero_total)
+    ]
+
+
+def run_mfdfa(ts: TimeSeries, config: MfdfaConfig | None = None) -> MfdfaResult:
+    """Full analysis of one series: profile, fluctuations, ln Fq, h(q)."""
+    return run_mfdfa_batch([ts], config)[0]

@@ -17,7 +17,7 @@ import numpy as np
 from . import bands
 from .emd import emd_denoise
 from .errors import AnalysisError, DataFormatError
-from .mfdfa import MfdfaConfig, MfdfaResult, run_mfdfa
+from .mfdfa import MfdfaConfig, MfdfaResult, run_mfdfa, run_mfdfa_batch
 from .protocol import DEFAULT_ANALYZED, ProtocolTimeline, segment_recording
 from .report import AnalysisReport, WidthRecord
 from .series import TimeSeries
@@ -64,23 +64,41 @@ def _h2_r2(result: MfdfaResult) -> float:
     return float("nan") if i is None else float(result.hurst.r2[i])
 
 
+def _rhythm_signal(window: TimeSeries, rhythm_name: str, config: RunConfig) -> TimeSeries:
+    """The series MFDFA analyzes for one rhythm of a window."""
+    signal = bands.extract_rhythm(window, rhythm_name, method=config.rhythm_method)
+    return bands.envelope(signal) if config.use_envelope else signal
+
+
 def _run_job(job: tuple) -> list[WidthRecord]:
-    """Analyze one (electrode, condition) window across all rhythms."""
+    """Analyze one (electrode, condition) window across all rhythms.
+
+    The rhythms' series go through MFDFA as one batch. When that fails, the
+    rhythms are analyzed again one at a time, so that the error names the
+    first failing rhythm at its first failing step.
+    """
     subject, electrode, condition, window, config = job
     where = f"{electrode} {condition}"
     mfdfa_config = MfdfaConfig(
         detrend_order=config.detrend_order, bidirectional=config.bidirectional
     )
+    rhythms = sorted(bands.RHYTHMS)
     records = []
     try:
         if config.emd_drop:
             window = emd_denoise(window, drop_imfs=list(config.emd_drop))
-        for rhythm_name in sorted(bands.RHYTHMS):
+        try:
+            results = run_mfdfa_batch(
+                [_rhythm_signal(window, name, config) for name in rhythms], mfdfa_config
+            )
+        except AnalysisError:
+            for rhythm_name in rhythms:
+                where = f"{electrode} {condition} {rhythm_name}"
+                analyze_series(_rhythm_signal(window, rhythm_name, config), mfdfa_config)
+            raise
+        for rhythm_name, result in zip(rhythms, results):
             where = f"{electrode} {condition} {rhythm_name}"
-            signal = bands.extract_rhythm(window, rhythm_name, method=config.rhythm_method)
-            if config.use_envelope:
-                signal = bands.envelope(signal)
-            result, fit = analyze_series(signal, mfdfa_config)
+            fit = fit_spectrum(singularity_spectrum(result.hurst))
             records.append(
                 WidthRecord(
                     subject_id=subject,
@@ -120,7 +138,10 @@ def analyze_recording(
         raise ValueError(f"electrode(s) listed more than once: {', '.join(repeated)}")
     missing = [e for e in config.electrodes if e not in channels]
     if missing:
-        raise DataFormatError(f"recording is missing electrode column(s): {', '.join(missing)}")
+        source = f"{config.input_path}: " if config.input_path else ""
+        raise DataFormatError(
+            f"{source}recording is missing electrode column(s): {', '.join(missing)}"
+        )
 
     conditions = [timeline.baseline()] + timeline.stimulus_conditions()
     jobs = [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mfsig
+from mfsig import pipeline
 from mfsig.cli import main
 from mfsig.dataio import read_eeg_csv, read_wav, write_eeg_csv, write_series_csv, write_wav
 from mfsig.errors import AnalysisError
@@ -157,7 +158,8 @@ class TestAnalyzeCommand:
             "--electrodes", "F3,O2", "--outdir", str(tmp_path / "out"),
         ])
         assert rc == 1
-        assert "O2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {eeg}: recording is missing electrode column(s): O2" in err
 
     def test_repeated_electrode_rejected(self, tmp_path, capsys):
         eeg = tmp_path / "eeg.csv"
@@ -228,6 +230,70 @@ class TestAnalyzeCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error: F3 clip1_original alpha: band-pass needs at least 16 samples, got 8" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_window_too_short_for_mfdfa_is_located(self, tmp_path, capsys, workers):
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg, electrodes=("F3",), duration_s=62.0)
+        markers = tmp_path / "markers.json"
+        markers.write_text(json.dumps([
+            {"label": "rest", "start_s": 0.0, "end_s": 60.0},
+            {"label": "clip1_original", "start_s": 60.0, "end_s": 60.16},  # 41 samples
+        ]))
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--markers", str(markers), "--electrodes", "F3",
+            "--workers", workers, "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: F3 clip1_original alpha: series of length 41 supports no scales in [16, n/4]"
+            in err
+        )
+
+    @pytest.mark.parametrize(
+        "sidecar,fs,code,message",
+        [
+            ("{}", None, 1, "{json}: sidecar has no fs_hz key"),
+            ("[256]", None, 1, "{json}: sidecar must be a JSON object"),
+            ('{"fs_hz": true}', None, 1, "{json}: fs_hz must be a {positive}, got true"),
+            ('{"fs_hz": 0}', None, 1, "{json}: fs_hz must be a {positive}, got 0"),
+            ('{"fs_hz": "NaN"}', None, 1, '{json}: fs_hz must be a {positive}, got "NaN"'),
+            ('{"fs_hz": NaN}', None, 1, "{json}: fs_hz must be a {positive}, got NaN"),
+            (None, "inf", 2, "argument --fs: expected a {positive}, got 'inf'"),
+            (None, "nan", 2, "argument --fs: expected a {positive}, got 'nan'"),
+            (None, "0", 2, "argument --fs: expected a {positive}, got '0'"),
+            (None, "-256", 2, "argument --fs: expected a {positive}, got '-256'"),
+        ],
+        ids=[
+            "sidecar_empty", "sidecar_list", "sidecar_bool", "sidecar_zero", "sidecar_string",
+            "sidecar_nan", "flag_inf", "flag_nan", "flag_zero", "flag_negative",
+        ],
+    )
+    def test_bad_sampling_rate_is_rejected_where_read(
+        self, tmp_path, capsys, sidecar, fs, code, message
+    ):
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg, electrodes=("F3",))
+        if sidecar is not None:
+            (tmp_path / "eeg.json").write_text(sidecar)
+        argv = [
+            "analyze", str(eeg), "--clips", "1", "--electrodes", "F3",
+            "--outdir", str(tmp_path / "out"),
+        ]
+        if fs is not None:
+            argv.append(f"--fs={fs}")
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            rc = exc.value.code
+        else:
+            rc = main(argv)
+        assert rc == code
+        positive = "finite positive JSON number" if code == 1 else "finite positive number"
+        expected = message.format(json=tmp_path / "eeg.json", positive=positive)
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "markers,expected",
@@ -353,6 +419,27 @@ class TestAnalyzeCommand:
             analyze_recording(
                 read_eeg_csv(eeg), 256.0, build_timeline(1),
                 RunConfig(electrodes=["T4", "F3"]), workers=int(workers),
+            )
+
+    def test_first_failing_rhythm_is_named(self, monkeypatch):
+        # only gamma, the middle one of the window's three rhythm series, is constant
+        rhythm_signal = pipeline._rhythm_signal
+
+        def constant_gamma(window, rhythm_name, config):
+            signal = rhythm_signal(window, rhythm_name, config)
+            if rhythm_name == "gamma":
+                return signal.with_samples(np.ones(len(signal)))
+            return signal
+
+        monkeypatch.setattr(pipeline, "_rhythm_signal", constant_gamma)
+        n = int(build_timeline(1).total_duration_s * 256)
+        with pytest.raises(
+            AnalysisError,
+            match="^F3 rest gamma: scale 16: all segments have zero residual variance$",
+        ):
+            analyze_recording(
+                {"F3": white_noise(n, seed=5).samples}, 256.0, build_timeline(1),
+                RunConfig(electrodes=["F3"]),
             )
 
     def test_outdir_env_override(self, tmp_path, monkeypatch):
@@ -482,8 +569,12 @@ class TestUsageErrors:
             (["mfdfa", "{csv}", "--fs", "256"], "unrecognized arguments: --fs 256"),
             (["analyze", "{csv}", "--rhythm-method", "cwt"], "--rhythm-method: invalid choice"),
             (["synth", "pink"], "argument kind: invalid choice"),
+            (
+                ["synth", "tone", "--fs", "inf"],
+                "argument --fs: expected a finite positive number, got 'inf'",
+            ),
         ],
-        ids=["mfdfa_fs", "rhythm_method", "synth_kind"],
+        ids=["mfdfa_fs", "rhythm_method", "synth_kind", "synth_fs_inf"],
     )
     def test_exits_2_naming_the_argument(self, tmp_path, capsys, argv, message):
         series_csv = tmp_path / "series.csv"

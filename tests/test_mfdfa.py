@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from mfsig.errors import AnalysisError
 from mfsig.mfdfa import (
+    _BLOCK_ELEMENTS,
     DEFAULT_Q_GRID,
     MfdfaConfig,
+    _detrend_basis,
     hurst_exponents,
     log_fluctuation_function,
     run_mfdfa,
+    run_mfdfa_batch,
     segment_fluctuations,
 )
 from mfsig.series import TimeSeries, profile
@@ -87,6 +90,17 @@ class TestQOrderMean:
         result = run_mfdfa(ts, MfdfaConfig(scales=np.array([16, 32])))
         assert result.zero_variance_segments == 2048 // 16 + 2048 // 32
         assert np.all(np.isfinite(result.log_fq))
+
+    def test_rows_exclude_their_own_zero_segments(self):
+        rng = np.random.default_rng(4)
+        f2 = 10.0 ** rng.uniform(-300.0, 300.0, size=(3, 40))
+        f2[0, ::3] = 0.0
+        f2[2, 5:] = 0.0
+        batch = log_fluctuation_function(f2, DEFAULT_Q_GRID)
+        assert batch.shape == (3, DEFAULT_Q_GRID.size)
+        for row, log_fq in zip(f2, batch):
+            compacted = log_fluctuation_function(row[row > 0.0], DEFAULT_Q_GRID)
+            np.testing.assert_allclose(log_fq, compacted, rtol=1e-12, atol=1e-12)
 
     def test_power_mean_monotone_in_q(self):
         rng = np.random.default_rng(3)
@@ -191,6 +205,68 @@ class TestRunMfdfa:
     def test_csv_rows(self, white_result):
         rows = list(white_result.to_csv_rows())
         assert len(rows) == len(white_result.q_grid) * len(white_result.scales)
+
+
+def flat_start_series(seed, n, flat):
+    """Integer-valued series of exactly zero mean whose first ``flat`` samples
+    are 0: its profile is exactly 0 there, so those segments have F2 == 0."""
+    x = np.random.default_rng(seed).integers(-3, 4, n).astype(float)
+    x[:flat] = 0.0
+    x[-1] -= x.sum()
+    return TimeSeries(x, 1.0)
+
+
+class TestRunMfdfaBatch:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2**16), st.sampled_from((0.0, 0.1, 0.3, 0.5))),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(256, 2048),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_matches_its_single_series_run(self, specs, n, m, bidirectional):
+        series = [flat_start_series(seed, n, int(share * n)) for seed, share in specs]
+        cfg = MfdfaConfig(detrend_order=m, bidirectional=bidirectional)
+        batch = run_mfdfa_batch(series, cfg)
+        assert len(batch) == len(series)
+        for (_, share), ts, row in zip(specs, series, batch):
+            single = run_mfdfa(ts, cfg)
+            np.testing.assert_allclose(row.log_fq, single.log_fq, rtol=0, atol=1e-12)
+            assert row.zero_variance_segments == single.zero_variance_segments
+            # at scale 16 alone, every forward segment inside the flat start has F2 == 0
+            assert row.zero_variance_segments >= int(share * n) // 16
+
+    def test_constant_middle_series_fails_the_batch(self):
+        noise = white_noise(4096, seed=30)
+        outer = [noise, noise.with_samples(noise.samples[::-1])]
+        constant = TimeSeries(np.full(4096, 2.0), 1.0)
+        for ts in outer:
+            run_mfdfa(ts)
+        with pytest.raises(
+            AnalysisError, match="^scale 16: all segments have zero residual variance$"
+        ):
+            run_mfdfa_batch([outer[0], constant, outer[1]])
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="one length"):
+            run_mfdfa_batch([white_noise(1024, seed=1), white_noise(2048, seed=1)])
+
+    def test_cached_bases_are_small_and_read_only(self):
+        result = run_mfdfa(white_noise(2**16, seed=31))
+        cached = 0
+        for s in result.scales:
+            basis = _detrend_basis(int(s), 1)
+            if basis is _detrend_basis(int(s), 1):  # the same object: it is cached
+                cached += 1
+                assert not basis.flags.writeable
+                assert basis.size <= _BLOCK_ELEMENTS // 8
+            else:
+                assert basis.size > _BLOCK_ELEMENTS // 8
+        assert 0 < cached < len(result.scales)
 
 
 def random_walk_profile(seed, n):
