@@ -4,6 +4,16 @@ The shuffle surrogate destroys temporal correlations while preserving the
 value distribution exactly; it is the reference test for whether measured
 multifractality comes from long-range correlation or from the amplitude
 distribution.
+
+The surrogate's generator is SplitMix64 (Steele, Lea and Flood 2014), a
+frozen specification: shuffles are identical across platforms and
+releases for a given seed. The seed is taken mod 2^64. State update:
+``state = (state + 0x9E3779B97F4A7C15) mod 2^64``. Output mix of the
+updated state z: ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
+z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64). Bounded draws use
+modulo rejection: draw 64-bit r, accept when ``r < 2^64 - (2^64 mod
+bound)``, return ``r mod bound``; a rejected r is discarded and the next
+output is drawn for the same bound.
 """
 
 from __future__ import annotations
@@ -66,53 +76,60 @@ def profile(ts: TimeSeries) -> np.ndarray:
     return np.cumsum(ts.samples - ts.samples.mean())
 
 
-class SplitMix64:
-    """SplitMix64 pseudo-random generator (frozen specification).
+_MAX64 = np.uint64(_MASK64)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
-    State update: ``state = (state + 0x9E3779B97F4A7C15) mod 2^64``.
-    Output mix of the updated state z:
-    ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
-    z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64).
 
-    Bounded draws use modulo rejection: draw 64-bit r, accept when
-    ``r < 2^64 - (2^64 mod bound)``, return ``r mod bound``.
+def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs ``start + 1 .. start + count`` of the SplitMix64 stream of ``seed``.
 
-    This generator is part of the reproducibility contract: shuffles are
-    identical across platforms and releases for a given seed.
+    The k-th output is the mix of the state ``seed + k * gamma mod 2^64``, so
+    any run of the stream is one pass of wrapping ``uint64`` arithmetic.
     """
+    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = k * _GAMMA + np.uint64(seed & _MASK64)
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
 
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
+    """One bounded draw per entry of ``bounds`` (positive ``uint64``), in order.
 
-    def next_below(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % bound
+    A draw r for bound b is accepted when ``r < 2^64 - (2^64 mod b)``, that
+    is ``r <= (2^64 - 1) - (2^64 mod b)``. Draws are accepted up to the first
+    rejected one; the next pass redraws its bound from the following state,
+    since a rejection shifts every later draw of the stream.
+    """
+    with np.errstate(over="ignore"):
+        highest = _MAX64 - (np.uint64(0) - bounds) % bounds
+    out = np.empty(bounds.size, dtype=np.uint64)
+    done = used = 0
+    while done < bounds.size:
+        r = _splitmix64(seed, used, bounds.size - done)
+        rejected = np.flatnonzero(r > highest[done:])
+        take = int(rejected[0]) if rejected.size else r.size
+        out[done : done + take] = r[:take] % bounds[done : done + take]
+        done += take
+        used += take + 1
+    return out
 
 
 def permutation(n: int, seed: int) -> np.ndarray:
     """Uniform random permutation of range(n) by Fisher-Yates swaps.
 
     Swaps run from the top index down: for i = n-1 .. 1, j is drawn
-    uniformly from 0..i and positions i, j are swapped.
+    uniformly from 0..i and positions i, j are swapped. The draws are made
+    all at once; only the swaps run in sequence (Durstenfeld 1964).
     """
-    rng = SplitMix64(seed)
-    idx = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = rng.next_below(i + 1)
+    bounds = np.arange(2, n + 1, dtype=np.uint64)[::-1]
+    idx = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), _draws_below(seed, bounds).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    return np.array(idx, dtype=np.int_)
 
 
 def shuffle(ts: TimeSeries, seed: int) -> TimeSeries:

@@ -113,6 +113,10 @@ def white_noise(n: int, seed: int, sample_rate_hz: float = 1.0) -> TimeSeries:
 
 def tone(freq_hz: float, fs: float, duration_s: float, amplitude: float = 1.0) -> TimeSeries:
     """Exact sine tone; frequencies at or above Nyquist are rejected."""
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise AnalysisError(
+            f"tone duration must be a finite positive number of seconds, got {duration_s}"
+        )
     if not freq_hz < fs / 2:
         raise AnalysisError(
             f"tone at {freq_hz} Hz aliases at sample rate {fs} Hz (Nyquist {fs / 2} Hz)"

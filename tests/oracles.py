@@ -4,6 +4,8 @@ equations, polyfit) so agreement is evidence, not tautology."""
 
 import numpy as np
 
+_MASK64 = (1 << 64) - 1
+
 
 def normal_equations_residual_ms(segment, order):
     """Mean squared residual of a polynomial fit via normal equations.
@@ -113,3 +115,52 @@ def analytic_envelope_weights(x):
     else:
         weight[1 : (n + 1) // 2] = 2.0
     return np.abs(np.fft.ifft(np.fft.fft(x) * weight))
+
+
+class SplitMix64:
+    """SplitMix64, one scalar draw at a time in Python integers.
+
+    The specification is the one frozen in ``mfsig.series``'s docstring.
+    """
+
+    def __init__(self, seed):
+        self._state = seed & _MASK64
+
+    def next_u64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def next_below(self, bound):
+        limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
+        while True:
+            r = self.next_u64()
+            if r < limit:
+                return r % bound
+
+
+def splitmix64_seed_with_first_output(r):
+    """The seed whose first SplitMix64 output is r, by inverting the mix."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(r, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
+    return (z - 0x9E3779B97F4A7C15) & _MASK64
+
+
+def fisher_yates_loop(n, seed):
+    """Permutation of range(n): for i = n-1 .. 1, swap i with a draw below i + 1."""
+    rng = SplitMix64(seed)
+    idx = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx

@@ -37,6 +37,22 @@ class TestSynthCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 65536 + 1  # header + rows
 
+    @pytest.mark.parametrize(
+        "duration,shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0"), ("0", "0.0")]
+    )
+    def test_bad_tone_duration_exits_1_without_traceback(self, tmp_path, duration, shown):
+        src = str(Path(mfsig.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfsig.cli", "synth", "tone", "--duration", duration],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: tone duration must be a finite positive number of seconds, got {shown}\n"
+        )
+        assert not (tmp_path / "series.csv").exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfsig.errors import AnalysisError
-from mfsig.series import SplitMix64, TimeSeries, permutation, profile, shuffle
+from mfsig.series import TimeSeries, _draws_below, _splitmix64, permutation, profile, shuffle
 from mfsig.synth import white_noise
+
+from oracles import SplitMix64, fisher_yates_loop, splitmix64_seed_with_first_output
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -72,6 +74,41 @@ class TestShuffle:
 
     def test_frozen_generator_output(self):
         assert SplitMix64(42).next_u64() == 13679457532755275413
+        assert _splitmix64(42, 0, 1).tolist() == [13679457532755275413]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -3])
+    def test_draws_below_match_scalar_oracle(self, seed):
+        # near 2^63 about half the draws are rejected, so the stream shifts
+        offsets = np.random.default_rng(11).integers(-(2**40), 2**40, size=300)
+        bounds = [2**63 + int(d) for d in offsets] + [1, 2, 2**63, 2**63 + 1, 2**64 - 1]
+        rng = SplitMix64(seed)
+        expected = [rng.next_below(b) for b in bounds]
+        bounds = np.array(bounds, dtype=np.uint64)
+        draws = _draws_below(seed, bounds)
+        assert draws.tolist() == expected
+        unrejected = _splitmix64(seed, 0, bounds.size) % bounds
+        assert (draws != unrejected).sum() > 100
+
+    @pytest.mark.parametrize("bound", [3, 2**63 + 1, 2**64 - 1])
+    @pytest.mark.parametrize("past_limit", [0, 1], ids=["highest_accepted", "lowest_rejected"])
+    def test_draw_at_the_rejection_limit(self, bound, past_limit):
+        first = 2**64 - 1 - 2**64 % bound + past_limit
+        seed = splitmix64_seed_with_first_output(first)
+        assert SplitMix64(seed).next_u64() == first
+        draws = _draws_below(seed, np.array([bound, bound], dtype=np.uint64))
+        rng = SplitMix64(seed)
+        assert draws.tolist() == [rng.next_below(bound), rng.next_below(bound)]
+
+    @given(st.integers(0, 300), st.integers(-(2**63), 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_matches_scalar_oracle(self, n, seed):
+        assert permutation(n, seed).tolist() == fisher_yates_loop(n, seed)
+
+    @pytest.mark.parametrize("n", [0, 1, 17])
+    def test_permutation_dtype_is_arange_dtype(self, n):
+        perm = permutation(n, 5)
+        assert perm.dtype == np.arange(n).dtype
+        assert sorted(perm.tolist()) == list(range(n))
 
     @given(st.lists(finite_floats, min_size=1, max_size=64), st.integers(0, 2**64 - 1))
     @settings(max_examples=50, deadline=None)
