@@ -288,8 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         _check_q_range(parser, args)
     try:
         return args.func(args)
-    except (AnalysisError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AnalysisError, MemoryError, OSError, ValueError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -14,6 +14,12 @@ z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2^64). Bounded draws use
 modulo rejection: draw 64-bit r, accept when ``r < 2^64 - (2^64 mod
 bound)``, return ``r mod bound``; a rejected r is discarded and the next
 output is drawn for the same bound.
+
+A shuffle makes all its bounded draws in one pass of wrapping ``uint64``
+arithmetic and then resolves the Fisher-Yates swaps in closed form: one
+sort groups the swaps by target, and pointer doubling follows the chains
+of positions that later swaps move again. No step loops over the samples,
+and the permutation is bit for bit that of the sequential swap loop.
 """
 
 from __future__ import annotations
@@ -118,18 +124,52 @@ def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply_swaps(j: np.ndarray) -> np.ndarray:
+    """The permutation left by swapping positions i and ``j[i]`` of ``range(n)``
+    for i = n-1 .. 1, given targets ``0 <= j[i] <= i`` (``j[0] = 0``).
+
+    Closed form, no loop over samples. Steps run from n-1 down, and no step
+    after step i touches position i, so it ends holding what position
+    ``j[i]`` held as step i began. The last step to write there was
+    ``later[i]``, the smallest step i' > i with ``j[i'] = j[i]``, which left
+    ``c(later[i])``; with no such step it is still ``j[i]``. Here ``c(p)``,
+    what position p held as step p began, is ``c(first[p])`` for the
+    smallest step ``first[p] > p`` that targets p, or p when none does.
+    One sort of the key ``j * n + i`` groups the steps by target in step
+    order; the chains of ``first`` are resolved by pointer doubling, in
+    about log2 of the longest chain rounds. Requires ``n * n < 2^63``.
+    """
+    n = j.size
+    step = np.arange(n, dtype=np.int64)
+    target, by_target = np.divmod(np.sort(j.astype(np.int64) * np.int64(n) + step), n)
+    later = np.full(n, -1, dtype=np.int64)
+    same = target[1:] == target[:-1]
+    later[by_target[:-1][same]] = by_target[1:][same]
+    # root[p] is the smallest step targeting p, which is first[p] unless it
+    # is p itself; c(p) of such a p is never read, as neither later[i] nor
+    # first[q] can be a step that targets itself. Doubling carries every
+    # root to the end of its chain, c(p).
+    head = np.flatnonzero(np.diff(target, prepend=-1))
+    root = step.copy()
+    root[target[head]] = by_target[head]
+    jumped = root[root]
+    while not np.array_equal(jumped, root):
+        root, jumped = jumped, jumped[jumped]
+    return np.where(later >= 0, root[later], j)
+
+
 def permutation(n: int, seed: int) -> np.ndarray:
     """Uniform random permutation of range(n) by Fisher-Yates swaps.
 
     Swaps run from the top index down: for i = n-1 .. 1, j is drawn
-    uniformly from 0..i and positions i, j are swapped. The draws are made
-    all at once; only the swaps run in sequence (Durstenfeld 1964).
+    uniformly from 0..i and positions i, j are swapped (Durstenfeld 1964).
+    The draws are made all at once and the swaps are resolved in closed
+    form by ``_apply_swaps``, so the result is bit for bit that of the
+    sequential loop. Requires ``n * n < 2^63``.
     """
-    bounds = np.arange(2, n + 1, dtype=np.uint64)[::-1]
-    idx = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), _draws_below(seed, bounds).tolist()):
-        idx[i], idx[j] = idx[j], idx[i]
-    return np.array(idx, dtype=np.int_)
+    j = np.zeros(n, dtype=np.int64)
+    j[1:] = _draws_below(seed, np.arange(2, n + 1, dtype=np.uint64)[::-1])[::-1]
+    return _apply_swaps(j).astype(np.int_, copy=False)
 
 
 def shuffle(ts: TimeSeries, seed: int) -> TimeSeries:

@@ -121,6 +121,11 @@ def tone(freq_hz: float, fs: float, duration_s: float, amplitude: float = 1.0) -
         raise AnalysisError(
             f"tone at {freq_hz} Hz aliases at sample rate {fs} Hz (Nyquist {fs / 2} Hz)"
         )
-    n = int(round(duration_s * fs))
-    t = np.arange(n) / fs
+    count = duration_s * fs
+    if not (math.isfinite(count) and round(count) >= 1):
+        raise AnalysisError(
+            f"tone duration {duration_s} s at sample rate {fs} Hz gives {count:g} samples;"
+            " it must round to a finite count of at least 1"
+        )
+    t = np.arange(round(count)) / fs
     return TimeSeries(amplitude * np.sin(2.0 * np.pi * freq_hz * t), fs)

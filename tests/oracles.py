@@ -164,3 +164,12 @@ def fisher_yates_loop(n, seed):
         j = rng.next_below(i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
+
+
+def swap_loop(targets):
+    """range(n) after swapping positions i and targets[i] for i = n-1 .. 1."""
+    idx = list(range(len(targets)))
+    for i in range(len(targets) - 1, 0, -1):
+        j = targets[i]
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,22 @@ def make_eeg_fixture(path, electrodes=("F3", "T4"), n_clips=1, fs=256.0, seed=0,
     return timeline
 
 
+def _cap_address_space():
+    # no child can take real memory: an allocation past 1 GiB fails in it
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_synth_tone(tmp_path, duration):
+    """``mfsig synth tone --duration <duration>`` in a child capped at 1 GiB."""
+    src = str(Path(mfsig.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mfsig.cli", "synth", "tone", "--duration", duration],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+
+
 class TestSynthCommand:
     def test_cascade_row_count(self, tmp_path):
         out = tmp_path / "cascade.csv"
@@ -41,16 +58,33 @@ class TestSynthCommand:
         "duration,shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0"), ("0", "0.0")]
     )
     def test_bad_tone_duration_exits_1_without_traceback(self, tmp_path, duration, shown):
-        src = str(Path(mfsig.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mfsig.cli", "synth", "tone", "--duration", duration],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_synth_tone(tmp_path, duration)
         assert proc.returncode == 1
         assert proc.stderr == (
             f"error: tone duration must be a finite positive number of seconds, got {shown}\n"
         )
+        assert not (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize(
+        "duration,shown,count", [("1e-9", "1e-09", "4.41e-05"), ("1e305", "1e+305", "inf")]
+    )
+    def test_tone_sample_count_names_duration_and_rate(self, tmp_path, duration, shown, count):
+        proc = run_synth_tone(tmp_path, duration)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: tone duration {shown} s at sample rate 44100.0 Hz gives {count} samples;"
+            " it must round to a finite count of at least 1\n"
+        )
+        assert not (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize("duration", ["1e5", "1e12"])
+    def test_tone_too_large_for_memory_exits_1_without_traceback(self, tmp_path, duration):
+        # 4.4e9 samples need 35 GB, past the child's cap; 4.4e16 need 313 PiB
+        proc = run_synth_tone(tmp_path, duration)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "series.csv").exists()
 
     def test_unknown_subcommand_exits_2(self):

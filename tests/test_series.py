@@ -4,12 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfsig.errors import AnalysisError
-from mfsig.series import TimeSeries, _draws_below, _splitmix64, permutation, profile, shuffle
+from mfsig.series import (
+    TimeSeries,
+    _apply_swaps,
+    _draws_below,
+    _splitmix64,
+    permutation,
+    profile,
+    shuffle,
+)
 from mfsig.synth import white_noise
 
-from oracles import SplitMix64, fisher_yates_loop, splitmix64_seed_with_first_output
+from oracles import SplitMix64, fisher_yates_loop, splitmix64_seed_with_first_output, swap_loop
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+# swap targets 0 <= j[i] <= i of up to 300 steps
+swap_targets = st.integers(0, 300).flatmap(
+    lambda n: st.tuples(*(st.integers(0, i) for i in range(n)))
+)
 
 
 def series(values, fs=1.0):
@@ -103,6 +116,26 @@ class TestShuffle:
     @settings(max_examples=60, deadline=None)
     def test_permutation_matches_scalar_oracle(self, n, seed):
         assert permutation(n, seed).tolist() == fisher_yates_loop(n, seed)
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002])
+    def test_full_size_permutation_matches_scalar_oracle(self, seed):
+        # the surrogate seeds of the series benchmark at its length, 2^18
+        assert permutation(2**18, seed).tolist() == fisher_yates_loop(2**18, seed)
+
+    @pytest.mark.parametrize(
+        "target",
+        [lambda i: max(i - 1, 0), lambda i: 0, lambda i: i, lambda i: i // 2],
+        ids=["previous", "zero", "self", "half"],
+    )
+    def test_swaps_resolve_deep_chains(self, target):
+        # "previous" chains every position through all 5000 steps
+        j = [target(i) for i in range(5000)]
+        assert _apply_swaps(np.array(j)).tolist() == swap_loop(j)
+
+    @given(swap_targets)
+    @settings(max_examples=100, deadline=None)
+    def test_swaps_match_swap_loop(self, j):
+        assert _apply_swaps(np.array(j, dtype=np.int64)).tolist() == swap_loop(j)
 
     @pytest.mark.parametrize("n", [0, 1, 17])
     def test_permutation_dtype_is_arange_dtype(self, n):
