@@ -1,10 +1,12 @@
 """End-to-end EEG analysis: segmentation, rhythm extraction, MFDFA,
 spectrum fitting, and report assembly.
 
-The unit of work is one (electrode, condition) window; jobs are pure and
-independent, so they can run across processes. Results come back in job
-order for any worker count, and emission sorts the records, so the emitted
-report is identical for any worker count.
+The unit of work is one electrode's windows of one clip and one length
+(the rest baseline is its own job): every rhythm series of those windows
+goes through MFDFA as one batch. Jobs are pure and independent, so they can
+run across processes. Records come back in timeline order for any worker
+count, and emission sorts them, so the emitted report is identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -70,52 +72,66 @@ def _rhythm_signal(window: TimeSeries, rhythm_name: str, config: RunConfig) -> T
     return bands.envelope(signal) if config.use_envelope else signal
 
 
-def _run_job(job: tuple) -> list[WidthRecord]:
-    """Analyze one (electrode, condition) window across all rhythms.
+def _run_job(job: tuple) -> list[list[WidthRecord]]:
+    """Analyze one electrode's windows of one clip and one length, all rhythms.
 
-    The rhythms' series go through MFDFA as one batch. When that fails, the
-    rhythms are analyzed again one at a time, so that the error names the
-    first failing rhythm at its first failing step.
+    Each window is EMD-denoised first when configured. Every rhythm series
+    of every window goes through MFDFA as one batch. When anything fails,
+    the windows are analyzed again one at a time, and each window's rhythms
+    one at a time, so that the error names the first failing window and
+    rhythm at its first failing step. Returns each window's records, in
+    window order and sorted rhythm order.
     """
-    subject, electrode, condition, window, config = job
-    where = f"{electrode} {condition}"
+    subject, electrode, windows, config = job
     mfdfa_config = MfdfaConfig(
         detrend_order=config.detrend_order, bidirectional=config.bidirectional
     )
     rhythms = sorted(bands.RHYTHMS)
-    records = []
-    try:
+
+    def denoised(window: TimeSeries) -> TimeSeries:
         if config.emd_drop:
-            window = emd_denoise(window, drop_imfs=list(config.emd_drop))
-        try:
-            results = run_mfdfa_batch(
-                [_rhythm_signal(window, name, config) for name in rhythms], mfdfa_config
+            return emd_denoise(window, drop_imfs=list(config.emd_drop))
+        return window
+
+    try:
+        series = []
+        for _, window in windows:
+            window = denoised(window)
+            series += [_rhythm_signal(window, name, config) for name in rhythms]
+        fits = [
+            (result, fit_spectrum(singularity_spectrum(result.hurst)))
+            for result in run_mfdfa_batch(series, mfdfa_config)
+        ]
+    except AnalysisError:
+        for condition, window in windows:
+            where = f"{electrode} {condition}"
+            try:
+                window = denoised(window)
+                for rhythm_name in rhythms:
+                    where = f"{electrode} {condition} {rhythm_name}"
+                    analyze_series(_rhythm_signal(window, rhythm_name, config), mfdfa_config)
+            except AnalysisError as exc:
+                raise type(exc)(f"{where}: {exc}") from None
+        raise
+    n = len(rhythms)
+    return [
+        [
+            WidthRecord(
+                subject_id=subject,
+                electrode=electrode,
+                rhythm=rhythm_name,
+                condition=condition,
+                w=fit.width,
+                fit_a=fit.a,
+                fit_b=fit.b,
+                alpha0=fit.alpha0,
+                h2_r2=_h2_r2(result),
+                flags=_fit_flags(result, fit),
             )
-        except AnalysisError:
-            for rhythm_name in rhythms:
-                where = f"{electrode} {condition} {rhythm_name}"
-                analyze_series(_rhythm_signal(window, rhythm_name, config), mfdfa_config)
-            raise
-        for rhythm_name, result in zip(rhythms, results):
-            where = f"{electrode} {condition} {rhythm_name}"
-            fit = fit_spectrum(singularity_spectrum(result.hurst))
-            records.append(
-                WidthRecord(
-                    subject_id=subject,
-                    electrode=electrode,
-                    rhythm=rhythm_name,
-                    condition=condition,
-                    w=fit.width,
-                    fit_a=fit.a,
-                    fit_b=fit.b,
-                    alpha0=fit.alpha0,
-                    h2_r2=_h2_r2(result),
-                    flags=_fit_flags(result, fit),
-                )
-            )
-    except AnalysisError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
-    return records
+            for rhythm_name, (result, fit) in zip(rhythms, fits[k * n : (k + 1) * n])
+        ]
+        for k, (condition, _) in enumerate(windows)
+    ]
 
 
 def analyze_recording(
@@ -144,17 +160,30 @@ def analyze_recording(
         )
 
     conditions = [timeline.baseline()] + timeline.stimulus_conditions()
-    jobs = [
-        (subject_id, electrode, cond.label, window, config)
+    windows = [
+        (electrode, cond, window)
         for electrode in config.electrodes
         for cond, window in segment_recording(TimeSeries(channels[electrode], fs), conditions)
+    ]
+    # one batch per electrode, clip and window length; the baseline has clip None
+    batches: dict[tuple, list[int]] = {}
+    for i, (electrode, cond, window) in enumerate(windows):
+        batches.setdefault((electrode, cond.clip, len(window)), []).append(i)
+    jobs = [
+        (subject_id, electrode, [(windows[i][1].label, windows[i][2]) for i in batch], config)
+        for (electrode, _, _), batch in batches.items()
     ]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=4))
+            results = list(pool.map(_run_job, jobs))
     else:
         results = [_run_job(job) for job in jobs]
 
-    records = [r for per_job in results for r in per_job]
+    # put each window's records back at its place in the timeline
+    per_window = [None] * len(windows)
+    for batch, job_records in zip(batches.values(), results):
+        for i, window_records in zip(batch, job_records):
+            per_window[i] = window_records
+    records = [r for window_records in per_window for r in window_records]
     return AnalysisReport(records=records, config=asdict(config))

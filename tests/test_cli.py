@@ -492,6 +492,59 @@ class TestAnalyzeCommand:
                 RunConfig(electrodes=["F3"]),
             )
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_flat_window_inside_a_clip_is_located(self, tmp_path, capsys, workers):
+        # F3 is zero only in clip1_band3, the second of the six windows in its clip's batch
+        eeg = tmp_path / "eeg.csv"
+        timeline = build_timeline(1)
+        flat = next(c for c in timeline.conditions if c.label == "clip1_band3")
+        f3 = white_noise(int(timeline.total_duration_s * 256), seed=5).samples
+        f3[int(flat.start_s * 256) : int(flat.end_s * 256)] = 0.0
+        write_eeg_csv(eeg, {"F3": f3})
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "F3",
+            "--workers", workers, "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: F3 clip1_band3 alpha: scale 16: all segments have zero residual variance"
+            in err
+        )
+        with pytest.raises(
+            AnalysisError,
+            match="^F3 clip1_band3 alpha: scale 16: all segments have zero residual variance$",
+        ):
+            analyze_recording(
+                read_eeg_csv(eeg), 256.0, timeline, RunConfig(electrodes=["F3"]),
+                workers=int(workers),
+            )
+
+    def test_first_failing_rhythm_of_a_later_window_is_named(self, monkeypatch):
+        # only gamma of clip1_band2 and clip1_band1, the third and sixth windows of
+        # the clip's batch, is constant; the first of them must be named
+        timeline = build_timeline(1)
+        f3 = white_noise(int(timeline.total_duration_s * 256), seed=5).samples
+        constant = [
+            f3[int(c.start_s * 256) : int(c.end_s * 256)]
+            for c in timeline.conditions
+            if c.label in ("clip1_band2", "clip1_band1")
+        ]
+        rhythm_signal = pipeline._rhythm_signal
+
+        def constant_gamma(window, rhythm_name, config):
+            signal = rhythm_signal(window, rhythm_name, config)
+            if rhythm_name == "gamma" and any(np.array_equal(window.samples, c) for c in constant):
+                return signal.with_samples(np.ones(len(signal)))
+            return signal
+
+        monkeypatch.setattr(pipeline, "_rhythm_signal", constant_gamma)
+        with pytest.raises(
+            AnalysisError,
+            match="^F3 clip1_band2 gamma: scale 16: all segments have zero residual variance$",
+        ):
+            analyze_recording({"F3": f3}, 256.0, timeline, RunConfig(electrodes=["F3"]))
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         eeg = tmp_path / "eeg.csv"
         make_eeg_fixture(eeg, electrodes=("F3",))

@@ -1,0 +1,112 @@
+"""analyze_recording batches every rhythm series of one electrode's windows of
+one clip and one length; its records must equal those of one window at a time."""
+
+import json
+from dataclasses import asdict
+
+import pytest
+
+from mfsig import bands, pipeline
+from mfsig.cli import main
+from mfsig.dataio import read_eeg_csv, write_eeg_csv
+from mfsig.emd import emd_denoise
+from mfsig.mfdfa import MfdfaConfig, run_mfdfa_batch
+from mfsig.pipeline import RunConfig, analyze_recording
+from mfsig.protocol import build_timeline, segment_recording, timeline_from_markers
+from mfsig.report import WidthRecord, read_report_json, record_sort_key
+from mfsig.series import TimeSeries
+from mfsig.spectrum import fit_spectrum, singularity_spectrum
+from mfsig.synth import white_noise
+
+FS = 256.0
+
+
+def one_window_at_a_time(channels, timeline, config):
+    """The records analyze_recording should return, built window by window:
+    one run_mfdfa_batch of the window's three rhythms, then fit_spectrum."""
+    mfdfa_config = MfdfaConfig(
+        detrend_order=config.detrend_order, bidirectional=config.bidirectional
+    )
+    conditions = [timeline.baseline()] + timeline.stimulus_conditions()
+    rhythms = sorted(bands.RHYTHMS)
+    records = []
+    for electrode in config.electrodes:
+        for cond, window in segment_recording(TimeSeries(channels[electrode], FS), conditions):
+            series = [pipeline._rhythm_signal(window, name, config) for name in rhythms]
+            for name, result in zip(rhythms, run_mfdfa_batch(series, mfdfa_config)):
+                fit = fit_spectrum(singularity_spectrum(result.hurst))
+                records.append(WidthRecord(
+                    subject_id="S01", electrode=electrode, rhythm=name, condition=cond.label,
+                    w=fit.width, fit_a=fit.a, fit_b=fit.b, alpha0=fit.alpha0,
+                    h2_r2=pipeline._h2_r2(result), flags=pipeline._fit_flags(result, fit),
+                ))
+    return records
+
+
+@pytest.fixture
+def batch_shapes(monkeypatch):
+    """(series, samples) of every MFDFA batch the pipeline runs in this process."""
+    shapes = []
+
+    def spy(series, config=None):
+        shapes.append((len(series), len(series[0])))
+        return run_mfdfa_batch(series, config)
+
+    monkeypatch.setattr(pipeline, "run_mfdfa_batch", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("bidirectional", [False, True], ids=["unidirectional", "bidirectional"])
+def test_clip_batch_equals_one_window_at_a_time(bidirectional, batch_shapes):
+    timeline = build_timeline(1)
+    n = int(timeline.total_duration_s * FS)
+    channels = {"F3": white_noise(n, seed=3).samples, "T4": white_noise(n, seed=4).samples}
+    config = RunConfig(bidirectional=bidirectional, electrodes=["F3", "T4"])
+    records = analyze_recording(channels, FS, timeline, config).records
+    # per electrode: the rest baseline, then the clip's six windows x three rhythms
+    assert batch_shapes == [(3, 15360), (18, 5120)] * 2
+    expected = one_window_at_a_time(channels, timeline, config)
+    assert [asdict(r) for r in records] == [asdict(r) for r in expected]
+
+
+def test_clip_with_windows_of_two_lengths_splits_by_length(tmp_path, batch_shapes):
+    markers = [
+        {"label": "rest", "start_s": 0.0, "end_s": 60.0},
+        {"label": "clip1_original", "start_s": 60.0, "end_s": 80.0},
+        {"label": "clip1_band3", "start_s": 85.0, "end_s": 95.0},
+        {"label": "clip1_band2", "start_s": 100.0, "end_s": 120.0},
+    ]
+    eeg, markers_path, outdir = tmp_path / "eeg.csv", tmp_path / "markers.json", tmp_path / "out"
+    write_eeg_csv(eeg, {"F3": white_noise(int(120 * FS), seed=3).samples})
+    markers_path.write_text(json.dumps(markers))
+    rc = main([
+        "analyze", str(eeg), "--fs", "256", "--markers", str(markers_path),
+        "--electrodes", "F3", "--workers", "1", "--outdir", str(outdir),
+    ])
+    assert rc == 0
+    assert batch_shapes == [(3, 15360), (6, 5120), (3, 2560)]
+
+    channels, timeline = read_eeg_csv(eeg), timeline_from_markers(markers)
+    expected = one_window_at_a_time(channels, timeline, RunConfig(electrodes=["F3"]))
+    emitted = read_report_json(outdir / "report.json").records
+    assert len(emitted) == 4 * 3
+    assert [asdict(r) for r in emitted] == [
+        asdict(r) for r in sorted(expected, key=record_sort_key)
+    ]
+    # the 10 s window's records come back between the two 20 s windows'
+    records = analyze_recording(channels, FS, timeline, RunConfig(electrodes=["F3"])).records
+    assert [asdict(r) for r in records] == [asdict(r) for r in expected]
+
+
+def test_each_window_is_denoised_once(monkeypatch):
+    denoised = []
+
+    def spy(window, drop_imfs):
+        denoised.append(len(window))
+        return emd_denoise(window, drop_imfs=drop_imfs)
+
+    monkeypatch.setattr(pipeline, "emd_denoise", spy)
+    timeline = build_timeline(1)
+    channels = {"F3": white_noise(int(timeline.total_duration_s * FS), seed=3).samples}
+    analyze_recording(channels, FS, timeline, RunConfig(emd_drop=[1], electrodes=["F3"]))
+    assert denoised == [15360] + [5120] * 6
