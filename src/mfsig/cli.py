@@ -20,10 +20,11 @@ import numpy as np
 from . import dataio, synth
 from .bands import normalize, rms, split_bands
 from .errors import AnalysisError
-from .mfdfa import MfdfaConfig
-from .pipeline import RunConfig, analyze_recording, analyze_series
+from .mfdfa import MfdfaConfig, run_mfdfa
+from .pipeline import RunConfig, analyze_recording
 from .protocol import aggregate_responses, build_timeline
 from .report import emit_report, read_report_json
+from .spectrum import fit_spectrum, singularity_spectrum
 
 ENV_WORKERS = "MFSIG_WORKERS"
 ENV_OUTDIR = "MFSIG_OUTDIR"
@@ -114,7 +115,8 @@ def _mfdfa_config_from_args(args) -> MfdfaConfig:
 def cmd_mfdfa(args) -> int:
     ts = dataio.read_series_csv(args.input)
     cfg = _mfdfa_config_from_args(args)
-    result, fit = analyze_series(ts, cfg)
+    result = run_mfdfa(ts, cfg)
+    fit = fit_spectrum(singularity_spectrum(result.hurst))
     payload = {
         "config": {
             "detrend_order": cfg.detrend_order,
@@ -134,10 +136,8 @@ def cmd_mfdfa(args) -> int:
             fh.write("q,s,fq,log_fq\n")
             for q, s, fq, log_fq in result.to_csv_rows():
                 fh.write(f"{q:.6g},{s},{fq:.6g},{log_fq:.6g}\n")
-    try:
-        summary = f"h(2) = {result.h_at(2.0):.4f}  "
-    except ValueError:  # custom q grid without 2
-        summary = ""
+    i = result.hurst.index(2.0)
+    summary = "" if i is None else f"h(2) = {result.h[i]:.4f}  "
     print(f"{summary}W = {fit.width:.4f}  -> {out}")
     return 0
 

@@ -9,7 +9,13 @@ the electrode, condition and rhythm of an analyzed window.
 
 
 class AnalysisError(Exception):
-    """Data the analysis chain cannot analyze; the message says why."""
+    """Data the analysis chain cannot analyze; the message says why.
+
+    ``series`` is the index of the failing series in an error of
+    ``mfdfa.run_mfdfa_batch``; None where no one series failed.
+    """
+
+    series: int | None = None
 
 
 class DataFormatError(AnalysisError):

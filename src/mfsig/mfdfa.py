@@ -133,15 +133,19 @@ def log_fluctuation_function(f2: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
     q = 0 takes the limit mean(ln F2) / 2.
     Zero-variance segments are excluded per row: they would make ln Fq
     infinite for q <= 0, so their terms are exactly 0 and n counts the
-    others. The q x row x segment terms are formed in blocks of at most
-    _BLOCK_ELEMENTS, so a long series never holds a whole scale of them.
+    others. A row with no other segment raises AnalysisError, its
+    ``series`` the index of the first such row. The q x row x segment terms
+    are formed in blocks of at most _BLOCK_ELEMENTS, so a long series never
+    holds a whole scale of them.
     """
     f2 = np.asarray(f2, dtype=float)
     rows = f2.reshape(-1, f2.shape[-1])
     valid = rows > 0.0
     count = np.count_nonzero(valid, axis=-1)
     if np.any(count == 0):
-        raise AnalysisError("all segments have zero residual variance")
+        exc = AnalysisError("all segments have zero residual variance")
+        exc.series = int(np.argmax(count == 0))
+        raise exc
     # ln F2 of an excluded segment is -inf for q > 0 and +inf for q < 0,
     # so that q/2 ln F2 is -inf and its exp term exactly 0
     ln_f2 = np.log(rows, out=np.full(rows.shape, -np.inf), where=valid)
@@ -259,13 +263,22 @@ def run_mfdfa_batch(
 
     Each result equals that of ``run_mfdfa`` on its series; the scales are
     walked once for all of them. A series that cannot be analyzed fails the
-    whole batch, and the error does not say which series it was.
+    whole batch; the AnalysisError's ``series`` is its index (the first
+    non-finite series, else the first to fail at the first failing scale),
+    or None when the whole batch fails, as at a length no scale grid fits.
     """
     n = {len(ts) for ts in series}
     if len(n) != 1:
         raise ValueError(f"a batch needs series of one length, got lengths {sorted(n)}")
     cfg = (config or MfdfaConfig()).resolve(n.pop())
-    y = np.stack([profile(ts) for ts in series])
+    profiles = []
+    for i, ts in enumerate(series):
+        try:
+            profiles.append(profile(ts))
+        except AnalysisError as exc:
+            exc.series = i
+            raise
+    y = np.stack(profiles)
     log_fq = np.empty((len(series), len(cfg.q_grid), len(cfg.scales)))
     zero_total = np.zeros(len(series), dtype=int)
     for j, s in enumerate(cfg.scales):
@@ -273,7 +286,8 @@ def run_mfdfa_batch(
         try:
             log_fq[:, :, j] = log_fluctuation_function(f2, cfg.q_grid)
         except AnalysisError as exc:
-            raise AnalysisError(f"scale {s}: {exc}") from None
+            exc.args = (f"scale {s}: {exc}",)  # keeps exc.series
+            raise
         zero_total += np.count_nonzero(f2 == 0.0, axis=-1)
     return [
         MfdfaResult(

@@ -19,7 +19,7 @@ import numpy as np
 from . import bands
 from .emd import emd_denoise
 from .errors import AnalysisError, DataFormatError
-from .mfdfa import MfdfaConfig, MfdfaResult, run_mfdfa, run_mfdfa_batch
+from .mfdfa import MfdfaConfig, MfdfaResult, run_mfdfa_batch
 from .protocol import DEFAULT_ANALYZED, ProtocolTimeline, segment_recording
 from .report import AnalysisReport, WidthRecord
 from .series import TimeSeries
@@ -40,13 +40,6 @@ class RunConfig:
     emd_drop: list = field(default_factory=list)
     electrodes: list = field(default_factory=lambda: list(DEFAULT_ANALYZED))
     input_path: str = ""
-
-
-def analyze_series(ts: TimeSeries, config: MfdfaConfig | None = None) -> tuple[MfdfaResult, SpectrumFit]:
-    """MFDFA plus spectrum fit for a single series."""
-    result = run_mfdfa(ts, config)
-    fit = fit_spectrum(singularity_spectrum(result.hurst))
-    return result, fit
 
 
 def _fit_flags(result: MfdfaResult, fit: SpectrumFit) -> str:
@@ -75,48 +68,33 @@ def _rhythm_signal(window: TimeSeries, rhythm_name: str, config: RunConfig) -> T
 def _run_job(job: tuple) -> list[list[WidthRecord]]:
     """Analyze one electrode's windows of one clip and one length, all rhythms.
 
-    Each window is EMD-denoised first when configured. Every rhythm series
-    of every window goes through MFDFA as one batch. When anything fails,
-    the windows are analyzed again one at a time, and each window's rhythms
-    one at a time, so that the error names the first failing window and
-    rhythm at its first failing step. Returns each window's records, in
-    window order and sorted rhythm order.
+    Each window is EMD-denoised first when configured and its rhythms are
+    extracted; every rhythm series of every window goes through MFDFA as one
+    batch, and then each series' spectrum is fitted. An AnalysisError is
+    prefixed with the electrode, condition and rhythm of the first failing
+    step (no rhythm for EMD); in MFDFA, of the series the batch names.
+    Returns each window's records, in window order and sorted rhythm order.
     """
     subject, electrode, windows, config = job
     mfdfa_config = MfdfaConfig(
         detrend_order=config.detrend_order, bidirectional=config.bidirectional
     )
     rhythms = sorted(bands.RHYTHMS)
-
-    def denoised(window: TimeSeries) -> TimeSeries:
-        if config.emd_drop:
-            return emd_denoise(window, drop_imfs=list(config.emd_drop))
-        return window
-
+    keys, series, records = [], [], []
     try:
-        series = []
-        for _, window in windows:
-            window = denoised(window)
-            series += [_rhythm_signal(window, name, config) for name in rhythms]
-        fits = [
-            (result, fit_spectrum(singularity_spectrum(result.hurst)))
-            for result in run_mfdfa_batch(series, mfdfa_config)
-        ]
-    except AnalysisError:
         for condition, window in windows:
             where = f"{electrode} {condition}"
-            try:
-                window = denoised(window)
-                for rhythm_name in rhythms:
-                    where = f"{electrode} {condition} {rhythm_name}"
-                    analyze_series(_rhythm_signal(window, rhythm_name, config), mfdfa_config)
-            except AnalysisError as exc:
-                raise type(exc)(f"{where}: {exc}") from None
-        raise
-    n = len(rhythms)
-    return [
-        [
-            WidthRecord(
+            if config.emd_drop:
+                window = emd_denoise(window, drop_imfs=list(config.emd_drop))
+            for rhythm_name in rhythms:
+                where = f"{electrode} {condition} {rhythm_name}"
+                keys.append((where, condition, rhythm_name))
+                series.append(_rhythm_signal(window, rhythm_name, config))
+        where = None  # the batch names the failing series
+        results = run_mfdfa_batch(series, mfdfa_config)
+        for (where, condition, rhythm_name), result in zip(keys, results):
+            fit = fit_spectrum(singularity_spectrum(result.hurst))
+            records.append(WidthRecord(
                 subject_id=subject,
                 electrode=electrode,
                 rhythm=rhythm_name,
@@ -127,11 +105,12 @@ def _run_job(job: tuple) -> list[list[WidthRecord]]:
                 alpha0=fit.alpha0,
                 h2_r2=_h2_r2(result),
                 flags=_fit_flags(result, fit),
-            )
-            for rhythm_name, (result, fit) in zip(rhythms, fits[k * n : (k + 1) * n])
-        ]
-        for k, (condition, _) in enumerate(windows)
-    ]
+            ))
+    except AnalysisError as exc:
+        where = where or keys[exc.series or 0][0]
+        raise type(exc)(f"{where}: {exc}") from None
+    n = len(rhythms)
+    return [records[k : k + n] for k in range(0, len(records), n)]
 
 
 def analyze_recording(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -128,7 +129,7 @@ class TestMfdfaCommand:
         assert exc.value.code == 2
         assert f"argument {named}" in capsys.readouterr().err
 
-    def test_config_holds_the_mfdfa_settings(self, tmp_path):
+    def test_config_holds_the_mfdfa_settings(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
         write_series_csv(series_csv, white_noise(4096, seed=4))
         out = tmp_path / "r.json"
@@ -144,12 +145,17 @@ class TestMfdfaCommand:
             "bidirectional": True,
             "input_path": str(series_csv),
         }
+        # the q grid has no q = 2, so the summary line shows only the width
+        out = capsys.readouterr().out
+        assert out.startswith("W = ")
+        assert "h(2)" not in out
 
-    def test_deterministic_output(self, tmp_path):
+    def test_deterministic_output(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
         write_series_csv(series_csv, white_noise(4096, seed=2))
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["mfdfa", str(series_csv), "-o", str(out1)])
+        assert capsys.readouterr().out.startswith("h(2) = ")
         main(["mfdfa", str(series_csv), "-o", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -492,8 +498,23 @@ class TestAnalyzeCommand:
                 RunConfig(electrodes=["F3"]),
             )
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_flat_window_inside_a_clip_is_located(self, tmp_path, capsys, workers):
+    @pytest.mark.parametrize(
+        "workers, emd_drop, message",
+        [
+            pytest.param(
+                w, [], "F3 clip1_band3 alpha: scale 16: all segments have zero residual variance",
+                id=w,
+            )
+            for w in ("1", "2")
+        ] + [
+            # the zero window has no IMFs to drop: EMD fails before any rhythm is extracted
+            pytest.param(w, [1], "F3 clip1_band3: IMF index 1 outside 1..0", id=f"{w}-emd")
+            for w in ("1", "2")
+        ],
+    )
+    def test_flat_window_inside_a_clip_is_located(
+        self, tmp_path, capsys, workers, emd_drop, message
+    ):
         # F3 is zero only in clip1_band3, the second of the six windows in its clip's batch
         eeg = tmp_path / "eeg.csv"
         timeline = build_timeline(1)
@@ -504,20 +525,15 @@ class TestAnalyzeCommand:
         rc = main([
             "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "F3",
             "--workers", workers, "--outdir", str(tmp_path / "out"),
+            *(["--emd-drop", "1"] if emd_drop else []),
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert (
-            "error: F3 clip1_band3 alpha: scale 16: all segments have zero residual variance"
-            in err
-        )
-        with pytest.raises(
-            AnalysisError,
-            match="^F3 clip1_band3 alpha: scale 16: all segments have zero residual variance$",
-        ):
+        assert f"error: {message}" in err
+        with pytest.raises(AnalysisError, match=f"^{re.escape(message)}$"):
             analyze_recording(
-                read_eeg_csv(eeg), 256.0, timeline, RunConfig(electrodes=["F3"]),
-                workers=int(workers),
+                read_eeg_csv(eeg), 256.0, timeline,
+                RunConfig(emd_drop=emd_drop, electrodes=["F3"]), workers=int(workers),
             )
 
     def test_first_failing_rhythm_of_a_later_window_is_named(self, monkeypatch):

@@ -248,8 +248,22 @@ class TestRunMfdfaBatch:
             run_mfdfa(ts)
         with pytest.raises(
             AnalysisError, match="^scale 16: all segments have zero residual variance$"
-        ):
+        ) as failure:
             run_mfdfa_batch([outer[0], constant, outer[1]])
+        assert failure.value.series == 1
+        # two failing series: the error names the first
+        with pytest.raises(AnalysisError, match="^scale 16: ") as failure:
+            run_mfdfa_batch([outer[0], constant, constant])
+        assert failure.value.series == 1
+        # a non-finite series is named before any scale is walked
+        nan = constant.with_samples(np.where(np.arange(4096) == 7, np.nan, 2.0))
+        with pytest.raises(AnalysisError, match="non-finite value at index 7$") as failure:
+            run_mfdfa_batch([outer[0], constant, nan])
+        assert failure.value.series == 2
+        # a length no scale grid fits fails the whole batch, no one series
+        with pytest.raises(AnalysisError, match="supports no scales") as failure:
+            run_mfdfa_batch([white_noise(41, seed=1), white_noise(41, seed=2)])
+        assert failure.value.series is None
 
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="one length"):

@@ -10,6 +10,7 @@ from mfsig import bands, pipeline
 from mfsig.cli import main
 from mfsig.dataio import read_eeg_csv, write_eeg_csv
 from mfsig.emd import emd_denoise
+from mfsig.errors import AnalysisError
 from mfsig.mfdfa import MfdfaConfig, run_mfdfa_batch
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline, segment_recording, timeline_from_markers
@@ -110,3 +111,23 @@ def test_each_window_is_denoised_once(monkeypatch):
     channels = {"F3": white_noise(int(timeline.total_duration_s * FS), seed=3).samples}
     analyze_recording(channels, FS, timeline, RunConfig(emd_drop=[1], electrodes=["F3"]))
     assert denoised == [15360] + [5120] * 6
+
+
+def test_a_failing_job_does_its_work_once(monkeypatch):
+    # F3 is zero only in clip1_band3: every rhythm of every window is still
+    # extracted once, 3 for the rest baseline and 6 x 3 for the clip
+    calls = []
+    rhythm_signal = pipeline._rhythm_signal
+
+    def spy(window, rhythm_name, config):
+        calls.append(rhythm_name)
+        return rhythm_signal(window, rhythm_name, config)
+
+    monkeypatch.setattr(pipeline, "_rhythm_signal", spy)
+    timeline = build_timeline(1)
+    flat = next(c for c in timeline.conditions if c.label == "clip1_band3")
+    f3 = white_noise(int(timeline.total_duration_s * FS), seed=5).samples
+    f3[int(flat.start_s * FS) : int(flat.end_s * FS)] = 0.0
+    with pytest.raises(AnalysisError, match="^F3 clip1_band3 alpha: scale 16: "):
+        analyze_recording({"F3": f3}, FS, timeline, RunConfig(electrodes=["F3"]))
+    assert len(calls) == 3 + 18
