@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -20,31 +19,11 @@ import numpy as np
 from . import dataio, synth
 from .bands import normalize, rms, split_bands
 from .errors import AnalysisError
-from .mfdfa import MfdfaConfig, run_mfdfa
+from .mfdfa import DEFAULT_Q_GRID, MfdfaConfig, run_mfdfa
 from .pipeline import RunConfig, analyze_recording
 from .protocol import aggregate_responses, build_timeline
 from .report import emit_report, read_report_json
 from .spectrum import fit_spectrum, singularity_spectrum
-
-ENV_WORKERS = "MFSIG_WORKERS"
-ENV_OUTDIR = "MFSIG_OUTDIR"
-
-
-def _default_outdir(flag_value: str | None) -> Path:
-    if flag_value is not None:
-        return Path(flag_value)
-    return Path(os.environ.get(ENV_OUTDIR, "."))
-
-
-def _default_workers(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    text = os.environ.get(ENV_WORKERS, "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{ENV_WORKERS} must be an integer, got {text!r}") from None
-
 
 def _int_list(text: str) -> list[int]:
     """argparse type of a comma-separated integer list."""
@@ -67,54 +46,42 @@ def _sample_rate(text: str) -> float:
 
 def cmd_split_bands(args) -> int:
     audio = dataio.read_wav(args.input)
-    outdir = _default_outdir(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    args.outdir.mkdir(parents=True, exist_ok=True)
     source_level = rms(audio)
     for name, band_ts in split_bands(audio, transition_hz=args.transition).items():
         # bands more than 60 dB below the clip are effectively silent;
         # boosting them would just amplify quantization dust
         if rms(band_ts) >= 1e-3 * source_level:
             band_ts = normalize(band_ts, args.rms)
-        dataio.write_wav(outdir / f"{name}.wav", band_ts)
-    print(f"wrote 5 band files to {outdir}")
+        dataio.write_wav(args.outdir / f"{name}.wav", band_ts)
+    print(f"wrote 5 band files to {args.outdir}")
     return 0
 
 
-def _q_range(args) -> tuple[float, float, float]:
-    """(q_min, q_max, q_step), the default grid's values filling unset flags."""
-    return (
-        args.q_min if args.q_min is not None else -5.0,
-        args.q_max if args.q_max is not None else 5.0,
-        args.q_step if args.q_step is not None else 0.25,
-    )
-
-
-def _check_q_range(parser: argparse.ArgumentParser, args) -> None:
-    """Usage error for a q grid ``mfdfa`` cannot build."""
-    lo, hi, step = _q_range(args)
+def _q_grid(parser: argparse.ArgumentParser, args) -> np.ndarray | None:
+    """``mfdfa``'s q grid: None without q flags, else the flags' range with the
+    default grid's ends and step filling unset flags. A usage error when the
+    range cannot be built."""
+    if args.q_min is None and args.q_max is None and args.q_step is None:
+        return None
+    lo = float(DEFAULT_Q_GRID[0]) if args.q_min is None else args.q_min
+    hi = float(DEFAULT_Q_GRID[-1]) if args.q_max is None else args.q_max
+    step = float(DEFAULT_Q_GRID[1] - DEFAULT_Q_GRID[0]) if args.q_step is None else args.q_step
     if not step > 0:
         parser.error(f"argument --q-step: must be positive, got {step:g}")
     if not hi >= lo:
         parser.error(f"argument --q-max: {hi:g} is below --q-min {lo:g}")
-
-
-def _mfdfa_config_from_args(args) -> MfdfaConfig:
-    q_grid = None
-    if args.q_min is not None or args.q_max is not None or args.q_step is not None:
-        lo, hi, step = _q_range(args)
-        n = int(round((hi - lo) / step)) + 1
-        q_grid = np.linspace(lo, hi, n)
-    return MfdfaConfig(
-        detrend_order=args.order,
-        scales=args.scales or None,
-        q_grid=q_grid,
-        bidirectional=args.bidirectional,
-    )
+    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
 
 
 def cmd_mfdfa(args) -> int:
     ts = dataio.read_series_csv(args.input)
-    cfg = _mfdfa_config_from_args(args)
+    cfg = MfdfaConfig(
+        detrend_order=args.order,
+        scales=args.scales or None,
+        q_grid=args.q_grid,
+        bidirectional=args.bidirectional,
+    )
     result = run_mfdfa(ts, cfg)
     fit = fit_spectrum(singularity_spectrum(result.hurst))
     payload = {
@@ -162,17 +129,15 @@ def cmd_analyze(args) -> int:
     )
     if args.electrodes:
         cfg.electrodes = [e.strip() for e in args.electrodes.split(",") if e.strip()]
-    outdir = _default_outdir(args.outdir)
-    workers = _default_workers(args.workers)
     report = analyze_recording(
-        channels, fs, timeline, cfg, subject_id=args.subject, workers=workers
+        channels, fs, timeline, cfg, subject_id=args.subject, workers=args.workers
     )
     report.inputs = {"path": str(args.input), "sha256": dataio.sha256_file(args.input)}
     if args.markers:
         report.inputs["markers_path"] = str(args.markers)
         report.inputs["markers_sha256"] = dataio.sha256_file(args.markers)
-    written = emit_report(report, outdir)
-    print(f"wrote {len(written)} files to {outdir}")
+    written = emit_report(report, args.outdir)
+    print(f"wrote {len(written)} files to {args.outdir}")
     return 0
 
 
@@ -202,7 +167,7 @@ def cmd_listening(args) -> int:
 
 def cmd_report(args) -> int:
     report = read_report_json(args.input)
-    written = emit_report(report, _default_outdir(args.outdir))
+    written = emit_report(report, args.outdir)
     print(f"re-emitted {len(written)} files")
     return 0
 
@@ -216,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split-bands", help="split audio into the five stimulus bands")
     p.add_argument("input", help="input WAV (16/24-bit PCM)")
-    p.add_argument("--outdir", default=None, help="output directory (default: $MFSIG_OUTDIR or .)")
+    p.add_argument("--outdir", type=Path, default=".", help="output directory (default: .)")
     p.add_argument("--rms", type=float, default=0.1, help="per-band target RMS (default 0.1)")
     p.add_argument(
         "--transition", type=float, default=0.0,
@@ -243,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--clips", type=int, default=4, help="clips in the nominal timeline")
     p.add_argument("--markers", default=None, help="JSON marker file overriding the timeline")
-    p.add_argument("--outdir", default=None)
+    p.add_argument("--outdir", type=Path, default=".", help="output directory (default: .)")
     p.add_argument("--subject", default="S01")
-    p.add_argument("--workers", type=int, default=None, help="parallel jobs (default: $MFSIG_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="parallel jobs (default: 1)")
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--rhythm-method", choices=("fft", "dwt"), default="fft")
@@ -275,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="re-emit report files from a report.json")
     p.add_argument("input", help="report.json from a previous run")
-    p.add_argument("--outdir", default=None)
+    p.add_argument("--outdir", type=Path, default=".", help="output directory (default: .)")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -285,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "mfdfa":
-        _check_q_range(parser, args)
+        args.q_grid = _q_grid(parser, args)
     try:
         return args.func(args)
     except (AnalysisError, MemoryError, OSError, ValueError) as exc:

@@ -74,9 +74,9 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     return TimeSeries(data[:, 0], 1.0)
 
 
-def write_series_csv(path: str | Path, ts: TimeSeries, header: str = "value") -> None:
+def write_series_csv(path: str | Path, ts: TimeSeries) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+        fh.write("value\n")
         for v in ts.samples:
             fh.write(repr(float(v)) + "\n")  # shortest exact round-trip form
 

@@ -120,15 +120,13 @@ def emd(ts: TimeSeries, max_imfs: int = 10) -> ImfSet:
     return ImfSet(imfs=imfs, residue=ts.with_samples(residue))
 
 
-def emd_denoise(ts: TimeSeries, drop_imfs: list[int] | None = None) -> TimeSeries:
-    """Input minus the listed IMFs (1-based; default drops the fastest).
+def emd_denoise(ts: TimeSeries, drop_imfs: list[int]) -> TimeSeries:
+    """Input minus the listed IMFs (1-based; IMF 1 is the fastest).
 
     Dropping nothing returns the input unchanged; dropping every IMF
     leaves the residue (the trend). Sifting is sequential, so IMF k does
     not depend on later IMFs and extraction stops at the deepest one listed.
     """
-    if drop_imfs is None:
-        drop_imfs = [1]
     if not drop_imfs:
         return ts
     if min(drop_imfs) < 1:

@@ -4,9 +4,8 @@ spectrum fitting, and report assembly.
 The unit of work is one electrode's windows of one clip and one length
 (the rest baseline is its own job): every rhythm series of those windows
 goes through MFDFA as one batch. Jobs are pure and independent, so they can
-run across processes. Records come back in timeline order for any worker
-count, and emission sorts them, so the emitted report is identical for any
-worker count.
+run across processes. Records come back in job order; emission sorts them,
+so the emitted report is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -60,12 +59,18 @@ def _h2_r2(result: MfdfaResult) -> float:
 
 
 def _rhythm_signal(window: TimeSeries, rhythm_name: str, config: RunConfig) -> TimeSeries:
-    """The series MFDFA analyzes for one rhythm of a window."""
-    signal = bands.extract_rhythm(window, rhythm_name, method=config.rhythm_method)
-    return bands.envelope(signal) if config.use_envelope else signal
+    """The series MFDFA analyzes for one rhythm of a window; an AnalysisError,
+    not a numpy warning, when finite samples near the float limit overflow it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = bands.extract_rhythm(window, rhythm_name, method=config.rhythm_method)
+        if config.use_envelope:
+            signal = bands.envelope(signal)
+    if not np.isfinite(signal.samples).all():
+        raise AnalysisError("rhythm filter overflowed: the window's samples are too large")
+    return signal
 
 
-def _run_job(job: tuple) -> list[list[WidthRecord]]:
+def _run_job(job: tuple) -> list[WidthRecord]:
     """Analyze one electrode's windows of one clip and one length, all rhythms.
 
     Each window is EMD-denoised first when configured and its rhythms are
@@ -73,7 +78,7 @@ def _run_job(job: tuple) -> list[list[WidthRecord]]:
     batch, and then each series' spectrum is fitted. An AnalysisError is
     prefixed with the electrode, condition and rhythm of the first failing
     step (no rhythm for EMD); in MFDFA, of the series the batch names.
-    Returns each window's records, in window order and sorted rhythm order.
+    Returns the records in window order and sorted rhythm order.
     """
     subject, electrode, windows, config = job
     mfdfa_config = MfdfaConfig(
@@ -109,8 +114,7 @@ def _run_job(job: tuple) -> list[list[WidthRecord]]:
     except AnalysisError as exc:
         where = where or keys[exc.series or 0][0]
         raise type(exc)(f"{where}: {exc}") from None
-    n = len(rhythms)
-    return [records[k : k + n] for k in range(0, len(records), n)]
+    return records
 
 
 def analyze_recording(
@@ -139,18 +143,15 @@ def analyze_recording(
         )
 
     conditions = [timeline.baseline()] + timeline.stimulus_conditions()
-    windows = [
-        (electrode, cond, window)
-        for electrode in config.electrodes
-        for cond, window in segment_recording(TimeSeries(channels[electrode], fs), conditions)
-    ]
-    # one batch per electrode, clip and window length; the baseline has clip None
-    batches: dict[tuple, list[int]] = {}
-    for i, (electrode, cond, window) in enumerate(windows):
-        batches.setdefault((electrode, cond.clip, len(window)), []).append(i)
+    # one job per electrode, clip and window length; the baseline has clip None
+    batches: dict[tuple, list] = {}
+    for electrode in config.electrodes:
+        eeg = TimeSeries(channels[electrode], fs)
+        for cond, window in segment_recording(eeg, conditions):
+            batches.setdefault((electrode, cond.clip, len(window)), []).append((cond.label, window))
     jobs = [
-        (subject_id, electrode, [(windows[i][1].label, windows[i][2]) for i in batch], config)
-        for (electrode, _, _), batch in batches.items()
+        (subject_id, electrode, windows, config)
+        for (electrode, _, _), windows in batches.items()
     ]
 
     if workers > 1:
@@ -158,11 +159,5 @@ def analyze_recording(
             results = list(pool.map(_run_job, jobs))
     else:
         results = [_run_job(job) for job in jobs]
-
-    # put each window's records back at its place in the timeline
-    per_window = [None] * len(windows)
-    for batch, job_records in zip(batches.values(), results):
-        for i, window_records in zip(batch, job_records):
-            per_window[i] = window_records
-    records = [r for window_records in per_window for r in window_records]
+    records = [r for job_records in results for r in job_records]
     return AnalysisReport(records=records, config=asdict(config))

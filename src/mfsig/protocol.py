@@ -153,9 +153,10 @@ def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
     """Timeline from explicit marker entries, overriding the nominal one.
 
     Each marker is {"label": ..., "start_s": ..., "end_s": ...}; see
-    parse_label for the labels.
+    parse_label for the labels. Only "rest" may label more than one marker.
     """
     conditions = []
+    first_marker: dict[str, int] = {}
     for i, mk in enumerate(markers):
         try:
             label = str(mk["label"])
@@ -164,9 +165,13 @@ def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
             raise DataFormatError(f"marker {i}: {exc}") from exc
         try:
             kind, clip, band = parse_label(label)
-            conditions.append(Condition(kind, start, end, clip=clip, band=band))
+            cond = Condition(kind, start, end, clip=clip, band=band)
         except ValueError as exc:
             raise DataFormatError(f"marker {i}: {exc}") from exc
+        j = first_marker.setdefault(cond.label, i)
+        if cond.is_stimulus and j != i:
+            raise DataFormatError(f"markers {j} and {i} both label {cond.label!r}")
+        conditions.append(cond)
     conditions.sort(key=lambda c: c.start_s)
     return ProtocolTimeline(conditions=tuple(conditions))
 

@@ -10,7 +10,7 @@ reconstruction, preserving the round trip exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,13 +94,8 @@ def reconstruct_level(coeffs: WaveletCoeffs, level: int) -> TimeSeries:
     """Signal rebuilt from a single detail level, all else zeroed."""
     if not 1 <= level <= coeffs.levels:
         raise ValueError(f"level {level} outside 1..{coeffs.levels}")
-    x = np.zeros_like(coeffs.approx)
-    for lvl in range(coeffs.levels, 0, -1):
-        detail = coeffs.details[lvl - 1]
-        if lvl != level:
-            detail = np.zeros_like(detail)
-        x = _synthesis_step(x, detail)
-    return TimeSeries(x[: coeffs.original_length], coeffs.sample_rate_hz)
+    details = [d if lvl == level else np.zeros_like(d) for lvl, d in enumerate(coeffs.details, 1)]
+    return idwt(replace(coeffs, approx=np.zeros_like(coeffs.approx), details=details))
 
 
 def dyadic_level_for_band(fs: float, low_hz: float, high_hz: float, max_level: int) -> int:

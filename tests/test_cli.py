@@ -14,6 +14,7 @@ from mfsig import pipeline
 from mfsig.cli import main
 from mfsig.dataio import read_eeg_csv, read_wav, write_eeg_csv, write_series_csv, write_wav
 from mfsig.errors import AnalysisError
+from mfsig.mfdfa import DEFAULT_Q_GRID
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline, timeline_from_markers
 from mfsig.synth import tone, white_noise
@@ -149,6 +150,24 @@ class TestMfdfaCommand:
         out = capsys.readouterr().out
         assert out.startswith("W = ")
         assert "h(2)" not in out
+
+    @pytest.mark.parametrize(
+        "flags,q_grid",
+        [
+            ([], None),
+            (["--q-step", "0.5"], [-5.0 + 0.5 * k for k in range(21)]),
+            (["--q-min", "0"], [0.25 * k for k in range(21)]),
+        ],
+        ids=["none", "step_only", "min_only"],
+    )
+    def test_unset_q_flags_take_the_default_grid(self, tmp_path, flags, q_grid):
+        series_csv = tmp_path / "series.csv"
+        write_series_csv(series_csv, white_noise(4096, seed=4))
+        out = tmp_path / "r.json"
+        assert main(["mfdfa", str(series_csv), "-o", str(out), *flags]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["q_grid"] == q_grid
+        assert payload["mfdfa"]["q"] == (q_grid or DEFAULT_Q_GRID.tolist())
 
     def test_deterministic_output(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
@@ -373,8 +392,15 @@ class TestAnalyzeCommand:
                  {"label": "clip1_original", "start_s": 61, "end_s": float("inf")}],
                 "marker 1: condition times must be finite, got 61-inf s",
             ),
+            (
+                [{"label": "rest", "start_s": 0, "end_s": 60},
+                 {"label": "clip1_band3", "start_s": 60, "end_s": 80},
+                 {"label": "rest", "start_s": 80, "end_s": 85},
+                 {"label": "clip1_band3", "start_s": 85, "end_s": 105}],
+                "markers 1 and 3 both label 'clip1_band3'",
+            ),
         ],
-        ids=["no_rest", "overlap", "bad_label", "infinite_time"],
+        ids=["no_rest", "overlap", "bad_label", "infinite_time", "repeated_label"],
     )
     def test_bad_markers_name_the_file(self, tmp_path, capsys, markers, expected):
         eeg = tmp_path / "eeg.csv"
@@ -387,6 +413,22 @@ class TestAnalyzeCommand:
         ])
         assert rc == 1
         assert f"error: {path}: {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["fft", "dwt"])
+    def test_sample_too_large_to_filter_is_one_error_line(self, tmp_path, capsys, method):
+        # 1e308 is a finite CSV cell, but the rhythm filter overflows on it
+        eeg = tmp_path / "eeg.csv"
+        f3 = white_noise(int(build_timeline(1).total_duration_s * 256), seed=5).samples
+        f3[0] = 1e308
+        write_eeg_csv(eeg, {"F3": f3})
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "F3",
+            "--rhythm-method", method, "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: F3 rest alpha: rhythm filter overflowed: the window's samples are too large\n"
+        )
 
     def test_no_envelope_analyzes_band_signals(self, tmp_path):
         eeg = tmp_path / "eeg.csv"
@@ -447,17 +489,6 @@ class TestAnalyzeCommand:
         assert payload["inputs"]["markers_sha256"]
         lines = (outdir / "report.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 1 * 3 * 6
-
-    def test_bad_workers_env_named(self, tmp_path, monkeypatch, capsys):
-        eeg = tmp_path / "eeg.csv"
-        make_eeg_fixture(eeg, electrodes=("F3",))
-        monkeypatch.setenv("MFSIG_WORKERS", "two")
-        rc = main([
-            "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "F3",
-            "--outdir", str(tmp_path / "out"),
-        ])
-        assert rc == 1
-        assert "MFSIG_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_flat_electrode_error_is_located(self, tmp_path, capsys, workers):
@@ -560,14 +591,6 @@ class TestAnalyzeCommand:
             match="^F3 clip1_band2 gamma: scale 16: all segments have zero residual variance$",
         ):
             analyze_recording({"F3": f3}, 256.0, timeline, RunConfig(electrodes=["F3"]))
-
-    def test_outdir_env_override(self, tmp_path, monkeypatch):
-        eeg = tmp_path / "eeg.csv"
-        make_eeg_fixture(eeg, electrodes=("F3",))
-        monkeypatch.setenv("MFSIG_OUTDIR", str(tmp_path / "envout"))
-        rc = main(["analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "F3"])
-        assert rc == 0
-        assert (tmp_path / "envout" / "report.csv").exists()
 
 
 # One well-formed report.json record.

@@ -127,9 +127,9 @@ class TestEmdDenoise:
         err_out = np.sqrt(np.mean((denoised.samples - clean) ** 2))
         assert err_out <= 0.6 * err_in
 
-    def test_default_drops_fastest(self):
+    def test_dropping_imf_1_removes_fastest(self):
         t = np.arange(int(8 * FS)) / FS
         slow = np.sin(2 * np.pi * 2.0 * t)
         ts = TimeSeries(slow + 0.1 * np.sin(2 * np.pi * 60.0 * t), FS)
-        out = emd_denoise(ts)
+        out = emd_denoise(ts, drop_imfs=[1])
         assert np.sqrt(np.mean((out.samples - slow) ** 2)) <= 0.01

@@ -94,9 +94,14 @@ def test_clip_with_windows_of_two_lengths_splits_by_length(tmp_path, batch_shape
     assert [asdict(r) for r in emitted] == [
         asdict(r) for r in sorted(expected, key=record_sort_key)
     ]
-    # the 10 s window's records come back between the two 20 s windows'
-    records = analyze_recording(channels, FS, timeline, RunConfig(electrodes=["F3"])).records
-    assert [asdict(r) for r in records] == [asdict(r) for r in expected]
+    # records come back in job order: the rest, the 20 s windows, the 10 s one
+    job_order = ["rest", "clip1_original", "clip1_band2", "clip1_band3"]
+    by_job = sorted(expected, key=lambda r: job_order.index(r.condition))
+    for workers in (1, 2):
+        report = analyze_recording(
+            channels, FS, timeline, RunConfig(electrodes=["F3"]), workers=workers
+        )
+        assert [asdict(r) for r in report.records] == [asdict(r) for r in by_job]
 
 
 def test_each_window_is_denoised_once(monkeypatch):
