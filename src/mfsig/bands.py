@@ -1,4 +1,4 @@
-"""Frequency-domain band filtering, rhythm extraction, envelope, loudness.
+"""Frequency-domain band filtering, rhythm series, loudness.
 
 All filters are brick-wall: FFT bins strictly outside the passband are
 zeroed and the signal is inverse-transformed. Bands are half-open
@@ -8,12 +8,14 @@ counting; an open-ended band (high=None) runs to and includes Nyquist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AnalysisError
 from .series import TimeSeries
+from .wavelet import dwt, dyadic_level_for_band, reconstruct_level
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,6 @@ STIMULUS_BANDS = (
     BandSpec(4000.0, None, "band5"),
 )
 
-SUB_BAND_FLOOR = BandSpec(0.0, 50.0, "sub50")  # residual below the stimulus bands
-
 
 # EEG rhythms analyzed per window, keyed by name.
 RHYTHMS = {
@@ -49,6 +49,35 @@ RHYTHMS = {
     "theta": BandSpec(4.0, 7.0, "theta"),
     "gamma": BandSpec(13.0, 30.0, "gamma"),
 }
+
+
+def _rfft_freqs(ts: TimeSeries, bands: list[BandSpec]) -> np.ndarray:
+    """``ts``'s rfft bin frequencies, once ``ts`` is checked to be long enough
+    to band-pass; a band above Nyquist raises, with its index in ``series``."""
+    n = len(ts)
+    if n < 16:
+        raise AnalysisError(f"band-pass needs at least 16 samples, got {n}")
+    nyquist = ts.sample_rate_hz / 2.0
+    for i, band in enumerate(bands):
+        if band.low_hz >= nyquist:
+            exc = AnalysisError(
+                f"band {band.name or band.low_hz} starts at or above Nyquist ({nyquist} Hz)"
+            )
+        elif band.high_hz is not None and band.high_hz > nyquist:
+            exc = AnalysisError(f"band {band.name or band.high_hz} exceeds Nyquist ({nyquist} Hz)")
+        else:
+            continue
+        exc.series = i
+        raise exc
+    return np.fft.rfftfreq(n, d=1.0 / ts.sample_rate_hz)
+
+
+def _passband(freqs: np.ndarray, band: BandSpec) -> np.ndarray:
+    """The bins of ``freqs`` inside [low, high)."""
+    keep = freqs >= band.low_hz
+    if band.high_hz is not None:
+        keep &= freqs < band.high_hz
+    return keep
 
 
 def fft_bandpass(ts: TimeSeries, band: BandSpec, transition_hz: float = 0.0) -> TimeSeries:
@@ -61,28 +90,15 @@ def fft_bandpass(ts: TimeSeries, band: BandSpec, transition_hz: float = 0.0) -> 
     audio that will be listened to, not for analysis. Output has the
     input's length and is real by construction.
     """
-    n = len(ts)
-    if n < 16:
-        raise AnalysisError(f"band-pass needs at least 16 samples, got {n}")
-    nyquist = ts.sample_rate_hz / 2.0
-    if band.low_hz >= nyquist:
-        raise AnalysisError(
-            f"band {band.name or band.low_hz} starts at or above Nyquist ({nyquist} Hz)"
-        )
-    if band.high_hz is not None and band.high_hz > nyquist:
-        raise AnalysisError(f"band {band.name or band.high_hz} exceeds Nyquist ({nyquist} Hz)")
-    freqs = np.fft.rfftfreq(n, d=1.0 / ts.sample_rate_hz)
+    freqs = _rfft_freqs(ts, [band])
     spec = np.fft.rfft(ts.samples)
     if transition_hz <= 0.0:
-        keep = freqs >= band.low_hz
-        if band.high_hz is not None:
-            keep &= freqs < band.high_hz
-        spec[~keep] = 0.0
+        spec[~_passband(freqs, band)] = 0.0
     else:
         spec *= _edge_ramp_up(freqs, band.low_hz, transition_hz)
         if band.high_hz is not None:
             spec *= 1.0 - _edge_ramp_up(freqs, band.high_hz, transition_hz)
-    return ts.with_samples(np.fft.irfft(spec, n))
+    return ts.with_samples(np.fft.irfft(spec, len(ts)))
 
 
 def _edge_ramp_up(freqs: np.ndarray, edge_hz: float, width_hz: float) -> np.ndarray:
@@ -101,36 +117,45 @@ def split_bands(audio: TimeSeries, transition_hz: float = 0.0) -> dict[str, Time
     return {band.name: fft_bandpass(audio, band, transition_hz) for band in STIMULUS_BANDS}
 
 
-def extract_rhythm(eeg: TimeSeries, name: str, method: str = "fft") -> TimeSeries:
-    """Band-limited signal of the named rhythm (a key of RHYTHMS).
+def rhythm_series(window: TimeSeries, method: str, envelope: bool) -> np.ndarray:
+    """One window's rhythm series, (3, n), a row per rhythm in sorted order.
 
-    ``method="fft"`` applies the brick-wall filter at the rhythm's exact
-    band edges. ``method="dwt"`` reconstructs the nearest dyadic wavelet
-    subband instead, which only approximates the edges (at 256 Hz the
-    dyadic bands are 8-16 / 4-8 / 16-32 Hz).
+    ``method="fft"`` masks one rfft of the window at each rhythm's exact
+    band edges; ``"dwt"`` rebuilds each rhythm's nearest dyadic wavelet
+    subband (at 256 Hz: 8-16 / 4-8 / 16-32 Hz). With ``envelope`` a row is
+    the magnitude of the analytic signal. An AnalysisError's ``series`` is
+    the failing row, or None for the whole window; a row that overflows on
+    finite samples near the float limit raises one, not a numpy warning.
     """
-    band = RHYTHMS[name]
-    if method == "fft":
-        return fft_bandpass(eeg, band)
-    if method == "dwt":
-        from .wavelet import dyadic_subband
+    bands = [RHYTHMS[name] for name in sorted(RHYTHMS)]
+    n = len(window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "fft":
+            freqs = _rfft_freqs(window, bands)
+            keep = np.stack([_passband(freqs, band) for band in bands])
+            spec = np.where(keep, np.fft.rfft(window.samples), 0.0)
+            rows = _analytic_magnitude(spec, n) if envelope else np.fft.irfft(spec, n)
+        elif method == "dwt":
+            top, fs = int(math.floor(math.log2(n))) - 2, window.sample_rate_hz
+            levels = [dyadic_level_for_band(fs, b.low_hz, b.high_hz, top) for b in bands]
+            rows = np.stack([reconstruct_level(dwt(window, lvl), lvl).samples for lvl in levels])
+            if envelope:
+                rows = _analytic_magnitude(np.fft.rfft(rows), n)
+        else:
+            raise ValueError(f"unknown rhythm extraction method: {method!r}")
+    overflowed = ~np.isfinite(rows).all(axis=-1)
+    if overflowed.any():
+        exc = AnalysisError("rhythm filter overflowed: the window's samples are too large")
+        exc.series = int(np.argmax(overflowed))
+        raise exc
+    return rows
 
-        return dyadic_subband(eeg, band)
-    raise ValueError(f"unknown rhythm extraction method: {method!r}")
 
-
-def envelope(ts: TimeSeries) -> TimeSeries:
-    """Amplitude envelope: magnitude of the analytic signal.
-
-    Negative frequencies are suppressed in the frequency domain and the
-    positive half doubled; the magnitude of the inverse transform is the
-    instantaneous amplitude. Non-negative, same length as the input.
-    DC and, for even n, the Nyquist bin of the real FFT keep weight 1.
-    """
-    n = len(ts)
-    spec = np.fft.rfft(ts.samples)
-    spec[1 : (n + 1) // 2] *= 2.0
-    return ts.with_samples(np.abs(np.fft.ifft(spec, n)))
+def _analytic_magnitude(spec: np.ndarray, n: int) -> np.ndarray:
+    """|analytic signal| of the n-sample rows whose rffts are ``spec`` (Marple
+    1999): positive bins doubled in place, DC and Nyquist kept, one ifft."""
+    spec[..., 1 : (n + 1) // 2] *= 2.0
+    return np.abs(np.fft.ifft(spec, n))
 
 
 def rms(ts: TimeSeries) -> float:

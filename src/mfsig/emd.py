@@ -83,12 +83,6 @@ class ImfSet:
     def n_imfs(self) -> int:
         return len(self.imfs)
 
-    def reconstruct(self) -> TimeSeries:
-        total = self.residue.samples.copy()
-        for imf in self.imfs:
-            total += imf.samples
-        return self.residue.with_samples(total)
-
 
 def emd(ts: TimeSeries, max_imfs: int = 10) -> ImfSet:
     """Decompose into IMFs plus residue.
@@ -96,28 +90,34 @@ def emd(ts: TimeSeries, max_imfs: int = 10) -> ImfSet:
     A residue with fewer than two maxima or two minima cannot carry
     another oscillatory mode, so extraction stops there; a monotonic
     input therefore yields zero IMFs with the input as residue.
+
+    Sifting is linear and its stop test a ratio, so it runs on the input
+    scaled exactly, by a power of two, to max |x| in [0.5, 1): no finite
+    input overflows it, and the decomposition of x * 2^k is bit for bit
+    that of x times 2^k. A mode too large to scale back is an AnalysisError.
     """
     if len(ts) < MIN_LENGTH:
         raise AnalysisError(f"EMD needs >= {MIN_LENGTH} samples, got {len(ts)}")
     if max_imfs < 1:
         raise ValueError("max_imfs must be >= 1")
-    residue = ts.samples.copy()
+    _, exponent = np.frexp(np.abs(ts.samples).max())
+    residue = x = np.ldexp(ts.samples, -exponent)
     imfs = []
     while len(imfs) < max_imfs:
         maxima, minima = local_extrema(residue)
         if maxima.size < 2 or minima.size < 2:
             break
         imf = _sift(residue)
-        imfs.append(ts.with_samples(imf))
+        imfs.append(imf)
         residue = residue - imf
     # completeness identity; stripped under -O
-    assert np.allclose(
-        sum((i.samples for i in imfs), residue),
-        ts.samples,
-        rtol=0.0,
-        atol=1e-10 * max(1.0, float(np.abs(ts.samples).max())),
-    )
-    return ImfSet(imfs=imfs, residue=ts.with_samples(residue))
+    assert np.allclose(sum(imfs, residue), x, rtol=0.0, atol=1e-10)
+    try:
+        with np.errstate(over="raise"):
+            imfs = [ts.with_samples(np.ldexp(imf, exponent)) for imf in imfs]
+            return ImfSet(imfs=imfs, residue=ts.with_samples(np.ldexp(residue, exponent)))
+    except FloatingPointError:
+        raise AnalysisError("EMD overflowed: the input's samples are too large") from None
 
 
 def emd_denoise(ts: TimeSeries, drop_imfs: list[int]) -> TimeSeries:

@@ -12,7 +12,8 @@ class AnalysisError(Exception):
     """Data the analysis chain cannot analyze; the message says why.
 
     ``series`` is the index of the failing series in an error of
-    ``mfdfa.run_mfdfa_batch``; None where no one series failed.
+    ``mfdfa.run_mfdfa_batch``, or of the failing row in one of
+    ``bands.rhythm_series``; None where no one series failed.
     """
 
     series: int | None = None

@@ -6,7 +6,9 @@ is the mean square of what is left after projecting it off the
 orthonormal basis of the order-m polynomials (the QR factor of the
 Vandermonde matrix on [-1, 1], built once per scale and order). ln Fq is
 formed in the log domain, so it overflows for no q, and h(q) is the
-least-squares slope of ln Fq on ln s.
+least-squares slope of ln Fq on ln s. Each profile is first scaled by a
+power of two, which is exact, so h(q) does not depend on the amplitude:
+it is bit for bit the same for x and x * 2^k.
 """
 
 from __future__ import annotations
@@ -278,7 +280,11 @@ def run_mfdfa_batch(
         except AnalysisError as exc:
             exc.series = i
             raise
+    # Fq is linear in the amplitude (Kantelhardt 2002): scale each profile exactly
+    # to max |y| in [0.5, 1), so F2 cannot overflow, and add it back to ln Fq only
     y = np.stack(profiles)
+    _, exponent = np.frexp(np.abs(y).max(axis=-1))
+    y = np.ldexp(y, -exponent[:, np.newaxis])
     log_fq = np.empty((len(series), len(cfg.q_grid), len(cfg.scales)))
     zero_total = np.zeros(len(series), dtype=int)
     for j, s in enumerate(cfg.scales):
@@ -293,11 +299,11 @@ def run_mfdfa_batch(
         MfdfaResult(
             scales=cfg.scales,
             q_grid=cfg.q_grid,
-            log_fq=row,
+            log_fq=row + e * np.log(2.0),
             hurst=hurst_exponents(row, cfg.scales, cfg.q_grid),
             zero_variance_segments=int(zeros),
         )
-        for row, zeros in zip(log_fq, zero_total)
+        for row, e, zeros in zip(log_fq, exponent, zero_total)
     ]
 
 

@@ -58,26 +58,15 @@ def _h2_r2(result: MfdfaResult) -> float:
     return float("nan") if i is None else float(result.hurst.r2[i])
 
 
-def _rhythm_signal(window: TimeSeries, rhythm_name: str, config: RunConfig) -> TimeSeries:
-    """The series MFDFA analyzes for one rhythm of a window; an AnalysisError,
-    not a numpy warning, when finite samples near the float limit overflow it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        signal = bands.extract_rhythm(window, rhythm_name, method=config.rhythm_method)
-        if config.use_envelope:
-            signal = bands.envelope(signal)
-    if not np.isfinite(signal.samples).all():
-        raise AnalysisError("rhythm filter overflowed: the window's samples are too large")
-    return signal
-
-
 def _run_job(job: tuple) -> list[WidthRecord]:
     """Analyze one electrode's windows of one clip and one length, all rhythms.
 
-    Each window is EMD-denoised first when configured and its rhythms are
-    extracted; every rhythm series of every window goes through MFDFA as one
-    batch, and then each series' spectrum is fitted. An AnalysisError is
-    prefixed with the electrode, condition and rhythm of the first failing
-    step (no rhythm for EMD); in MFDFA, of the series the batch names.
+    Each window is EMD-denoised first when configured, and one
+    ``bands.rhythm_series`` call builds its three rhythm series; every rhythm
+    series of every window goes through MFDFA as one batch, and then each
+    series' spectrum is fitted. An AnalysisError is prefixed with the
+    electrode, condition and rhythm of the first failing step (no rhythm for
+    EMD); in the front end and MFDFA, of the series they name.
     Returns the records in window order and sorted rhythm order.
     """
     subject, electrode, windows, config = job
@@ -91,11 +80,12 @@ def _run_job(job: tuple) -> list[WidthRecord]:
             where = f"{electrode} {condition}"
             if config.emd_drop:
                 window = emd_denoise(window, drop_imfs=list(config.emd_drop))
-            for rhythm_name in rhythms:
-                where = f"{electrode} {condition} {rhythm_name}"
-                keys.append((where, condition, rhythm_name))
-                series.append(_rhythm_signal(window, rhythm_name, config))
-        where = None  # the batch names the failing series
+            # the front end names the failing rhythm; a whole-window failure, the first
+            where, first = None, len(keys)
+            keys += [(f"{electrode} {condition} {r}", condition, r) for r in rhythms]
+            rows = bands.rhythm_series(window, config.rhythm_method, config.use_envelope)
+            series += [window.with_samples(row) for row in rows]
+        where, first = None, 0  # the batch names the failing series
         results = run_mfdfa_batch(series, mfdfa_config)
         for (where, condition, rhythm_name), result in zip(keys, results):
             fit = fit_spectrum(singularity_spectrum(result.hurst))
@@ -112,7 +102,7 @@ def _run_job(job: tuple) -> list[WidthRecord]:
                 flags=_fit_flags(result, fit),
             ))
     except AnalysisError as exc:
-        where = where or keys[exc.series or 0][0]
+        where = where or keys[first + (exc.series or 0)][0]
         raise type(exc)(f"{where}: {exc}") from None
     return records
 

@@ -18,7 +18,6 @@ from .series import TimeSeries
 
 # Part order on the response template: part 1 plays band 3, and so on.
 PART_TO_BAND = {1: 3, 2: 2, 3: 5, 4: 4, 5: 1}
-BAND_TO_PART = {band: part for part, band in PART_TO_BAND.items()}
 
 N_PARTS = 5
 N_CLIPS_SHEET = 4

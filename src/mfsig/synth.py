@@ -56,32 +56,6 @@ def cascade_hurst_oracle(q: float, a: float) -> float:
     return 1.0 / q - math.log(a**q + b**q) / (q * _LN2)
 
 
-def cascade_tau_oracle(q: float, a: float) -> float:
-    """Exact scaling exponent tau(q) = -ln(a^q + (1-a)^q) / ln 2."""
-    _validate_multiplier(a)
-    return -math.log(a**q + (1.0 - a) ** q) / _LN2
-
-
-def cascade_alpha_oracle(q: float, a: float) -> float:
-    """Exact singularity strength alpha(q) = d tau / d q for the cascade."""
-    _validate_multiplier(a)
-    b = 1.0 - a
-    aq, bq = a**q, b**q
-    return -(aq * math.log(a) + bq * math.log(b)) / ((aq + bq) * _LN2)
-
-
-def cascade_alpha_limits(a: float) -> tuple[float, float]:
-    """(alpha_min, alpha_max) reached as q -> +inf / -inf."""
-    _validate_multiplier(a)
-    return (-math.log(a) / _LN2, -math.log(1.0 - a) / _LN2)
-
-
-def cascade_asymptotic_width(a: float) -> float:
-    """Full spectrum width alpha_max - alpha_min = log2(a / (1-a))."""
-    lo, hi = cascade_alpha_limits(a)
-    return hi - lo
-
-
 def fgn(n: int, hurst: float, seed: int, sample_rate_hz: float = 1.0) -> TimeSeries:
     """Fractional Gaussian noise by frequency-domain spectral shaping.
 

@@ -108,11 +108,3 @@ def dyadic_level_for_band(fs: float, low_hz: float, high_hz: float, max_level: i
             best, best_overlap = lvl, overlap
     return best
 
-
-def dyadic_subband(ts: TimeSeries, band) -> TimeSeries:
-    """Approximate a band by its closest single dyadic wavelet subband."""
-    n = len(ts)
-    max_level = int(math.floor(math.log2(n))) - 2
-    high = band.high_hz if band.high_hz is not None else ts.sample_rate_hz / 2.0
-    level = dyadic_level_for_band(ts.sample_rate_hz, band.low_hz, high, max_level)
-    return reconstruct_level(dwt(ts, level), level)

@@ -1,10 +1,21 @@
 """Independent reference implementations used only to cross-check the
 library. Deliberately coded via different routes (explicit loops, normal
-equations, polyfit) so agreement is evidence, not tautology."""
+equations, polyfit) so agreement is evidence, not tautology; or, like
+``extract_rhythm`` and ``envelope``, in the one-at-a-time form that the
+library batches. Closed forms the library does not need live here too."""
+
+import math
 
 import numpy as np
 
+from mfsig.bands import RHYTHMS, BandSpec, fft_bandpass
+from mfsig.wavelet import dwt, dyadic_level_for_band, reconstruct_level
+
 _MASK64 = (1 << 64) - 1
+_LN2 = math.log(2.0)
+
+# The residual below the stimulus bands: with them it partitions the spectrum.
+SUB_BAND_FLOOR = BandSpec(0.0, 50.0, "sub50")
 
 
 def normal_equations_residual_ms(segment, order):
@@ -84,6 +95,60 @@ def binomial_alpha_closed_form(q, a):
     b = 1.0 - a
     num = a**q * np.log(a) + b**q * np.log(b)
     return -num / ((a**q + b**q) * np.log(2.0))
+
+
+def cascade_tau_oracle(q, a):
+    """Exact scaling exponent tau(q) = -ln(a^q + (1-a)^q) / ln 2 of the binomial cascade."""
+    return -math.log(a**q + (1.0 - a) ** q) / _LN2
+
+
+def cascade_alpha_oracle(q, a):
+    """Exact singularity strength alpha(q) = d tau / d q of the binomial cascade."""
+    b = 1.0 - a
+    aq, bq = a**q, b**q
+    return -(aq * math.log(a) + bq * math.log(b)) / ((aq + bq) * _LN2)
+
+
+def cascade_alpha_limits(a):
+    """(alpha_min, alpha_max) of the binomial cascade, reached as q -> +inf / -inf."""
+    return (-math.log(a) / _LN2, -math.log(1.0 - a) / _LN2)
+
+
+def cascade_asymptotic_width(a):
+    """Full spectrum width alpha_max - alpha_min = log2(a / (1-a))."""
+    lo, hi = cascade_alpha_limits(a)
+    return hi - lo
+
+
+def extract_rhythm(eeg, name, method="fft"):
+    """One rhythm's band-limited signal, built alone.
+
+    ``fft`` is the brick-wall filter at the rhythm's band edges; ``dwt``
+    rebuilds the single dyadic subband that best overlaps the band from a
+    decomposition down to that level.
+    """
+    band = RHYTHMS[name]
+    if method == "fft":
+        return fft_bandpass(eeg, band)
+    max_level = int(math.floor(math.log2(len(eeg)))) - 2
+    level = dyadic_level_for_band(eeg.sample_rate_hz, band.low_hz, band.high_hz, max_level)
+    return reconstruct_level(dwt(eeg, level), level)
+
+
+def envelope(ts):
+    """|analytic signal| of one series: its own rfft, positive bins doubled, ifft."""
+    n = len(ts)
+    spec = np.fft.rfft(ts.samples)
+    spec[1 : (n + 1) // 2] *= 2.0
+    return ts.with_samples(np.abs(np.fft.ifft(spec, n)))
+
+
+def imf_sum(decomposition):
+    """The residue plus every IMF of an EMD decomposition, added one at a time."""
+    total = decomposition.residue.samples.copy()
+    for imf in decomposition.imfs:
+        total += imf.samples
+    return total
 
 
 def energy(x):

@@ -4,12 +4,10 @@ import pytest
 from mfsig.bands import (
     RHYTHMS,
     STIMULUS_BANDS,
-    SUB_BAND_FLOOR,
     BandSpec,
-    envelope,
-    extract_rhythm,
     fft_bandpass,
     normalize,
+    rhythm_series,
     rms,
     split_bands,
 )
@@ -17,9 +15,15 @@ from mfsig.errors import AnalysisError
 from mfsig.series import TimeSeries
 from mfsig.synth import tone, white_noise
 
-from oracles import analytic_envelope_weights, energy
+from oracles import SUB_BAND_FLOOR, analytic_envelope_weights, energy, envelope, extract_rhythm
 
 BAND2 = STIMULUS_BANDS[1]
+ROW = {name: i for i, name in enumerate(sorted(RHYTHMS))}
+
+
+def rhythm(ts, name, method="fft", with_envelope=False):
+    """One rhythm's row of the window's rhythm series."""
+    return rhythm_series(ts, method, with_envelope)[ROW[name]]
 
 FS_AUDIO = 44100.0
 # quarter-second clips hold whole cycles of all test tones, so no leakage
@@ -138,26 +142,26 @@ class TestTaperedTransition:
 class TestExtractRhythm:
     def test_alpha_passes_10hz(self):
         ts = tone(10, 256, 8)
-        assert energy(extract_rhythm(ts, "alpha").samples) >= 0.99 * energy(ts.samples)
-        assert energy(extract_rhythm(ts, "theta").samples) <= 1e-6 * energy(ts.samples)
+        assert energy(rhythm(ts, "alpha")) >= 0.99 * energy(ts.samples)
+        assert energy(rhythm(ts, "theta")) <= 1e-6 * energy(ts.samples)
 
     def test_theta_passes_6hz(self):
         ts = tone(6, 256, 8)
-        assert energy(extract_rhythm(ts, "theta").samples) >= 0.99 * energy(ts.samples)
-        assert energy(extract_rhythm(ts, "alpha").samples) <= 1e-6 * energy(ts.samples)
+        assert energy(rhythm(ts, "theta")) >= 0.99 * energy(ts.samples)
+        assert energy(rhythm(ts, "alpha")) <= 1e-6 * energy(ts.samples)
 
     def test_alpha_share_of_white_noise(self):
         ts = white_noise(2**16, seed=8, sample_rate_hz=256.0)
-        share = energy(extract_rhythm(ts, "alpha").samples) / energy(ts.samples)
+        share = energy(rhythm(ts, "alpha")) / energy(ts.samples)
         assert share == pytest.approx(5.0 / 128.0, rel=0.10)
 
     def test_dwt_method_returns_band_limited_signal(self):
         ts = white_noise(4096, seed=9, sample_rate_hz=256.0)
-        out = extract_rhythm(ts, "alpha", method="dwt")
+        out = rhythm(ts, "alpha", method="dwt")
         assert len(out) == len(ts)
         # dyadic approximation targets the 8-16 Hz subband; the short
         # filter leaks into neighboring octaves but not far beyond
-        spec = np.abs(np.fft.rfft(out.samples)) ** 2
+        spec = np.abs(np.fft.rfft(out)) ** 2
         freqs = np.fft.rfftfreq(len(out), 1 / 256.0)
         assert spec[(freqs >= 4.0) & (freqs <= 32.0)].sum() / spec.sum() >= 0.9
         assert 8.0 <= freqs[np.argmax(spec)] <= 16.0
@@ -168,34 +172,85 @@ class TestExtractRhythm:
         assert (RHYTHMS["gamma"].low_hz, RHYTHMS["gamma"].high_hz) == (13.0, 30.0)
 
 
+class TestRhythmSeries:
+    @pytest.mark.parametrize(
+        "method, n",
+        [("fft", 255), ("fft", 5120), ("dwt", 4104), ("dwt", 5120)],
+    )
+    @pytest.mark.parametrize("with_envelope", [False, True], ids=["band", "envelope"])
+    def test_rows_match_one_rhythm_at_a_time(self, method, n, with_envelope):
+        # bit for bit, but for the FFT envelope, which skips the band
+        # signal's irfft and second rfft and so rounds differently
+        ts = white_noise(n, seed=n, sample_rate_hz=256.0)
+        rows = rhythm_series(ts, method, with_envelope)
+        assert rows.shape == (3, n)
+        for name, row in zip(sorted(RHYTHMS), rows):
+            expected = extract_rhythm(ts, name, method)
+            if with_envelope:
+                expected = envelope(expected)
+            if method == "fft" and with_envelope:
+                tol = 1e-15 * np.abs(expected.samples).max()
+                np.testing.assert_allclose(row, expected.samples, rtol=0, atol=tol)
+            else:
+                np.testing.assert_array_equal(row, expected.samples)
+
+    @pytest.mark.parametrize("method", ["fft", "dwt"])
+    def test_overflowing_row_is_named(self, method):
+        x = white_noise(2048, seed=14, sample_rate_hz=256.0).samples
+        x[0] = 1e308
+        with pytest.raises(AnalysisError, match="^rhythm filter overflowed: ") as exc:
+            rhythm_series(TimeSeries(x, 256.0), method, True)
+        assert exc.value.series == ROW["alpha"]
+
+    def test_too_short_window_names_no_row(self):
+        message = "^band-pass needs at least 16 samples, got 8$"
+        with pytest.raises(AnalysisError, match=message) as exc:
+            rhythm_series(TimeSeries(np.ones(8), 256.0), "fft", True)
+        assert exc.value.series is None
+
+    def test_rhythm_above_nyquist_is_named(self):
+        # at 40 Hz the 13-30 Hz gamma band passes Nyquist; alpha and theta do not
+        message = r"^band gamma exceeds Nyquist \(20.0 Hz\)$"
+        with pytest.raises(AnalysisError, match=message) as exc:
+            rhythm_series(white_noise(256, seed=15, sample_rate_hz=40.0), "fft", False)
+        assert exc.value.series == ROW["gamma"]
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown rhythm extraction method: 'iir'"):
+            rhythm_series(white_noise(256, seed=16, sample_rate_hz=256.0), "iir", False)
+
+
 class TestEnvelope:
     def test_unit_tone_envelope_is_one(self):
         ts = tone(10, 256, 8)
-        env = envelope(ts)
+        env = rhythm(ts, "alpha", with_envelope=True)
         k = int(0.02 * len(ts))
-        assert np.abs(env.samples[k:-k] - 1.0).max() <= 0.02
-        assert np.all(env.samples >= 0)
+        assert np.abs(env[k:-k] - 1.0).max() <= 0.02
+        assert np.all(env >= 0)
 
     def test_am_tone_recovers_modulator(self):
+        # the carrier and both sidebands (9-11 Hz) lie inside the alpha band
         fs = 256.0
         t = np.arange(int(8 * fs)) / fs
         modulator = 1.0 + 0.5 * np.cos(2 * np.pi * 1.0 * t)
         ts = TimeSeries(modulator * np.sin(2 * np.pi * 10.0 * t), fs)
-        env = envelope(ts)
+        env = rhythm(ts, "alpha", with_envelope=True)
         k = int(0.02 * len(ts))
-        err = np.sqrt(np.mean((env.samples[k:-k] - modulator[k:-k]) ** 2))
+        err = np.sqrt(np.mean((env[k:-k] - modulator[k:-k]) ** 2))
         assert err <= 0.03
 
     def test_zero_signal(self):
-        env = envelope(TimeSeries(np.zeros(128), 256.0))
-        assert np.all(env.samples == 0)
+        for method in ("fft", "dwt"):
+            assert np.all(rhythm_series(TimeSeries(np.zeros(128), 256.0), method, True) == 0)
 
     @pytest.mark.parametrize("n", [255, 256])
     def test_matches_full_fft_weight_oracle(self, n):
-        x = white_noise(n, seed=n).samples
-        env = envelope(TimeSeries(x, 256.0)).samples
-        tol = 1e-12 * np.abs(x).max()
-        np.testing.assert_allclose(env, analytic_envelope_weights(x), rtol=0, atol=tol)
+        ts = white_noise(n, seed=n, sample_rate_hz=256.0)
+        rows = rhythm_series(ts, "fft", True)
+        for name, row in zip(sorted(RHYTHMS), rows):
+            band = extract_rhythm(ts, name).samples
+            tol = 1e-12 * np.abs(band).max()
+            np.testing.assert_allclose(row, analytic_envelope_weights(band), rtol=0, atol=tol)
 
 
 class TestNormalize:

@@ -10,18 +10,20 @@ import numpy as np
 import pytest
 
 import mfsig
-from mfsig import pipeline
+from mfsig import bands
 from mfsig.cli import main
 from mfsig.dataio import read_eeg_csv, read_wav, write_eeg_csv, write_series_csv, write_wav
 from mfsig.errors import AnalysisError
 from mfsig.mfdfa import DEFAULT_Q_GRID
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline, timeline_from_markers
+from mfsig.series import TimeSeries
 from mfsig.synth import tone, white_noise
 
 from oracles import energy
 
 FIXDIR = Path(__file__).parent / "fixtures"
+GAMMA = sorted(bands.RHYTHMS).index("gamma")  # its row of a window's rhythm series
 
 
 def make_eeg_fixture(path, electrodes=("F3", "T4"), n_clips=1, fs=256.0, seed=0, duration_s=None):
@@ -107,6 +109,20 @@ class TestMfdfaCommand:
         assert payload["inputs"]["sha256"]
         assert len(payload["mfdfa"]["h"]) == 41
         assert (tmp_path / "fq.csv").read_text().startswith("q,s,fq,log_fq")
+
+    def test_sample_near_the_float_limit_is_analyzed(self, tmp_path, capsys):
+        # one finite 1e308 cell: the profile reaches 1e308 and F2 would overflow
+        # without the exact power-of-two rescale
+        x = white_noise(4096, seed=0).samples
+        x[100] = 1e308
+        series_csv, out = tmp_path / "series.csv", tmp_path / "result.json"
+        write_series_csv(series_csv, TimeSeries(x, 1.0))
+        assert main(["mfdfa", str(series_csv), "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())
+        h = dict(zip(payload["mfdfa"]["q"], payload["mfdfa"]["h"]))
+        assert h[2.0] == pytest.approx(4.24, abs=0.005)
+        assert payload["spectrum"]["W"] == pytest.approx(7.54, abs=0.005)
 
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -430,6 +446,34 @@ class TestAnalyzeCommand:
             "error: F3 rest alpha: rhythm filter overflowed: the window's samples are too large\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            # the DWT band signal stays finite, and MFDFA rescales its profile exactly
+            (["--rhythm-method", "dwt", "--no-envelope"], 0, ""),
+            # EMD sifts the window rescaled exactly; the FFT envelope then overflows
+            (
+                ["--emd-drop", "1"], 1,
+                "error: F3 rest alpha: rhythm filter overflowed: "
+                "the window's samples are too large\n",
+            ),
+        ],
+        ids=["dwt_no_envelope", "emd"],
+    )
+    def test_sample_near_the_float_limit_past_the_filter(
+        self, tmp_path, capsys, flags, code, message
+    ):
+        eeg = tmp_path / "eeg.csv"
+        f3 = white_noise(int(build_timeline(1).total_duration_s * 256), seed=5).samples
+        f3[300] = 1e308
+        write_eeg_csv(eeg, {"F3": f3})
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "F3",
+            "--outdir", str(tmp_path / "out"), *flags,
+        ])
+        assert rc == code
+        assert capsys.readouterr().err == message
+
     def test_no_envelope_analyzes_band_signals(self, tmp_path):
         eeg = tmp_path / "eeg.csv"
         make_eeg_fixture(eeg, electrodes=("F3",))
@@ -510,15 +554,14 @@ class TestAnalyzeCommand:
 
     def test_first_failing_rhythm_is_named(self, monkeypatch):
         # only gamma, the middle one of the window's three rhythm series, is constant
-        rhythm_signal = pipeline._rhythm_signal
+        rhythm_series = bands.rhythm_series
 
-        def constant_gamma(window, rhythm_name, config):
-            signal = rhythm_signal(window, rhythm_name, config)
-            if rhythm_name == "gamma":
-                return signal.with_samples(np.ones(len(signal)))
-            return signal
+        def constant_gamma(window, method, envelope):
+            rows = rhythm_series(window, method, envelope)
+            rows[GAMMA] = 1.0
+            return rows
 
-        monkeypatch.setattr(pipeline, "_rhythm_signal", constant_gamma)
+        monkeypatch.setattr(bands, "rhythm_series", constant_gamma)
         n = int(build_timeline(1).total_duration_s * 256)
         with pytest.raises(
             AnalysisError,
@@ -577,15 +620,15 @@ class TestAnalyzeCommand:
             for c in timeline.conditions
             if c.label in ("clip1_band2", "clip1_band1")
         ]
-        rhythm_signal = pipeline._rhythm_signal
+        rhythm_series = bands.rhythm_series
 
-        def constant_gamma(window, rhythm_name, config):
-            signal = rhythm_signal(window, rhythm_name, config)
-            if rhythm_name == "gamma" and any(np.array_equal(window.samples, c) for c in constant):
-                return signal.with_samples(np.ones(len(signal)))
-            return signal
+        def constant_gamma(window, method, envelope):
+            rows = rhythm_series(window, method, envelope)
+            if any(np.array_equal(window.samples, c) for c in constant):
+                rows[GAMMA] = 1.0
+            return rows
 
-        monkeypatch.setattr(pipeline, "_rhythm_signal", constant_gamma)
+        monkeypatch.setattr(bands, "rhythm_series", constant_gamma)
         with pytest.raises(
             AnalysisError,
             match="^F3 clip1_band2 gamma: scale 16: all segments have zero residual variance$",

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfsig.emd import emd, emd_denoise, local_extrema
 from mfsig.errors import AnalysisError
 from mfsig.series import TimeSeries
 from mfsig.synth import tone, white_noise
 
-from oracles import local_extrema_loop
+from oracles import imf_sum, local_extrema_loop
 
 FS = 256.0
 
@@ -68,12 +70,12 @@ class TestEmd:
     def test_completeness(self, seed):
         ts = white_noise(1024, seed=seed, sample_rate_hz=FS)
         result = emd(ts)
-        assert rel_rms(result.reconstruct().samples, ts.samples) <= 1e-10
+        assert rel_rms(imf_sum(result), ts.samples) <= 1e-10
 
     def test_completeness_on_tones(self):
         ts = tone(5, FS, 4.0)
         result = emd(ts)
-        assert rel_rms(result.reconstruct().samples, ts.samples) <= 1e-10
+        assert rel_rms(imf_sum(result), ts.samples) <= 1e-10
 
     def test_too_short(self):
         with pytest.raises(AnalysisError, match="EMD needs >= 64 samples"):
@@ -89,6 +91,24 @@ class TestEmd:
 
 
 class TestEmdDenoise:
+    @given(st.integers(0, 2**16), st.integers(-900, 900))
+    @settings(max_examples=20, deadline=None)
+    def test_commutes_with_power_of_two_scaling(self, seed, k):
+        # sifting runs on the input rescaled exactly, so scaling commutes bit for bit
+        ts = white_noise(512, seed=seed, sample_rate_hz=FS)
+        scaled = emd_denoise(ts.with_samples(np.ldexp(ts.samples, k)), drop_imfs=[1, 2])
+        np.testing.assert_array_equal(
+            scaled.samples, np.ldexp(emd_denoise(ts, drop_imfs=[1, 2]).samples, k)
+        )
+
+    def test_mode_past_the_float_limit_is_an_error(self):
+        # at max |x| = 1.7e308 the fastest IMF of this series overshoots the float range
+        x = white_noise(512, seed=3, sample_rate_hz=FS).samples
+        ts = TimeSeries(x / np.abs(x).max() * 1.7e308, FS)
+        message = "^EMD overflowed: the input's samples are too large$"
+        with pytest.raises(AnalysisError, match=message):
+            emd_denoise(ts, drop_imfs=[1])
+
     def test_drop_nothing_is_identity(self):
         ts = white_noise(512, seed=3, sample_rate_hz=FS)
         out = emd_denoise(ts, drop_imfs=[])

@@ -17,6 +17,7 @@ from mfsig.mfdfa import (
     segment_fluctuations,
 )
 from mfsig.series import TimeSeries, profile
+from mfsig.spectrum import fit_spectrum, singularity_spectrum
 from mfsig.synth import cascade_hurst_oracle, white_noise
 
 from oracles import normal_equations_residual_ms, plain_dfa_slope, power_mean_fq
@@ -177,6 +178,22 @@ class TestRunMfdfa:
         c = 10.0**log10_c
         mapped = run_mfdfa(x.with_samples(c * x.samples + c * offset)).h
         np.testing.assert_allclose(mapped, run_mfdfa(x).h, rtol=0, atol=1e-9)
+
+    @given(st.integers(0, 2**16), st.integers(-900, 900))
+    @settings(max_examples=30, deadline=None)
+    def test_power_of_two_scaling_leaves_h_and_width_bit_identical(self, seed, k):
+        # each profile is rescaled exactly, so F2 neither underflows (x * 2^-900
+        # has F2 near 1e-542) nor overflows (x * 2^900, F2 near 1e+542)
+        x = white_noise(1024, seed=seed)
+        scaled = x.with_samples(np.ldexp(x.samples, k))
+        result, result_scaled = run_mfdfa(x), run_mfdfa(scaled)
+        np.testing.assert_array_equal(result_scaled.h, result.h)
+        assert fit_spectrum(singularity_spectrum(result_scaled.hurst)).width == (
+            fit_spectrum(singularity_spectrum(result.hurst)).width
+        )
+        np.testing.assert_allclose(
+            result_scaled.log_fq, result.log_fq + k * np.log(2.0), rtol=0, atol=1e-12
+        )
 
     def test_unidirectional_equals_bidirectional_on_exact_multiples(self):
         ts = white_noise(4096, seed=22)

@@ -24,7 +24,8 @@ FS = 256.0
 
 def one_window_at_a_time(channels, timeline, config):
     """The records analyze_recording should return, built window by window:
-    one run_mfdfa_batch of the window's three rhythms, then fit_spectrum."""
+    one rhythm_series of the window, one run_mfdfa_batch of its three rows,
+    then fit_spectrum."""
     mfdfa_config = MfdfaConfig(
         detrend_order=config.detrend_order, bidirectional=config.bidirectional
     )
@@ -33,7 +34,8 @@ def one_window_at_a_time(channels, timeline, config):
     records = []
     for electrode in config.electrodes:
         for cond, window in segment_recording(TimeSeries(channels[electrode], FS), conditions):
-            series = [pipeline._rhythm_signal(window, name, config) for name in rhythms]
+            rows = bands.rhythm_series(window, config.rhythm_method, config.use_envelope)
+            series = [window.with_samples(row) for row in rows]
             for name, result in zip(rhythms, run_mfdfa_batch(series, mfdfa_config)):
                 fit = fit_spectrum(singularity_spectrum(result.hurst))
                 records.append(WidthRecord(
@@ -119,20 +121,20 @@ def test_each_window_is_denoised_once(monkeypatch):
 
 
 def test_a_failing_job_does_its_work_once(monkeypatch):
-    # F3 is zero only in clip1_band3: every rhythm of every window is still
-    # extracted once, 3 for the rest baseline and 6 x 3 for the clip
+    # F3 is zero only in clip1_band3: every window's rhythm series are still
+    # built once, in one call for the rest baseline and one per clip window
     calls = []
-    rhythm_signal = pipeline._rhythm_signal
+    rhythm_series = bands.rhythm_series
 
-    def spy(window, rhythm_name, config):
-        calls.append(rhythm_name)
-        return rhythm_signal(window, rhythm_name, config)
+    def spy(window, method, envelope):
+        calls.append(len(window))
+        return rhythm_series(window, method, envelope)
 
-    monkeypatch.setattr(pipeline, "_rhythm_signal", spy)
+    monkeypatch.setattr(bands, "rhythm_series", spy)
     timeline = build_timeline(1)
     flat = next(c for c in timeline.conditions if c.label == "clip1_band3")
     f3 = white_noise(int(timeline.total_duration_s * FS), seed=5).samples
     f3[int(flat.start_s * FS) : int(flat.end_s * FS)] = 0.0
     with pytest.raises(AnalysisError, match="^F3 clip1_band3 alpha: scale 16: "):
         analyze_recording({"F3": f3}, FS, timeline, RunConfig(electrodes=["F3"]))
-    assert len(calls) == 3 + 18
+    assert calls == [15360] + [5120] * 6

@@ -5,19 +5,15 @@ import pytest
 
 from mfsig.errors import AnalysisError
 from mfsig.spectrum import singularity_spectrum
-from mfsig.synth import (
-    binomial_cascade,
+from mfsig.synth import binomial_cascade, cascade_hurst_oracle, fgn, tone, white_noise
+
+from oracles import (
+    binomial_hurst_closed_form,
     cascade_alpha_limits,
     cascade_alpha_oracle,
     cascade_asymptotic_width,
-    cascade_hurst_oracle,
     cascade_tau_oracle,
-    fgn,
-    tone,
-    white_noise,
 )
-
-from oracles import binomial_hurst_closed_form
 
 
 class TestBinomialCascade:
