@@ -51,25 +51,21 @@ RHYTHMS = {
 }
 
 
-def _rfft_freqs(ts: TimeSeries, bands: list[BandSpec]) -> np.ndarray:
-    """``ts``'s rfft bin frequencies, once ``ts`` is checked to be long enough
-    to band-pass; a band above Nyquist raises, with its index in ``series``."""
-    n = len(ts)
+def _rfft_freqs(n: int, fs: float, bands: list[BandSpec]) -> np.ndarray:
+    """The rfft bin frequencies of n samples at fs Hz, once n is checked to be
+    long enough to band-pass; a band above Nyquist raises, with its index in
+    ``series``."""
     if n < 16:
         raise AnalysisError(f"band-pass needs at least 16 samples, got {n}")
-    nyquist = ts.sample_rate_hz / 2.0
+    nyquist = fs / 2.0
     for i, band in enumerate(bands):
         if band.low_hz >= nyquist:
-            exc = AnalysisError(
-                f"band {band.name or band.low_hz} starts at or above Nyquist ({nyquist} Hz)"
-            )
-        elif band.high_hz is not None and band.high_hz > nyquist:
-            exc = AnalysisError(f"band {band.name or band.high_hz} exceeds Nyquist ({nyquist} Hz)")
-        else:
-            continue
-        exc.series = i
-        raise exc
-    return np.fft.rfftfreq(n, d=1.0 / ts.sample_rate_hz)
+            name = band.name or band.low_hz
+            raise AnalysisError(f"band {name} starts at or above Nyquist ({nyquist} Hz)", series=i)
+        if band.high_hz is not None and band.high_hz > nyquist:
+            name = band.name or band.high_hz
+            raise AnalysisError(f"band {name} exceeds Nyquist ({nyquist} Hz)", series=i)
+    return np.fft.rfftfreq(n, d=1.0 / fs)
 
 
 def _passband(freqs: np.ndarray, band: BandSpec) -> np.ndarray:
@@ -90,7 +86,7 @@ def fft_bandpass(ts: TimeSeries, band: BandSpec, transition_hz: float = 0.0) -> 
     audio that will be listened to, not for analysis. Output has the
     input's length and is real by construction.
     """
-    freqs = _rfft_freqs(ts, [band])
+    freqs = _rfft_freqs(len(ts), ts.sample_rate_hz, [band])
     spec = np.fft.rfft(ts.samples)
     if transition_hz <= 0.0:
         spec[~_passband(freqs, band)] = 0.0
@@ -117,37 +113,40 @@ def split_bands(audio: TimeSeries, transition_hz: float = 0.0) -> dict[str, Time
     return {band.name: fft_bandpass(audio, band, transition_hz) for band in STIMULUS_BANDS}
 
 
-def rhythm_series(window: TimeSeries, method: str, envelope: bool) -> np.ndarray:
-    """One window's rhythm series, (3, n), a row per rhythm in sorted order.
+def rhythm_series(windows: np.ndarray, fs: float, method: str, envelope: bool) -> np.ndarray:
+    """The rhythm series of windows (..., n) sampled at fs Hz: (..., 3, n), a
+    row per rhythm in sorted order.
 
-    ``method="fft"`` masks one rfft of the window at each rhythm's exact
+    ``method="fft"`` masks one rfft of each window at each rhythm's exact
     band edges; ``"dwt"`` rebuilds each rhythm's nearest dyadic wavelet
     subband (at 256 Hz: 8-16 / 4-8 / 16-32 Hz). With ``envelope`` a row is
     the magnitude of the analytic signal. An AnalysisError's ``series`` is
-    the failing row, or None for the whole window; a row that overflows on
-    finite samples near the float limit raises one, not a numpy warning.
+    the first failing row of the flattened (..., 3) grid, or None when every
+    row fails; a row that overflows on finite samples near the float limit
+    raises one, not a numpy warning.
     """
     bands = [RHYTHMS[name] for name in sorted(RHYTHMS)]
-    n = len(window)
+    n = windows.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "fft":
-            freqs = _rfft_freqs(window, bands)
+            freqs = _rfft_freqs(n, fs, bands)
             keep = np.stack([_passband(freqs, band) for band in bands])
-            spec = np.where(keep, np.fft.rfft(window.samples), 0.0)
+            spec = np.where(keep, np.fft.rfft(windows)[..., np.newaxis, :], 0.0)
             rows = _analytic_magnitude(spec, n) if envelope else np.fft.irfft(spec, n)
         elif method == "dwt":
-            top, fs = int(math.floor(math.log2(n))) - 2, window.sample_rate_hz
+            top = int(math.floor(math.log2(n))) - 2
             levels = [dyadic_level_for_band(fs, b.low_hz, b.high_hz, top) for b in bands]
-            rows = np.stack([reconstruct_level(dwt(window, lvl), lvl).samples for lvl in levels])
+            rows = np.stack([reconstruct_level(dwt(windows, lvl), lvl) for lvl in levels], axis=-2)
             if envelope:
                 rows = _analytic_magnitude(np.fft.rfft(rows), n)
         else:
             raise ValueError(f"unknown rhythm extraction method: {method!r}")
     overflowed = ~np.isfinite(rows).all(axis=-1)
     if overflowed.any():
-        exc = AnalysisError("rhythm filter overflowed: the window's samples are too large")
-        exc.series = int(np.argmax(overflowed))
-        raise exc
+        raise AnalysisError(
+            "rhythm filter overflowed: the window's samples are too large",
+            series=int(np.argmax(overflowed)),
+        )
     return rows
 
 

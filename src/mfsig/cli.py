@@ -26,11 +26,14 @@ from .report import emit_report, read_report_json
 from .spectrum import fit_spectrum, singularity_spectrum
 
 def _int_list(text: str) -> list[int]:
-    """argparse type of a comma-separated integer list."""
+    """argparse type of a comma-separated list of at least one integer."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        values = []  # rejected below, with the same message
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _sample_rate(text: str) -> float:
@@ -61,7 +64,7 @@ def cmd_split_bands(args) -> int:
 def _q_grid(parser: argparse.ArgumentParser, args) -> np.ndarray | None:
     """``mfdfa``'s q grid: None without q flags, else the flags' range with the
     default grid's ends and step filling unset flags. A usage error when the
-    range cannot be built."""
+    range cannot be built, or when the step does not divide it."""
     if args.q_min is None and args.q_max is None and args.q_step is None:
         return None
     lo = float(DEFAULT_Q_GRID[0]) if args.q_min is None else args.q_min
@@ -71,7 +74,10 @@ def _q_grid(parser: argparse.ArgumentParser, args) -> np.ndarray | None:
         parser.error(f"argument --q-step: must be positive, got {step:g}")
     if not hi >= lo:
         parser.error(f"argument --q-max: {hi:g} is below --q-min {lo:g}")
-    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    steps = (hi - lo) / step
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        parser.error(f"argument --q-step: {step:g} does not divide the q range {lo:g} to {hi:g}")
+    return np.linspace(lo, hi, int(round(steps)) + 1)
 
 
 def cmd_mfdfa(args) -> int:
@@ -251,6 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "mfdfa":
         args.q_grid = _q_grid(parser, args)
+    if args.command == "analyze" and args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
         return args.func(args)
     except (AnalysisError, MemoryError, OSError, ValueError) as exc:

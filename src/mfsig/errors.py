@@ -11,12 +11,15 @@ the electrode, condition and rhythm of an analyzed window.
 class AnalysisError(Exception):
     """Data the analysis chain cannot analyze; the message says why.
 
-    ``series`` is the index of the failing series in an error of
-    ``mfdfa.run_mfdfa_batch``, or of the failing row in one of
-    ``bands.rhythm_series``; None where no one series failed.
+    ``series`` is the flat row index of the failing series in an error of a
+    step that works on rows: the row of the (series, samples) array given
+    to ``mfdfa.run_mfdfa_batch``, or of the flattened (window, rhythm) grid
+    that ``bands.rhythm_series`` returns; None where no one row failed.
     """
 
-    series: int | None = None
+    def __init__(self, *args, series: int | None = None):
+        super().__init__(*args)
+        self.series = series
 
 
 class DataFormatError(AnalysisError):

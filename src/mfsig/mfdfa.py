@@ -1,18 +1,21 @@
 """Multifractal detrended fluctuation analysis.
 
-Per series, or per batch of equal-length series: build the profile and
-tile it into segments at each scale. A segment's squared fluctuation F2
+The analysis runs on a batch of equal-length series, a (series, samples)
+array, and every step works on rows: build the profiles and tile them
+into segments at each scale. A segment's squared fluctuation F2
 is the mean square of what is left after projecting it off the
 orthonormal basis of the order-m polynomials (the QR factor of the
 Vandermonde matrix on [-1, 1], built once per scale and order). ln Fq is
 formed in the log domain, so it overflows for no q, and h(q) is the
 least-squares slope of ln Fq on ln s. Each profile is first scaled by a
 power of two, which is exact, so h(q) does not depend on the amplitude:
-it is bit for bit the same for x and x * 2^k.
+it is bit for bit the same for x and x * 2^k. One series is the batch of
+one (``run_mfdfa``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,9 +148,9 @@ def log_fluctuation_function(f2: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
     valid = rows > 0.0
     count = np.count_nonzero(valid, axis=-1)
     if np.any(count == 0):
-        exc = AnalysisError("all segments have zero residual variance")
-        exc.series = int(np.argmax(count == 0))
-        raise exc
+        raise AnalysisError(
+            "all segments have zero residual variance", series=int(np.argmax(count == 0))
+        )
     # ln F2 of an excluded segment is -inf for q > 0 and +inf for q < 0,
     # so that q/2 ln F2 is -inf and its exp term exactly 0
     ln_f2 = np.log(rows, out=np.full(rows.shape, -np.inf), where=valid)
@@ -170,55 +173,59 @@ def log_fluctuation_function(f2: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HurstCurve:
-    """Generalized Hurst exponents with per-q fit diagnostics."""
+    """Generalized Hurst exponents with per-q fit diagnostics.
+
+    ``h``, ``r2`` and ``stderr`` are (..., q), a row per series, and
+    ``monotone`` is (...); with no leading axes, one series' curve.
+    """
 
     q_grid: np.ndarray
     h: np.ndarray
     r2: np.ndarray
     stderr: np.ndarray
-    monotone: bool = True
+    monotone: bool | np.ndarray = True
 
     def index(self, q: float) -> int | None:
         """Position of q on the grid, or None when the grid lacks it."""
         idx = np.flatnonzero(np.isclose(self.q_grid, q, atol=1e-12))
         return int(idx[0]) if idx.size else None
 
-    def at(self, q: float) -> float:
-        i = self.index(q)
-        if i is None:
-            raise ValueError(f"q = {q} is not on the configured grid")
-        return float(self.h[i])
-
 
 def hurst_exponents(log_fq: np.ndarray, scales: np.ndarray, q_grid: np.ndarray) -> HurstCurve:
-    """Least-squares slopes of ln Fq on ln s, one per q, with R^2 and stderr.
+    """Least-squares slopes of ln Fq (..., q, s) on ln s, one per q, with R^2
+    and stderr.
 
     A violation of the expected non-increase of h(q) is flagged, not raised.
     """
     log_s = np.log(np.asarray(scales, dtype=float))
     xm = log_s - log_s.mean()
-    ym = log_fq - log_fq.mean(axis=1, keepdims=True)
+    ym = log_fq - log_fq.mean(axis=-1, keepdims=True)
     sxx = xm @ xm
     h = ym @ xm / sxx
-    resid = ym - h[:, np.newaxis] * xm
-    ss_res = np.sum(resid**2, axis=1)
-    ss_tot = np.sum(ym**2, axis=1)
+    resid = ym - h[..., np.newaxis] * xm
+    ss_res = np.sum(resid**2, axis=-1)
+    ss_tot = np.sum(ym**2, axis=-1)
     r2 = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_res), where=ss_tot != 0.0)
     n = log_s.size
-    stderr = np.sqrt(ss_res / (n - 2) / sxx) if n > 2 else np.full(h.size, np.nan)
-    monotone = bool(np.all(np.diff(h) <= 1e-6))
+    stderr = np.sqrt(ss_res / (n - 2) / sxx) if n > 2 else np.full(h.shape, np.nan)
+    monotone = np.all(np.diff(h, axis=-1) <= 1e-6, axis=-1)
     return HurstCurve(np.asarray(q_grid, dtype=float), h, r2, stderr, monotone)
 
 
 @dataclass(frozen=True)
 class MfdfaResult:
-    """Log fluctuation function, Hurst curve, and zero-variance count."""
+    """Log fluctuation functions, Hurst curves, and zero-variance counts.
+
+    ``log_fq`` is (..., q, s) and ``zero_variance_segments`` (...): from
+    ``run_mfdfa_batch`` a row per series, from ``run_mfdfa`` one series'
+    values. The methods read one series' result.
+    """
 
     scales: np.ndarray
     q_grid: np.ndarray
-    log_fq: np.ndarray  # shape (len(q_grid), len(scales))
+    log_fq: np.ndarray
     hurst: HurstCurve
-    zero_variance_segments: int = 0
+    zero_variance_segments: int | np.ndarray = 0
 
     @property
     def fq(self) -> np.ndarray:
@@ -229,7 +236,10 @@ class MfdfaResult:
         return self.hurst.h
 
     def h_at(self, q: float) -> float:
-        return self.hurst.at(q)
+        i = self.hurst.index(q)
+        if i is None:
+            raise ValueError(f"q = {q} is not on the configured grid")
+        return float(self.h[i])
 
     def to_json_dict(self) -> dict:
         return {
@@ -238,7 +248,7 @@ class MfdfaResult:
             "log_fq": self.log_fq.tolist(),
             "h": self.hurst.h.tolist(),
             "r2": self.hurst.r2.tolist(),
-            "stderr": _jsonsafe(self.hurst.stderr).tolist(),
+            "stderr": [v if math.isfinite(v) else None for v in self.hurst.stderr.tolist()],
             "h_monotone": self.hurst.monotone,
             "zero_variance_segments": self.zero_variance_segments,
         }
@@ -251,42 +261,23 @@ class MfdfaResult:
                 yield float(q), int(s), float(fq[i, j]), float(self.log_fq[i, j])
 
 
-def _jsonsafe(arr: np.ndarray):
-    out = np.asarray(arr, dtype=object)
-    flat = np.asarray(arr, dtype=float)
-    out[~np.isfinite(flat)] = None
-    return out
+def run_mfdfa_batch(samples: np.ndarray, config: MfdfaConfig | None = None) -> MfdfaResult:
+    """Full analysis of the series in the rows of samples (B, n) at once.
 
-
-def run_mfdfa_batch(
-    series: list[TimeSeries], config: MfdfaConfig | None = None
-) -> list[MfdfaResult]:
-    """Full analysis of equal-length series at once, one result per series.
-
-    Each result equals that of ``run_mfdfa`` on its series; the scales are
+    Row b of each field equals ``run_mfdfa`` of series b; the scales are
     walked once for all of them. A series that cannot be analyzed fails the
-    whole batch; the AnalysisError's ``series`` is its index (the first
+    whole batch; the AnalysisError's ``series`` is its row (the first
     non-finite series, else the first to fail at the first failing scale),
     or None when the whole batch fails, as at a length no scale grid fits.
     """
-    n = {len(ts) for ts in series}
-    if len(n) != 1:
-        raise ValueError(f"a batch needs series of one length, got lengths {sorted(n)}")
-    cfg = (config or MfdfaConfig()).resolve(n.pop())
-    profiles = []
-    for i, ts in enumerate(series):
-        try:
-            profiles.append(profile(ts))
-        except AnalysisError as exc:
-            exc.series = i
-            raise
+    cfg = (config or MfdfaConfig()).resolve(np.shape(samples)[-1])
+    y = profile(samples)
     # Fq is linear in the amplitude (Kantelhardt 2002): scale each profile exactly
     # to max |y| in [0.5, 1), so F2 cannot overflow, and add it back to ln Fq only
-    y = np.stack(profiles)
     _, exponent = np.frexp(np.abs(y).max(axis=-1))
     y = np.ldexp(y, -exponent[:, np.newaxis])
-    log_fq = np.empty((len(series), len(cfg.q_grid), len(cfg.scales)))
-    zero_total = np.zeros(len(series), dtype=int)
+    log_fq = np.empty((len(y), len(cfg.q_grid), len(cfg.scales)))
+    zero_total = np.zeros(len(y), dtype=int)
     for j, s in enumerate(cfg.scales):
         f2 = segment_fluctuations(y, int(s), cfg.detrend_order, cfg.bidirectional)
         try:
@@ -295,18 +286,20 @@ def run_mfdfa_batch(
             exc.args = (f"scale {s}: {exc}",)  # keeps exc.series
             raise
         zero_total += np.count_nonzero(f2 == 0.0, axis=-1)
-    return [
-        MfdfaResult(
-            scales=cfg.scales,
-            q_grid=cfg.q_grid,
-            log_fq=row + e * np.log(2.0),
-            hurst=hurst_exponents(row, cfg.scales, cfg.q_grid),
-            zero_variance_segments=int(zeros),
-        )
-        for row, e, zeros in zip(log_fq, exponent, zero_total)
-    ]
+    return MfdfaResult(
+        scales=cfg.scales,
+        q_grid=cfg.q_grid,
+        log_fq=log_fq + exponent[:, np.newaxis, np.newaxis] * np.log(2.0),
+        hurst=hurst_exponents(log_fq, cfg.scales, cfg.q_grid),
+        zero_variance_segments=zero_total,
+    )
 
 
 def run_mfdfa(ts: TimeSeries, config: MfdfaConfig | None = None) -> MfdfaResult:
-    """Full analysis of one series: profile, fluctuations, ln Fq, h(q)."""
-    return run_mfdfa_batch([ts], config)[0]
+    """Full analysis of one series: profile, fluctuations, ln Fq, h(q).
+
+    The batch of one, with one series' values in every field."""
+    r = run_mfdfa_batch(ts.samples[np.newaxis], config)
+    c = r.hurst
+    hurst = HurstCurve(c.q_grid, c.h[0], c.r2[0], c.stderr[0], bool(c.monotone[0]))
+    return MfdfaResult(r.scales, r.q_grid, r.log_fq[0], hurst, int(r.zero_variance_segments[0]))

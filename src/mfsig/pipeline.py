@@ -2,9 +2,11 @@
 spectrum fitting, and report assembly.
 
 The unit of work is one electrode's windows of one clip and one length
-(the rest baseline is its own job): every rhythm series of those windows
-goes through MFDFA as one batch. Jobs are pure and independent, so they can
-run across processes. Records come back in job order; emission sorts them,
+(the rest baseline is its own job), carried as one array: the windows
+(k, n) become their rhythm series (k, 3, n), which go through MFDFA and
+the spectrum fit as one batch of k * 3 rows, and the records are read off
+the result arrays. Jobs are pure and independent, so they can run across
+processes. Records come back in job order; emission sorts them,
 so the emitted report is identical for any worker count.
 """
 
@@ -18,11 +20,11 @@ import numpy as np
 from . import bands
 from .emd import emd_denoise
 from .errors import AnalysisError, DataFormatError
-from .mfdfa import MfdfaConfig, MfdfaResult, run_mfdfa_batch
+from .mfdfa import MfdfaConfig, run_mfdfa_batch
 from .protocol import DEFAULT_ANALYZED, ProtocolTimeline, segment_recording
 from .report import AnalysisReport, WidthRecord
 from .series import TimeSeries
-from .spectrum import SpectrumFit, fit_spectrum, singularity_spectrum
+from .spectrum import fit_spectra, singularity_spectrum
 
 
 @dataclass
@@ -41,70 +43,55 @@ class RunConfig:
     input_path: str = ""
 
 
-def _fit_flags(result: MfdfaResult, fit: SpectrumFit) -> str:
-    flags = []
-    if not fit.concave:
-        flags.append("nonconcave")
-    if fit.monofractal_degenerate:
-        flags.append("monofractal_degenerate")
-    if not result.hurst.monotone:
-        flags.append("h_nonmonotone")
-    return ";".join(flags)
-
-
-def _h2_r2(result: MfdfaResult) -> float:
-    """R^2 of the h(2) regression; NaN when the q grid has no q = 2."""
-    i = result.hurst.index(2.0)
-    return float("nan") if i is None else float(result.hurst.r2[i])
-
-
 def _run_job(job: tuple) -> list[WidthRecord]:
     """Analyze one electrode's windows of one clip and one length, all rhythms.
 
-    Each window is EMD-denoised first when configured, and one
-    ``bands.rhythm_series`` call builds its three rhythm series; every rhythm
-    series of every window goes through MFDFA as one batch, and then each
-    series' spectrum is fitted. An AnalysisError is prefixed with the
-    electrode, condition and rhythm of the first failing step (no rhythm for
-    EMD); in the front end and MFDFA, of the series they name.
+    The windows are EMD-denoised first when configured; one
+    ``bands.rhythm_series`` call turns them into their rhythm series, which
+    go through MFDFA and the spectrum fit as one batch. An AnalysisError is
+    prefixed with the electrode and condition of the window EMD failed on,
+    else with those and the rhythm of the (window, rhythm) row that the
+    failing step names (the first row when it names none).
     Returns the records in window order and sorted rhythm order.
     """
     subject, electrode, windows, config = job
-    mfdfa_config = MfdfaConfig(
-        detrend_order=config.detrend_order, bidirectional=config.bidirectional
-    )
+    mfdfa_config = MfdfaConfig(config.detrend_order, bidirectional=config.bidirectional)
     rhythms = sorted(bands.RHYTHMS)
-    keys, series, records = [], [], []
+    labels = [label for label, _ in windows]
+    fs = windows[0][1].sample_rate_hz
+    where = None
     try:
-        for condition, window in windows:
-            where = f"{electrode} {condition}"
+        samples = []
+        for label, window in windows:
             if config.emd_drop:
+                where = f"{electrode} {label}"
                 window = emd_denoise(window, drop_imfs=list(config.emd_drop))
-            # the front end names the failing rhythm; a whole-window failure, the first
-            where, first = None, len(keys)
-            keys += [(f"{electrode} {condition} {r}", condition, r) for r in rhythms]
-            rows = bands.rhythm_series(window, config.rhythm_method, config.use_envelope)
-            series += [window.with_samples(row) for row in rows]
-        where, first = None, 0  # the batch names the failing series
-        results = run_mfdfa_batch(series, mfdfa_config)
-        for (where, condition, rhythm_name), result in zip(keys, results):
-            fit = fit_spectrum(singularity_spectrum(result.hurst))
-            records.append(WidthRecord(
-                subject_id=subject,
-                electrode=electrode,
-                rhythm=rhythm_name,
-                condition=condition,
-                w=fit.width,
-                fit_a=fit.a,
-                fit_b=fit.b,
-                alpha0=fit.alpha0,
-                h2_r2=_h2_r2(result),
-                flags=_fit_flags(result, fit),
-            ))
+            samples.append(window.samples)
+        where = None
+        rows = bands.rhythm_series(np.stack(samples), fs, config.rhythm_method, config.use_envelope)
+        result = run_mfdfa_batch(rows.reshape(-1, rows.shape[-1]), mfdfa_config)
+        fit = fit_spectra(singularity_spectrum(result.hurst))
     except AnalysisError as exc:
-        where = where or keys[first + (exc.series or 0)][0]
+        if where is None:
+            window, rhythm = divmod(exc.series or 0, len(rhythms))
+            where = f"{electrode} {labels[window]} {rhythms[rhythm]}"
         raise type(exc)(f"{where}: {exc}") from None
-    return records
+    q2 = result.hurst.index(2.0)
+    h2_r2 = np.full(fit.width.shape, np.nan) if q2 is None else result.hurst.r2[:, q2]
+    flags = {
+        "nonconcave": ~fit.concave,
+        "monofractal_degenerate": fit.monofractal_degenerate,
+        "h_nonmonotone": ~result.hurst.monotone,
+    }
+    # w, fit_a, fit_b, alpha0 and h2_r2 of every row of the (window, rhythm) grid
+    values = zip(*(c.tolist() for c in (fit.width, fit.a, fit.b, fit.alpha0, h2_r2)))
+    return [
+        WidthRecord(
+            subject, electrode, rhythms[i % len(rhythms)], labels[i // len(rhythms)], *row,
+            flags=";".join(name for name, mask in flags.items() if mask[i]),
+        )
+        for i, row in enumerate(values)
+    ]
 
 
 def analyze_recording(
@@ -144,6 +131,7 @@ def analyze_recording(
         for (electrode, _, _), windows in batches.items()
     ]
 
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs))

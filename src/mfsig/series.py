@@ -67,19 +67,23 @@ class TimeSeries:
         return TimeSeries(samples, self.sample_rate_hz)
 
 
-def profile(ts: TimeSeries) -> np.ndarray:
-    """Cumulative sum of the mean-removed samples.
+def profile(x: np.ndarray) -> np.ndarray:
+    """Cumulative sum of the mean-removed samples, along the last axis of x.
 
     The final value telescopes to zero (up to rounding), which downstream
     code relies on: detrended fluctuations of the profile, not of the raw
-    signal, carry the scaling information.
+    signal, carry the scaling information. A non-finite sample raises
+    AnalysisError, its ``series`` the index of the first row holding one.
     """
-    if len(ts) < 2:
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] < 2:
         raise AnalysisError("profile needs at least 2 samples")
-    bad = np.flatnonzero(~np.isfinite(ts.samples))
+    bad = np.argwhere(~np.isfinite(x.reshape(-1, x.shape[-1])))
     if bad.size:
-        raise AnalysisError(f"series contains a non-finite value at index {bad[0]}")
-    return np.cumsum(ts.samples - ts.samples.mean())
+        raise AnalysisError(
+            f"series contains a non-finite value at index {bad[0, 1]}", series=int(bad[0, 0])
+        )
+    return np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
 
 
 _MAX64 = np.uint64(_MASK64)

@@ -4,7 +4,9 @@ Analysis convolves the periodically extended signal with the scaling and
 wavelet filters and decimates by two; synthesis is the exact adjoint, so
 reconstruction is perfect to rounding error. Signals whose length is not
 a multiple of 2**levels are zero-padded for the transform and trimmed on
-reconstruction, preserving the round trip exactly.
+reconstruction, preserving the round trip exactly. Every function works
+on the last axis of a sample array, so a stack of equal-length signals
+(rows, samples) is transformed at once, each row as on its own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AnalysisError
-from .series import TimeSeries
 
 _SQRT3 = math.sqrt(3.0)
 _NORM = 4.0 * math.sqrt(2.0)
@@ -32,20 +33,16 @@ class WaveletCoeffs:
     approx: np.ndarray
     details: list  # details[0] is level 1 (finest), details[-1] the coarsest
     original_length: int
-    sample_rate_hz: float
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
 
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One level of periodized convolution-decimation; x must have even length.
+    """One level of periodized convolution-decimation of the last axis, which
+    must have even length.
 
     Output k filters x[2k:2k+4], wrapping at the end: sample pair k next to
     pair k+1."""
-    pairs = x.reshape(-1, 2)
-    windows = np.hstack([pairs, np.roll(pairs, -1, axis=0)])
+    pairs = x.reshape(*x.shape[:-1], -1, 2)
+    windows = np.concatenate([pairs, np.roll(pairs, -1, axis=-2)], axis=-1)
     return windows @ DEC_LO, windows @ DEC_HI
 
 
@@ -54,46 +51,41 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
 
     Coefficient k spreads over samples 2k..2k+3, so each sample pair sums
     taps 0-1 of its own coefficient and taps 2-3 of the one before."""
-    contrib = approx[:, None] * DEC_LO[None, :] + detail[:, None] * DEC_HI[None, :]
-    return (contrib[:, :2] + np.roll(contrib[:, 2:], 1, axis=0)).ravel()
+    contrib = approx[..., None] * DEC_LO + detail[..., None] * DEC_HI
+    pairs = contrib[..., :2] + np.roll(contrib[..., 2:], 1, axis=-2)
+    return pairs.reshape(*pairs.shape[:-2], -1)
 
 
-def dwt(ts: TimeSeries, levels: int) -> WaveletCoeffs:
-    """Decompose into ``levels`` detail bands and a coarse approximation."""
-    n = len(ts)
+def dwt(x: np.ndarray, levels: int) -> WaveletCoeffs:
+    """Decompose the samples x (..., n) into ``levels`` detail bands and a
+    coarse approximation."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
     if levels < 1:
         raise ValueError("levels must be >= 1")
     if levels > int(math.floor(math.log2(n))) - 2:
         raise AnalysisError(f"{levels} levels exceed what a length-{n} signal supports")
-    block = 1 << levels
-    padded = ts.samples
-    if n % block:
-        padded = np.concatenate([padded, np.zeros(block - n % block)])
+    # zero-padded to a multiple of 2^levels
+    approx = np.concatenate([x, np.zeros((*x.shape[:-1], -n % (1 << levels)))], axis=-1)
     details = []
-    approx = padded
     for _ in range(levels):
         approx, detail = _analysis_step(approx)
         details.append(detail)
-    return WaveletCoeffs(
-        approx=approx,
-        details=details,
-        original_length=n,
-        sample_rate_hz=ts.sample_rate_hz,
-    )
+    return WaveletCoeffs(approx=approx, details=details, original_length=n)
 
 
-def idwt(coeffs: WaveletCoeffs) -> TimeSeries:
+def idwt(coeffs: WaveletCoeffs) -> np.ndarray:
     """Invert dwt; returns the original samples to rounding error."""
     x = coeffs.approx
     for detail in reversed(coeffs.details):
         x = _synthesis_step(x, detail)
-    return TimeSeries(x[: coeffs.original_length], coeffs.sample_rate_hz)
+    return x[..., : coeffs.original_length]
 
 
-def reconstruct_level(coeffs: WaveletCoeffs, level: int) -> TimeSeries:
+def reconstruct_level(coeffs: WaveletCoeffs, level: int) -> np.ndarray:
     """Signal rebuilt from a single detail level, all else zeroed."""
-    if not 1 <= level <= coeffs.levels:
-        raise ValueError(f"level {level} outside 1..{coeffs.levels}")
+    if not 1 <= level <= len(coeffs.details):
+        raise ValueError(f"level {level} outside 1..{len(coeffs.details)}")
     details = [d if lvl == level else np.zeros_like(d) for lvl, d in enumerate(coeffs.details, 1)]
     return idwt(replace(coeffs, approx=np.zeros_like(coeffs.approx), details=details))
 

@@ -132,7 +132,7 @@ def extract_rhythm(eeg, name, method="fft"):
         return fft_bandpass(eeg, band)
     max_level = int(math.floor(math.log2(len(eeg)))) - 2
     level = dyadic_level_for_band(eeg.sample_rate_hz, band.low_hz, band.high_hz, max_level)
-    return reconstruct_level(dwt(eeg, level), level)
+    return eeg.with_samples(reconstruct_level(dwt(eeg.samples, level), level))
 
 
 def envelope(ts):

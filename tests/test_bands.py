@@ -23,7 +23,7 @@ ROW = {name: i for i, name in enumerate(sorted(RHYTHMS))}
 
 def rhythm(ts, name, method="fft", with_envelope=False):
     """One rhythm's row of the window's rhythm series."""
-    return rhythm_series(ts, method, with_envelope)[ROW[name]]
+    return rhythm_series(ts.samples, ts.sample_rate_hz, method, with_envelope)[ROW[name]]
 
 FS_AUDIO = 44100.0
 # quarter-second clips hold whole cycles of all test tones, so no leakage
@@ -182,7 +182,7 @@ class TestRhythmSeries:
         # bit for bit, but for the FFT envelope, which skips the band
         # signal's irfft and second rfft and so rounds differently
         ts = white_noise(n, seed=n, sample_rate_hz=256.0)
-        rows = rhythm_series(ts, method, with_envelope)
+        rows = rhythm_series(ts.samples, ts.sample_rate_hz, method, with_envelope)
         assert rows.shape == (3, n)
         for name, row in zip(sorted(RHYTHMS), rows):
             expected = extract_rhythm(ts, name, method)
@@ -199,25 +199,44 @@ class TestRhythmSeries:
         x = white_noise(2048, seed=14, sample_rate_hz=256.0).samples
         x[0] = 1e308
         with pytest.raises(AnalysisError, match="^rhythm filter overflowed: ") as exc:
-            rhythm_series(TimeSeries(x, 256.0), method, True)
+            rhythm_series(x, 256.0, method, True)
         assert exc.value.series == ROW["alpha"]
 
     def test_too_short_window_names_no_row(self):
         message = "^band-pass needs at least 16 samples, got 8$"
         with pytest.raises(AnalysisError, match=message) as exc:
-            rhythm_series(TimeSeries(np.ones(8), 256.0), "fft", True)
+            rhythm_series(np.ones(8), 256.0, "fft", True)
         assert exc.value.series is None
 
     def test_rhythm_above_nyquist_is_named(self):
         # at 40 Hz the 13-30 Hz gamma band passes Nyquist; alpha and theta do not
         message = r"^band gamma exceeds Nyquist \(20.0 Hz\)$"
         with pytest.raises(AnalysisError, match=message) as exc:
-            rhythm_series(white_noise(256, seed=15, sample_rate_hz=40.0), "fft", False)
+            rhythm_series(white_noise(256, seed=15).samples, 40.0, "fft", False)
         assert exc.value.series == ROW["gamma"]
+
+    @pytest.mark.parametrize("method, n", [("fft", 5120), ("dwt", 4104), ("dwt", 5120)])
+    @pytest.mark.parametrize("with_envelope", [False, True], ids=["band", "envelope"])
+    def test_stacked_windows_match_one_window_at_a_time(self, method, n, with_envelope):
+        windows = np.stack([white_noise(n, seed=seed).samples for seed in range(4)])
+        rows = rhythm_series(windows, 256.0, method, with_envelope)
+        assert rows.shape == (4, 3, n)
+        for window, window_rows in zip(windows, rows):
+            np.testing.assert_array_equal(
+                window_rows, rhythm_series(window, 256.0, method, with_envelope)
+            )
+
+    @pytest.mark.parametrize("method", ["fft", "dwt"])
+    def test_overflowing_row_of_a_stack_is_named_by_its_flat_index(self, method):
+        windows = np.stack([white_noise(2048, seed=seed).samples for seed in range(3)])
+        windows[1, 0] = windows[2, 0] = 1e308
+        with pytest.raises(AnalysisError, match="^rhythm filter overflowed: ") as exc:
+            rhythm_series(windows, 256.0, method, True)
+        assert exc.value.series == len(ROW) + ROW["alpha"]
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown rhythm extraction method: 'iir'"):
-            rhythm_series(white_noise(256, seed=16, sample_rate_hz=256.0), "iir", False)
+            rhythm_series(white_noise(256, seed=16).samples, 256.0, "iir", False)
 
 
 class TestEnvelope:
@@ -241,12 +260,12 @@ class TestEnvelope:
 
     def test_zero_signal(self):
         for method in ("fft", "dwt"):
-            assert np.all(rhythm_series(TimeSeries(np.zeros(128), 256.0), method, True) == 0)
+            assert np.all(rhythm_series(np.zeros(128), 256.0, method, True) == 0)
 
     @pytest.mark.parametrize("n", [255, 256])
     def test_matches_full_fft_weight_oracle(self, n):
         ts = white_noise(n, seed=n, sample_rate_hz=256.0)
-        rows = rhythm_series(ts, "fft", True)
+        rows = rhythm_series(ts.samples, 256.0, "fft", True)
         for name, row in zip(sorted(RHYTHMS), rows):
             band = extract_rhythm(ts, name).samples
             tol = 1e-12 * np.abs(band).max()

@@ -136,6 +136,7 @@ class TestMfdfaCommand:
             (["--q-step", "0"], "--q-step"),
             (["--q-step", "-0.5"], "--q-step"),
             (["--q-min", "2", "--q-max", "1"], "--q-max"),
+            (["--q-step", "0.3"], "--q-step"),
         ],
     )
     def test_bad_q_range_is_usage_error(self, tmp_path, capsys, flags, named):
@@ -172,9 +173,11 @@ class TestMfdfaCommand:
         [
             ([], None),
             (["--q-step", "0.5"], [-5.0 + 0.5 * k for k in range(21)]),
+            (["--q-step", "0.25"], DEFAULT_Q_GRID.tolist()),
+            (["--q-step", "0.1"], np.linspace(-5.0, 5.0, 101).tolist()),
             (["--q-min", "0"], [0.25 * k for k in range(21)]),
         ],
-        ids=["none", "step_only", "min_only"],
+        ids=["none", "step_only", "step_default", "step_tenth", "min_only"],
     )
     def test_unset_q_flags_take_the_default_grid(self, tmp_path, flags, q_grid):
         series_csv = tmp_path / "series.csv"
@@ -556,9 +559,9 @@ class TestAnalyzeCommand:
         # only gamma, the middle one of the window's three rhythm series, is constant
         rhythm_series = bands.rhythm_series
 
-        def constant_gamma(window, method, envelope):
-            rows = rhythm_series(window, method, envelope)
-            rows[GAMMA] = 1.0
+        def constant_gamma(windows, fs, method, envelope):
+            rows = rhythm_series(windows, fs, method, envelope)
+            rows[:, GAMMA] = 1.0
             return rows
 
         monkeypatch.setattr(bands, "rhythm_series", constant_gamma)
@@ -622,10 +625,11 @@ class TestAnalyzeCommand:
         ]
         rhythm_series = bands.rhythm_series
 
-        def constant_gamma(window, method, envelope):
-            rows = rhythm_series(window, method, envelope)
-            if any(np.array_equal(window.samples, c) for c in constant):
-                rows[GAMMA] = 1.0
+        def constant_gamma(windows, fs, method, envelope):
+            rows = rhythm_series(windows, fs, method, envelope)
+            for window, window_rows in zip(windows, rows):
+                if any(np.array_equal(window, c) for c in constant):
+                    window_rows[GAMMA] = 1.0
             return rows
 
         monkeypatch.setattr(bands, "rhythm_series", constant_gamma)
@@ -758,8 +762,10 @@ class TestUsageErrors:
                 ["synth", "tone", "--fs", "inf"],
                 "argument --fs: expected a finite positive number, got 'inf'",
             ),
+            (["analyze", "{csv}", "--workers", "0"], "argument --workers: must be at least 1, got 0"),
+            (["analyze", "{csv}", "--workers", "-2"], "argument --workers: must be at least 1, got -2"),
         ],
-        ids=["mfdfa_fs", "rhythm_method", "synth_kind", "synth_fs_inf"],
+        ids=["mfdfa_fs", "rhythm_method", "synth_kind", "synth_fs_inf", "workers_0", "workers_neg"],
     )
     def test_exits_2_naming_the_argument(self, tmp_path, capsys, argv, message):
         series_csv = tmp_path / "series.csv"
@@ -776,8 +782,10 @@ class TestIntegerListFlags:
         [
             (["mfdfa", "--scales", "16,abc"], "--scales"),
             (["analyze", "--fs", "256", "--emd-drop", "x"], "--emd-drop"),
+            (["mfdfa", "--scales", ","], "--scales"),
+            (["analyze", "--fs", "256", "--emd-drop", ","], "--emd-drop"),
         ],
-        ids=["scales", "emd_drop"],
+        ids=["scales", "emd_drop", "scales_empty", "emd_drop_empty"],
     )
     def test_bad_list_is_usage_error_before_input_is_read(self, tmp_path, capsys, argv, flag):
         # the input does not exist: reading it first would exit 1, not 2

@@ -248,43 +248,48 @@ class TestRunMfdfaBatch:
     def test_each_row_matches_its_single_series_run(self, specs, n, m, bidirectional):
         series = [flat_start_series(seed, n, int(share * n)) for seed, share in specs]
         cfg = MfdfaConfig(detrend_order=m, bidirectional=bidirectional)
-        batch = run_mfdfa_batch(series, cfg)
-        assert len(batch) == len(series)
-        for (_, share), ts, row in zip(specs, series, batch):
+        batch = run_mfdfa_batch(np.stack([ts.samples for ts in series]), cfg)
+        assert batch.log_fq.shape[0] == batch.zero_variance_segments.shape[0] == len(series)
+        for i, ((_, share), ts) in enumerate(zip(specs, series)):
             single = run_mfdfa(ts, cfg)
-            np.testing.assert_allclose(row.log_fq, single.log_fq, rtol=0, atol=1e-12)
-            assert row.zero_variance_segments == single.zero_variance_segments
+            np.testing.assert_allclose(batch.log_fq[i], single.log_fq, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.h[i], single.h, rtol=0, atol=1e-12)
+            assert batch.hurst.monotone[i] == single.hurst.monotone
+            assert batch.zero_variance_segments[i] == single.zero_variance_segments
             # at scale 16 alone, every forward segment inside the flat start has F2 == 0
-            assert row.zero_variance_segments >= int(share * n) // 16
+            assert single.zero_variance_segments >= int(share * n) // 16
+
+    def test_one_series_result_holds_one_series_values(self):
+        result = run_mfdfa(white_noise(1024, seed=32))
+        assert result.log_fq.shape == (len(result.q_grid), len(result.scales))
+        assert result.h.shape == result.hurst.r2.shape == result.q_grid.shape
+        assert type(result.zero_variance_segments) is int
+        assert type(result.hurst.monotone) is bool
 
     def test_constant_middle_series_fails_the_batch(self):
         noise = white_noise(4096, seed=30)
-        outer = [noise, noise.with_samples(noise.samples[::-1])]
-        constant = TimeSeries(np.full(4096, 2.0), 1.0)
-        for ts in outer:
-            run_mfdfa(ts)
+        outer = [noise.samples, noise.samples[::-1]]
+        constant = np.full(4096, 2.0)
+        for x in outer:
+            run_mfdfa(noise.with_samples(x))
         with pytest.raises(
             AnalysisError, match="^scale 16: all segments have zero residual variance$"
         ) as failure:
-            run_mfdfa_batch([outer[0], constant, outer[1]])
+            run_mfdfa_batch(np.stack([outer[0], constant, outer[1]]))
         assert failure.value.series == 1
         # two failing series: the error names the first
         with pytest.raises(AnalysisError, match="^scale 16: ") as failure:
-            run_mfdfa_batch([outer[0], constant, constant])
+            run_mfdfa_batch(np.stack([outer[0], constant, constant]))
         assert failure.value.series == 1
         # a non-finite series is named before any scale is walked
-        nan = constant.with_samples(np.where(np.arange(4096) == 7, np.nan, 2.0))
+        nan = np.where(np.arange(4096) == 7, np.nan, 2.0)
         with pytest.raises(AnalysisError, match="non-finite value at index 7$") as failure:
-            run_mfdfa_batch([outer[0], constant, nan])
+            run_mfdfa_batch(np.stack([outer[0], constant, nan]))
         assert failure.value.series == 2
         # a length no scale grid fits fails the whole batch, no one series
         with pytest.raises(AnalysisError, match="supports no scales") as failure:
-            run_mfdfa_batch([white_noise(41, seed=1), white_noise(41, seed=2)])
+            run_mfdfa_batch(np.stack([white_noise(41, seed=s).samples for s in (1, 2)]))
         assert failure.value.series is None
-
-    def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError, match="one length"):
-            run_mfdfa_batch([white_noise(1024, seed=1), white_noise(2048, seed=1)])
 
     def test_cached_bases_are_small_and_read_only(self):
         result = run_mfdfa(white_noise(2**16, seed=31))
@@ -301,19 +306,19 @@ class TestRunMfdfaBatch:
 
 
 def random_walk_profile(seed, n):
-    return profile(white_noise(n, seed=seed))
+    return profile(white_noise(n, seed=seed).samples)
 
 
 class TestSegmentFluctuations:
     def test_bidirectional_doubles_segments(self):
-        prof = profile(white_noise(1000, seed=2))
+        prof = profile(white_noise(1000, seed=2).samples)
         uni = segment_fluctuations(prof, 64, 1, bidirectional=False)
         bi = segment_fluctuations(prof, 64, 1, bidirectional=True)
         assert uni.size == 15
         assert bi.size == 30
 
     def test_nonnegative(self):
-        prof = profile(white_noise(1000, seed=2))
+        prof = profile(white_noise(1000, seed=2).samples)
         assert np.all(segment_fluctuations(prof, 32, 1) >= 0)
 
     @given(

@@ -11,7 +11,7 @@ from mfsig.cli import main
 from mfsig.dataio import read_eeg_csv, write_eeg_csv
 from mfsig.emd import emd_denoise
 from mfsig.errors import AnalysisError
-from mfsig.mfdfa import MfdfaConfig, run_mfdfa_batch
+from mfsig.mfdfa import MfdfaConfig, run_mfdfa, run_mfdfa_batch
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline, segment_recording, timeline_from_markers
 from mfsig.report import WidthRecord, read_report_json, record_sort_key
@@ -24,8 +24,8 @@ FS = 256.0
 
 def one_window_at_a_time(channels, timeline, config):
     """The records analyze_recording should return, built window by window:
-    one rhythm_series of the window, one run_mfdfa_batch of its three rows,
-    then fit_spectrum."""
+    one rhythm_series of the window, then run_mfdfa and fit_spectrum of each
+    of its three rows."""
     mfdfa_config = MfdfaConfig(
         detrend_order=config.detrend_order, bidirectional=config.bidirectional
     )
@@ -34,14 +34,22 @@ def one_window_at_a_time(channels, timeline, config):
     records = []
     for electrode in config.electrodes:
         for cond, window in segment_recording(TimeSeries(channels[electrode], FS), conditions):
-            rows = bands.rhythm_series(window, config.rhythm_method, config.use_envelope)
-            series = [window.with_samples(row) for row in rows]
-            for name, result in zip(rhythms, run_mfdfa_batch(series, mfdfa_config)):
+            rows = bands.rhythm_series(
+                window.samples, FS, config.rhythm_method, config.use_envelope
+            )
+            for name, row in zip(rhythms, rows):
+                result = run_mfdfa(window.with_samples(row), mfdfa_config)
                 fit = fit_spectrum(singularity_spectrum(result.hurst))
+                flags = [
+                    ("nonconcave", not fit.concave),
+                    ("monofractal_degenerate", fit.monofractal_degenerate),
+                    ("h_nonmonotone", not result.hurst.monotone),
+                ]
                 records.append(WidthRecord(
                     subject_id="S01", electrode=electrode, rhythm=name, condition=cond.label,
                     w=fit.width, fit_a=fit.a, fit_b=fit.b, alpha0=fit.alpha0,
-                    h2_r2=pipeline._h2_r2(result), flags=pipeline._fit_flags(result, fit),
+                    h2_r2=float(result.hurst.r2[result.hurst.index(2.0)]),
+                    flags=";".join(flag for flag, on in flags if on),
                 ))
     return records
 
@@ -51,9 +59,9 @@ def batch_shapes(monkeypatch):
     """(series, samples) of every MFDFA batch the pipeline runs in this process."""
     shapes = []
 
-    def spy(series, config=None):
-        shapes.append((len(series), len(series[0])))
-        return run_mfdfa_batch(series, config)
+    def spy(samples, config=None):
+        shapes.append(samples.shape)
+        return run_mfdfa_batch(samples, config)
 
     monkeypatch.setattr(pipeline, "run_mfdfa_batch", spy)
     return shapes
@@ -122,13 +130,13 @@ def test_each_window_is_denoised_once(monkeypatch):
 
 def test_a_failing_job_does_its_work_once(monkeypatch):
     # F3 is zero only in clip1_band3: every window's rhythm series are still
-    # built once, in one call for the rest baseline and one per clip window
+    # built once, in one call for the rest baseline and one for the clip's windows
     calls = []
     rhythm_series = bands.rhythm_series
 
-    def spy(window, method, envelope):
-        calls.append(len(window))
-        return rhythm_series(window, method, envelope)
+    def spy(windows, fs, method, envelope):
+        calls.append(windows.shape)
+        return rhythm_series(windows, fs, method, envelope)
 
     monkeypatch.setattr(bands, "rhythm_series", spy)
     timeline = build_timeline(1)
@@ -137,4 +145,36 @@ def test_a_failing_job_does_its_work_once(monkeypatch):
     f3[int(flat.start_s * FS) : int(flat.end_s * FS)] = 0.0
     with pytest.raises(AnalysisError, match="^F3 clip1_band3 alpha: scale 16: "):
         analyze_recording({"F3": f3}, FS, timeline, RunConfig(electrodes=["F3"]))
-    assert calls == [15360] + [5120] * 6
+    assert calls == [(1, 15360), (6, 5120)]
+
+
+def test_pool_has_no_more_workers_than_jobs(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, runs jobs in order."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
+    timeline = build_timeline(1)
+    n = int(timeline.total_duration_s * FS)
+    channels = {"F3": white_noise(n, seed=3).samples, "T4": white_noise(n, seed=4).samples}
+    config = RunConfig(electrodes=["F3", "T4"])
+    serial = analyze_recording(channels, FS, timeline, config).records
+    # two electrodes, one clip: four jobs, the rest baseline and the clip of each
+    for workers, size in ((64, 4), (3, 3)):
+        report = analyze_recording(channels, FS, timeline, config, workers=workers)
+        assert sizes[-1] == size
+        assert [asdict(r) for r in report.records] == [asdict(r) for r in serial]
+    assert len(sizes) == 2

@@ -44,31 +44,31 @@ class TestTimeSeries:
 
 class TestProfile:
     def test_constant_series_is_zero(self):
-        assert profile(series([1, 1, 1, 1])) == pytest.approx([0, 0, 0, 0])
+        assert profile(np.ones(4)) == pytest.approx([0, 0, 0, 0])
 
     def test_alternating(self):
-        assert profile(series([1, -1, 1, -1])) == pytest.approx([1, 0, 1, 0])
+        assert profile(np.array([1.0, -1.0, 1.0, -1.0])) == pytest.approx([1, 0, 1, 0])
 
     def test_last_value_telescopes_to_zero(self):
         ts = white_noise(4096, seed=5)
-        prof = profile(ts)
+        prof = profile(ts.samples)
         scale = np.abs(prof).max()
         assert abs(prof[-1]) <= 1e-9 * max(scale, 1.0)
 
     def test_too_short(self):
         with pytest.raises(AnalysisError, match="profile needs at least 2 samples"):
-            profile(series([1.0]))
+            profile(np.array([1.0]))
 
     def test_non_finite(self):
         with pytest.raises(AnalysisError, match="non-finite value at index 1"):
-            profile(series([1.0, np.nan, 2.0]))
+            profile(np.array([1.0, np.nan, 2.0]))
 
     @pytest.mark.parametrize("a", [2.0, -1.0])
     def test_linearity(self, a):
         ts = white_noise(500, seed=1)
         scaled = ts.with_samples(a * ts.samples)
         np.testing.assert_allclose(
-            profile(scaled), a * profile(ts), atol=1e-9
+            profile(scaled.samples), a * profile(ts.samples), atol=1e-9
         )
 
 
@@ -164,4 +164,4 @@ class TestShuffle:
         shuf = shuffle(ts, seed=1)
         assert np.mean(shuf.samples) == pytest.approx(np.mean(ts.samples))
         assert np.var(shuf.samples) == pytest.approx(np.var(ts.samples))
-        assert abs(profile(shuf)[-1]) <= 1e-9 * np.abs(profile(shuf)).max()
+        assert abs(profile(shuf.samples)[-1]) <= 1e-9 * np.abs(profile(shuf.samples)).max()

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from mfsig.errors import AnalysisError
 from mfsig.mfdfa import HurstCurve, run_mfdfa
-from mfsig.spectrum import SingularitySpectrum, fit_spectrum, singularity_spectrum
+from mfsig.spectrum import SingularitySpectrum, fit_spectra, fit_spectrum, singularity_spectrum
 from mfsig.synth import white_noise
 
 from oracles import binomial_alpha_closed_form
@@ -138,6 +140,60 @@ class TestFitSpectrum:
         payload = fit_spectrum(parabola_spectrum(-4.0, 0.0)).to_json_dict()
         assert set(payload) >= {"A", "B", "alpha0", "W"}
         assert payload["C"] == 1.0
+
+    def test_one_spectrum_fit_holds_python_scalars(self):
+        fit = fit_spectrum(parabola_spectrum(-4.0, 0.0))
+        assert all(type(getattr(fit, k)) is float for k in ("a", "b", "alpha0", "width"))
+        assert type(fit.concave) is bool and type(fit.monofractal_degenerate) is bool
+        json.dumps(fit.to_json_dict())
+
+
+def stacked(*spectra):
+    return SingularitySpectrum(
+        alpha=np.stack([s.alpha for s in spectra]),
+        f=np.stack([s.f for s in spectra]),
+        q_grid=spectra[0].q_grid,
+    )
+
+
+class TestFitSpectra:
+    def test_rows_match_one_spectrum_at_a_time(self):
+        n = 21
+        alpha = np.linspace(0.4, 0.8, n)
+        spectra = [
+            parabola_spectrum(-4.0, 0.0),
+            parabola_spectrum(-3.0, 0.4, alpha0=0.9),
+            SingularitySpectrum(alpha, 2.0 * (alpha - 0.6) ** 2 + 0.5, np.linspace(-1, 1, n)),
+            SingularitySpectrum(np.full(n, 0.62), np.ones(n), np.linspace(-1, 1, n)),
+        ]
+        fits = fit_spectra(stacked(*spectra))
+        assert fits.concave.tolist() == [True, True, False, False]
+        assert fits.monofractal_degenerate.tolist() == [False, False, False, True]
+        for i, spec in enumerate(spectra):
+            one = fit_spectrum(spec)
+            for key, value in vars(one).items():
+                assert getattr(fits, key)[i] == value, (i, key)
+
+    def test_closed_form_matches_least_squares(self):
+        # the 2 x 2 normal equations against an SVD least-squares solve
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            alpha = np.sort(rng.uniform(0.2, 1.2, 41))
+            f = -rng.uniform(0.5, 8.0) * (alpha - 0.7) ** 2 + rng.normal(0.0, 0.05, 41) + 1.0
+            fit = fit_spectrum(SingularitySpectrum(alpha, f, Q_GRID))
+            u = alpha - fit.alpha0
+            (a, b), *_ = np.linalg.lstsq(np.column_stack([u**2, u]), f - 1.0, rcond=None)
+            assert fit.a == pytest.approx(a, rel=1e-10, abs=1e-12)
+            assert fit.b == pytest.approx(b, rel=1e-10, abs=1e-12)
+
+    def test_row_with_too_few_alpha_points_is_named(self):
+        good = parabola_spectrum(-4.0, 0.0, n=5)
+        two_points = SingularitySpectrum(
+            np.array([0.5, 0.5, 0.7, 0.7, 0.7]), np.ones(5), good.q_grid
+        )
+        with pytest.raises(AnalysisError, match="^need at least 3 distinct alpha points") as exc:
+            fit_spectra(stacked(good, two_points, two_points))
+        assert exc.value.series == 1
 
 
 class TestAmplitudeInvariance:
