@@ -6,7 +6,6 @@ everything else is imported from its submodule (``mfsig.bands``,
 """
 
 from .mfdfa import MfdfaConfig, run_mfdfa
-from .series import TimeSeries
 from .spectrum import fit_spectrum, singularity_spectrum
 from .synth import binomial_cascade, cascade_hurst_oracle
 
@@ -14,7 +13,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MfdfaConfig",
-    "TimeSeries",
     "binomial_cascade",
     "cascade_hurst_oracle",
     "fit_spectrum",

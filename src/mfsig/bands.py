@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .series import TimeSeries
 from .wavelet import dwt, dyadic_level_for_band, reconstruct_level
 
 
@@ -76,8 +75,10 @@ def _passband(freqs: np.ndarray, band: BandSpec) -> np.ndarray:
     return keep
 
 
-def fft_bandpass(ts: TimeSeries, band: BandSpec, transition_hz: float = 0.0) -> TimeSeries:
-    """Band-pass in the frequency domain.
+def fft_bandpass(
+    x: np.ndarray, fs: float, band: BandSpec, transition_hz: float = 0.0
+) -> np.ndarray:
+    """Band-pass the samples x, taken at fs Hz, in the frequency domain.
 
     With the default ``transition_hz=0`` this is an exact brick-wall:
     every bin outside [low, high) is zeroed. A positive transition width
@@ -86,15 +87,15 @@ def fft_bandpass(ts: TimeSeries, band: BandSpec, transition_hz: float = 0.0) -> 
     audio that will be listened to, not for analysis. Output has the
     input's length and is real by construction.
     """
-    freqs = _rfft_freqs(len(ts), ts.sample_rate_hz, [band])
-    spec = np.fft.rfft(ts.samples)
+    freqs = _rfft_freqs(len(x), fs, [band])
+    spec = np.fft.rfft(x)
     if transition_hz <= 0.0:
         spec[~_passband(freqs, band)] = 0.0
     else:
         spec *= _edge_ramp_up(freqs, band.low_hz, transition_hz)
         if band.high_hz is not None:
             spec *= 1.0 - _edge_ramp_up(freqs, band.high_hz, transition_hz)
-    return ts.with_samples(np.fft.irfft(spec, len(ts)))
+    return np.fft.irfft(spec, len(x))
 
 
 def _edge_ramp_up(freqs: np.ndarray, edge_hz: float, width_hz: float) -> np.ndarray:
@@ -104,13 +105,11 @@ def _edge_ramp_up(freqs: np.ndarray, edge_hz: float, width_hz: float) -> np.ndar
     return 0.5 * (1.0 - np.cos(np.pi * ramp))
 
 
-def split_bands(audio: TimeSeries, transition_hz: float = 0.0) -> dict[str, TimeSeries]:
-    """Split audio into the five stimulus bands, keyed by band name."""
-    if audio.sample_rate_hz < 10_000:
-        raise AnalysisError(
-            f"band split needs >= 10 kHz sample rate, got {audio.sample_rate_hz} Hz"
-        )
-    return {band.name: fft_bandpass(audio, band, transition_hz) for band in STIMULUS_BANDS}
+def split_bands(audio: np.ndarray, fs: float, transition_hz: float = 0.0) -> dict:
+    """Split audio sampled at fs Hz into the five stimulus bands, keyed by band name."""
+    if fs < 10_000:
+        raise AnalysisError(f"band split needs >= 10 kHz sample rate, got {fs} Hz")
+    return {band.name: fft_bandpass(audio, fs, band, transition_hz) for band in STIMULUS_BANDS}
 
 
 def rhythm_series(windows: np.ndarray, fs: float, method: str, envelope: bool) -> np.ndarray:
@@ -157,15 +156,15 @@ def _analytic_magnitude(spec: np.ndarray, n: int) -> np.ndarray:
     return np.abs(np.fft.ifft(spec, n))
 
 
-def rms(ts: TimeSeries) -> float:
-    return float(np.sqrt(np.mean(ts.samples**2)))
+def rms(x: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(x**2)))
 
 
-def normalize(audio: TimeSeries, target_rms: float) -> TimeSeries:
+def normalize(audio: np.ndarray, target_rms: float) -> np.ndarray:
     """Scale so the output RMS equals target_rms."""
     if target_rms <= 0:
         raise ValueError("target RMS must be positive")
     level = rms(audio)
     if level == 0.0:
         raise AnalysisError("cannot normalize an all-zero signal")
-    return audio.with_samples(audio.samples * (target_rms / level))
+    return audio * (target_rms / level)

@@ -48,15 +48,20 @@ def _sample_rate(text: str) -> float:
 
 
 def cmd_split_bands(args) -> int:
-    audio = dataio.read_wav(args.input)
+    audio, fs = dataio.read_wav(args.input)
+    try:
+        parts = split_bands(audio, fs, transition_hz=args.transition)
+    except AnalysisError as exc:
+        raise AnalysisError(f"{args.input}: {exc}") from None
     args.outdir.mkdir(parents=True, exist_ok=True)
     source_level = rms(audio)
-    for name, band_ts in split_bands(audio, transition_hz=args.transition).items():
-        # bands more than 60 dB below the clip are effectively silent;
-        # boosting them would just amplify quantization dust
-        if rms(band_ts) >= 1e-3 * source_level:
-            band_ts = normalize(band_ts, args.rms)
-        dataio.write_wav(args.outdir / f"{name}.wav", band_ts)
+    for name, band in parts.items():
+        # bands 60 dB or more below the clip, and every band of a silent
+        # clip, are effectively silent; boosting them would just amplify
+        # quantization dust
+        if rms(band) > 1e-3 * source_level:
+            band = normalize(band, args.rms)
+        dataio.write_wav(args.outdir / f"{name}.wav", band, fs)
     print(f"wrote 5 band files to {args.outdir}")
     return 0
 
@@ -81,14 +86,14 @@ def _q_grid(parser: argparse.ArgumentParser, args) -> np.ndarray | None:
 
 
 def cmd_mfdfa(args) -> int:
-    ts = dataio.read_series_csv(args.input)
+    x = dataio.read_series_csv(args.input)
     cfg = MfdfaConfig(
         detrend_order=args.order,
         scales=args.scales or None,
         q_grid=args.q_grid,
         bidirectional=args.bidirectional,
     )
-    result = run_mfdfa(ts, cfg)
+    result = run_mfdfa(x, cfg)
     fit = fit_spectrum(singularity_spectrum(result.hurst))
     payload = {
         "config": {
@@ -149,17 +154,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.kind == "cascade":
-        ts = synth.binomial_cascade(args.k, args.a)
+        x = synth.binomial_cascade(args.k, args.a)
     elif args.kind == "fgn":
-        ts = synth.fgn(args.n, args.hurst, args.seed)
+        x = synth.fgn(args.n, args.hurst, args.seed)
     elif args.kind == "white":
-        ts = synth.white_noise(args.n, args.seed)
+        x = synth.white_noise(args.n, args.seed)
     elif args.kind == "tone":
-        ts = synth.tone(args.freq, args.fs, args.duration, args.amplitude)
+        x = synth.tone(args.freq, args.fs, args.duration, args.amplitude)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.kind)
-    dataio.write_series_csv(args.output, ts)
-    print(f"wrote {len(ts)} samples to {args.output}")
+    dataio.write_series_csv(args.output, x)
+    print(f"wrote {len(x)} samples to {args.output}")
     return 0
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import AnalysisError, DataFormatError
 from .protocol import N_CLIPS_SHEET, N_PARTS, ProtocolTimeline, ResponseSheet
 from .protocol import check_electrode_name, timeline_from_markers
-from .series import TimeSeries
 
 
 def sha256_file(path: str | Path) -> str:
@@ -66,18 +65,18 @@ def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     return names, data
 
 
-def read_series_csv(path: str | Path) -> TimeSeries:
-    """Single-column CSV with a one-line header, read at 1 Hz."""
+def read_series_csv(path: str | Path) -> np.ndarray:
+    """The samples of a single-column CSV with a one-line header."""
     names, data = _read_numeric_csv(path)
     if len(names) != 1:
         raise DataFormatError(f"{path}: line 1: expected 1 column, got {len(names)}")
-    return TimeSeries(data[:, 0], 1.0)
+    return data[:, 0]
 
 
-def write_series_csv(path: str | Path, ts: TimeSeries) -> None:
+def write_series_csv(path: str | Path, samples: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("value\n")
-        for v in ts.samples:
+        for v in samples:
             fh.write(repr(float(v)) + "\n")  # shortest exact round-trip form
 
 
@@ -182,9 +181,10 @@ def read_response_sheets(path: str | Path) -> list[ResponseSheet]:
     return [ResponseSheet(subject_id=s, marks=marks[s]) for s in order]
 
 
-def read_wav(path: str | Path) -> TimeSeries:
-    """Mono float signal in [-1, 1) from 16- or 24-bit PCM; stereo is
-    downmixed by channel averaging."""
+def read_wav(path: str | Path) -> tuple[np.ndarray, float]:
+    """(samples, frame rate in Hz) of a 16- or 24-bit PCM file: a mono float
+    signal in [-1, 1), stereo downmixed by channel averaging. A file with no
+    frames, or a frame rate that is not positive, is a DataFormatError."""
     try:
         with wave.open(str(path), "rb") as wav:
             n_channels = wav.getnchannels()
@@ -193,6 +193,10 @@ def read_wav(path: str | Path) -> TimeSeries:
             raw = wav.readframes(wav.getnframes())
     except (wave.Error, EOFError) as exc:
         raise DataFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    if fs <= 0:
+        raise DataFormatError(f"{path}: frame rate must be positive, got {fs}")
+    if not raw:
+        raise DataFormatError(f"{path}: no audio frames")
     if width == 2:
         data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     elif width == 3:
@@ -208,18 +212,18 @@ def read_wav(path: str | Path) -> TimeSeries:
         raise DataFormatError(f"{path}: only 16- or 24-bit PCM supported, got {8 * width}-bit")
     if n_channels > 1:
         data = data.reshape(-1, n_channels).mean(axis=1)
-    return TimeSeries(data, float(fs))
+    return data, float(fs)
 
 
-def write_wav(path: str | Path, ts: TimeSeries) -> None:
-    """16-bit PCM at the series' own sample rate; values clipped to [-1, 1]."""
-    scaled = np.clip(ts.samples, -1.0, 1.0) * 32767.0
+def write_wav(path: str | Path, samples: np.ndarray, fs: float) -> None:
+    """16-bit PCM at fs Hz, rounded to whole hertz; values clipped to [-1, 1]."""
+    scaled = np.clip(samples, -1.0, 1.0) * 32767.0
     pcm = np.round(scaled).astype("<i2")
     try:
         with wave.open(str(path), "wb") as wav:
             wav.setnchannels(1)
             wav.setsampwidth(2)
-            wav.setframerate(int(round(ts.sample_rate_hz)))
+            wav.setframerate(int(round(fs)))
             wav.writeframes(pcm.tobytes())
     except (wave.Error, OSError) as exc:
         raise AnalysisError(f"{path}: cannot write WAV ({exc})") from exc

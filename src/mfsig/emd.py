@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .series import TimeSeries
 
 SD_THRESHOLD = 0.3
 MAX_SIFT_ITERATIONS = 10
@@ -76,15 +75,15 @@ def _sift(x: np.ndarray) -> np.ndarray:
 class ImfSet:
     """Intrinsic mode functions (fastest first) and the leftover residue."""
 
-    imfs: list  # of TimeSeries
-    residue: TimeSeries
+    imfs: list  # of arrays
+    residue: np.ndarray
 
     @property
     def n_imfs(self) -> int:
         return len(self.imfs)
 
 
-def emd(ts: TimeSeries, max_imfs: int = 10) -> ImfSet:
+def emd(x: np.ndarray, max_imfs: int = 10) -> ImfSet:
     """Decompose into IMFs plus residue.
 
     A residue with fewer than two maxima or two minima cannot carry
@@ -96,12 +95,12 @@ def emd(ts: TimeSeries, max_imfs: int = 10) -> ImfSet:
     input overflows it, and the decomposition of x * 2^k is bit for bit
     that of x times 2^k. A mode too large to scale back is an AnalysisError.
     """
-    if len(ts) < MIN_LENGTH:
-        raise AnalysisError(f"EMD needs >= {MIN_LENGTH} samples, got {len(ts)}")
+    if len(x) < MIN_LENGTH:
+        raise AnalysisError(f"EMD needs >= {MIN_LENGTH} samples, got {len(x)}")
     if max_imfs < 1:
         raise ValueError("max_imfs must be >= 1")
-    _, exponent = np.frexp(np.abs(ts.samples).max())
-    residue = x = np.ldexp(ts.samples, -exponent)
+    _, exponent = np.frexp(np.abs(x).max())
+    residue = scaled = np.ldexp(x, -exponent)
     imfs = []
     while len(imfs) < max_imfs:
         maxima, minima = local_extrema(residue)
@@ -111,16 +110,16 @@ def emd(ts: TimeSeries, max_imfs: int = 10) -> ImfSet:
         imfs.append(imf)
         residue = residue - imf
     # completeness identity; stripped under -O
-    assert np.allclose(sum(imfs, residue), x, rtol=0.0, atol=1e-10)
+    assert np.allclose(sum(imfs, residue), scaled, rtol=0.0, atol=1e-10)
     try:
         with np.errstate(over="raise"):
-            imfs = [ts.with_samples(np.ldexp(imf, exponent)) for imf in imfs]
-            return ImfSet(imfs=imfs, residue=ts.with_samples(np.ldexp(residue, exponent)))
+            imfs = [np.ldexp(imf, exponent) for imf in imfs]
+            return ImfSet(imfs=imfs, residue=np.ldexp(residue, exponent))
     except FloatingPointError:
         raise AnalysisError("EMD overflowed: the input's samples are too large") from None
 
 
-def emd_denoise(ts: TimeSeries, drop_imfs: list[int]) -> TimeSeries:
+def emd_denoise(x: np.ndarray, drop_imfs: list[int]) -> np.ndarray:
     """Input minus the listed IMFs (1-based; IMF 1 is the fastest).
 
     Dropping nothing returns the input unchanged; dropping every IMF
@@ -128,14 +127,13 @@ def emd_denoise(ts: TimeSeries, drop_imfs: list[int]) -> TimeSeries:
     not depend on later IMFs and extraction stops at the deepest one listed.
     """
     if not drop_imfs:
-        return ts
+        return x
     if min(drop_imfs) < 1:
         raise AnalysisError(f"IMF index {min(drop_imfs)} must be >= 1")
     deepest = max(drop_imfs)
-    decomposition = emd(ts, max_imfs=deepest)
+    decomposition = emd(x, max_imfs=deepest)
     if decomposition.n_imfs < deepest:
         raise AnalysisError(f"IMF index {deepest} outside 1..{decomposition.n_imfs}")
-    cleaned = ts.samples.copy()
     for index in set(drop_imfs):
-        cleaned = cleaned - decomposition.imfs[index - 1].samples
-    return ts.with_samples(cleaned)
+        x = x - decomposition.imfs[index - 1]
+    return x

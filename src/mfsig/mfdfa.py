@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AnalysisError
-from .series import TimeSeries, profile
+from .series import profile
 
 DEFAULT_Q_GRID = np.linspace(-5.0, 5.0, 41)
 DEFAULT_N_SCALES = 19
@@ -295,11 +295,11 @@ def run_mfdfa_batch(samples: np.ndarray, config: MfdfaConfig | None = None) -> M
     )
 
 
-def run_mfdfa(ts: TimeSeries, config: MfdfaConfig | None = None) -> MfdfaResult:
-    """Full analysis of one series: profile, fluctuations, ln Fq, h(q).
+def run_mfdfa(x: np.ndarray, config: MfdfaConfig | None = None) -> MfdfaResult:
+    """Full analysis of one series of samples x: profile, fluctuations, ln Fq, h(q).
 
     The batch of one, with one series' values in every field."""
-    r = run_mfdfa_batch(ts.samples[np.newaxis], config)
+    r = run_mfdfa_batch(x[np.newaxis], config)
     c = r.hurst
     hurst = HurstCurve(c.q_grid, c.h[0], c.r2[0], c.stderr[0], bool(c.monotone[0]))
     return MfdfaResult(r.scales, r.q_grid, r.log_fq[0], hurst, int(r.zero_variance_segments[0]))

@@ -23,7 +23,6 @@ from .errors import AnalysisError, DataFormatError
 from .mfdfa import MfdfaConfig, run_mfdfa_batch
 from .protocol import DEFAULT_ANALYZED, ProtocolTimeline, segment_recording
 from .report import AnalysisReport, WidthRecord
-from .series import TimeSeries
 from .spectrum import fit_spectra, singularity_spectrum
 
 
@@ -44,7 +43,8 @@ class RunConfig:
 
 
 def _run_job(job: tuple) -> list[WidthRecord]:
-    """Analyze one electrode's windows of one clip and one length, all rhythms.
+    """Analyze one electrode's windows, sampled at fs Hz, of one clip and one
+    length, all rhythms.
 
     The windows are EMD-denoised first when configured; one
     ``bands.rhythm_series`` call turns them into their rhythm series, which
@@ -54,11 +54,10 @@ def _run_job(job: tuple) -> list[WidthRecord]:
     failing step names (the first row when it names none).
     Returns the records in window order and sorted rhythm order.
     """
-    subject, electrode, windows, config = job
+    subject, electrode, fs, windows, config = job
     mfdfa_config = MfdfaConfig(config.detrend_order, bidirectional=config.bidirectional)
     rhythms = sorted(bands.RHYTHMS)
     labels = [label for label, _ in windows]
-    fs = windows[0][1].sample_rate_hz
     where = None
     try:
         samples = []
@@ -66,7 +65,7 @@ def _run_job(job: tuple) -> list[WidthRecord]:
             if config.emd_drop:
                 where = f"{electrode} {label}"
                 window = emd_denoise(window, drop_imfs=list(config.emd_drop))
-            samples.append(window.samples)
+            samples.append(window)
         where = None
         rows = bands.rhythm_series(np.stack(samples), fs, config.rhythm_method, config.use_envelope)
         result = run_mfdfa_batch(rows.reshape(-1, rows.shape[-1]), mfdfa_config)
@@ -123,11 +122,10 @@ def analyze_recording(
     # one job per electrode, clip and window length; the baseline has clip None
     batches: dict[tuple, list] = {}
     for electrode in config.electrodes:
-        eeg = TimeSeries(channels[electrode], fs)
-        for cond, window in segment_recording(eeg, conditions):
+        for cond, window in segment_recording(channels[electrode], fs, conditions):
             batches.setdefault((electrode, cond.clip, len(window)), []).append((cond.label, window))
     jobs = [
-        (subject_id, electrode, windows, config)
+        (subject_id, electrode, fs, windows, config)
         for (electrode, _, _), windows in batches.items()
     ]
 

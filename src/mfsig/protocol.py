@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, DataFormatError
-from .series import TimeSeries
 
 # Part order on the response template: part 1 plays band 3, and so on.
 PART_TO_BAND = {1: 3, 2: 2, 3: 5, 4: 4, 5: 1}
@@ -175,29 +174,31 @@ def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
     return ProtocolTimeline(conditions=tuple(conditions))
 
 
-def segment_recording(eeg: TimeSeries, conditions: Iterable[Condition]) -> list:
-    """Cut the recording into one window per condition.
+def segment_recording(
+    samples: np.ndarray, fs: float, conditions: Iterable[Condition]
+) -> list[tuple[Condition, np.ndarray]]:
+    """Cut a recording sampled at fs Hz into one (condition, window) pair per
+    condition, each window a view of the samples.
 
     Windows are [round(start * fs), round(end * fs)); the recording must
     cover every condition given, and each window must hold a sample. Pass
     ``timeline.conditions`` to cut the whole timeline.
     """
-    fs = eeg.sample_rate_hz
     out = []
     for cond in conditions:
         lo = int(round(cond.start_s * fs))
         hi = int(round(cond.end_s * fs))
-        if hi > len(eeg):
+        if hi > len(samples):
             raise AnalysisError(
                 f"recording ends before condition {cond.label!r} "
-                f"({cond.start_s:g}-{cond.end_s:g} s needs {hi} samples, have {len(eeg)})"
+                f"({cond.start_s:g}-{cond.end_s:g} s needs {hi} samples, have {len(samples)})"
             )
         if hi == lo:
             raise AnalysisError(
                 f"condition {cond.label!r} ({cond.start_s:g}-{cond.end_s:g} s) "
                 f"covers no sample at {fs:g} Hz"
             )
-        out.append((cond, eeg.with_samples(eeg.samples[lo:hi])))
+        out.append((cond, samples[lo:hi]))
     return out
 
 

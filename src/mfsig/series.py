@@ -1,4 +1,4 @@
-"""Signal container, profile construction, shuffling surrogate.
+"""Profile construction and the shuffling surrogate of a series of samples.
 
 The shuffle surrogate destroys temporal correlations while preserving the
 value distribution exactly; it is the reference test for whether measured
@@ -24,47 +24,11 @@ and the permutation is bit for bit that of the sequential swap loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AnalysisError
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Uniformly sampled real-valued signal.
-
-    ``samples`` is coerced to a 1-D float64 array and must be non-empty;
-    ``sample_rate_hz`` must be positive.
-    """
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise AnalysisError("time series must contain at least one sample")
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
-    def with_samples(self, samples: np.ndarray) -> "TimeSeries":
-        """Same sample rate, new samples."""
-        return TimeSeries(samples, self.sample_rate_hz)
 
 
 def profile(x: np.ndarray) -> np.ndarray:
@@ -176,6 +140,6 @@ def permutation(n: int, seed: int) -> np.ndarray:
     return _apply_swaps(j).astype(np.int_, copy=False)
 
 
-def shuffle(ts: TimeSeries, seed: int) -> TimeSeries:
-    """Random permutation of the samples; deterministic for a given seed."""
-    return ts.with_samples(ts.samples[permutation(len(ts), seed)])
+def shuffle(x: np.ndarray, seed: int) -> np.ndarray:
+    """Random permutation of the samples of x; deterministic for a given seed."""
+    return x[permutation(len(x), seed)]

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from .errors import AnalysisError
-from .series import TimeSeries
 
 _LN2 = math.log(2.0)
 
@@ -22,7 +21,7 @@ def _validate_multiplier(a: float) -> None:
         raise ValueError(f"cascade multiplier must lie in (0.5, 1), got {a}")
 
 
-def binomial_cascade(k: int, a: float) -> TimeSeries:
+def binomial_cascade(k: int, a: float) -> np.ndarray:
     """Deterministic binomial multiplicative measure on 2**k cells.
 
     Cell i carries a**n1 * (1-a)**(k-n1) where n1 is the number of set
@@ -39,8 +38,7 @@ def binomial_cascade(k: int, a: float) -> TimeSeries:
     for _ in range(k):
         ones += tmp & 1
         tmp >>= 1
-    cells = a**ones * (1.0 - a) ** (k - ones)
-    return TimeSeries(cells, sample_rate_hz=1.0)
+    return a**ones * (1.0 - a) ** (k - ones)
 
 
 def cascade_hurst_oracle(q: float, a: float) -> float:
@@ -56,7 +54,7 @@ def cascade_hurst_oracle(q: float, a: float) -> float:
     return 1.0 / q - math.log(a**q + b**q) / (q * _LN2)
 
 
-def fgn(n: int, hurst: float, seed: int, sample_rate_hz: float = 1.0) -> TimeSeries:
+def fgn(n: int, hurst: float, seed: int) -> np.ndarray:
     """Fractional Gaussian noise by frequency-domain spectral shaping.
 
     A white Gaussian spectrum is reweighted by f**(0.5 - H), which imposes
@@ -73,20 +71,19 @@ def fgn(n: int, hurst: float, seed: int, sample_rate_hz: float = 1.0) -> TimeSer
     shape = np.zeros_like(freqs)
     shape[1:] = freqs[1:] ** (0.5 - hurst)
     x = np.fft.irfft(spec * shape, n)
-    x = (x - x.mean()) / x.std()
-    return TimeSeries(x, sample_rate_hz)
+    return (x - x.mean()) / x.std()
 
 
-def white_noise(n: int, seed: int, sample_rate_hz: float = 1.0) -> TimeSeries:
+def white_noise(n: int, seed: int) -> np.ndarray:
     """Standard normal i.i.d. samples, deterministic per seed."""
     if n < 1:
         raise ValueError("white_noise needs n >= 1")
     rng = np.random.default_rng(seed)
-    return TimeSeries(rng.standard_normal(n), sample_rate_hz)
+    return rng.standard_normal(n)
 
 
-def tone(freq_hz: float, fs: float, duration_s: float, amplitude: float = 1.0) -> TimeSeries:
-    """Exact sine tone; frequencies at or above Nyquist are rejected."""
+def tone(freq_hz: float, fs: float, duration_s: float, amplitude: float = 1.0) -> np.ndarray:
+    """Exact sine tone sampled at fs Hz; frequencies at or above Nyquist are rejected."""
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise AnalysisError(
             f"tone duration must be a finite positive number of seconds, got {duration_s}"
@@ -102,4 +99,4 @@ def tone(freq_hz: float, fs: float, duration_s: float, amplitude: float = 1.0) -
             " it must round to a finite count of at least 1"
         )
     t = np.arange(round(count)) / fs
-    return TimeSeries(amplitude * np.sin(2.0 * np.pi * freq_hz * t), fs)
+    return amplitude * np.sin(2.0 * np.pi * freq_hz * t)

@@ -1,9 +1,13 @@
-"""Shared fixtures: benchmark series and their (cached) analysis results."""
+"""Shared fixtures: benchmark series and their (cached) analysis results; and
+write_wav_at_rate, a WAV writer for frame rates `wave` refuses."""
+
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from mfsig.dataio import write_wav
 from mfsig.mfdfa import MfdfaConfig, run_mfdfa
 from mfsig.series import shuffle
 from mfsig.synth import binomial_cascade, fgn, white_noise
@@ -19,6 +23,15 @@ SERIES_LEN = 2**16
 # where its closed-form exponents are defined; the lower bound skips the
 # first few generations, whose residuals have not reached self-similarity.
 DYADIC_SCALES = 2 ** np.arange(7, 15)
+
+
+def write_wav_at_rate(path, samples, rate):
+    """``write_wav`` of samples with the header's frame rate set to rate
+    afterwards, so that it can be one ``wave`` refuses to write, such as 0."""
+    write_wav(path, samples, 8000)
+    with open(path, "r+b") as fh:
+        fh.seek(24)  # the frame rate field of the 44-byte header write_wav writes
+        fh.write(struct.pack("<I", rate))
 
 
 @pytest.fixture(scope="session")

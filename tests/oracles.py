@@ -120,8 +120,8 @@ def cascade_asymptotic_width(a):
     return hi - lo
 
 
-def extract_rhythm(eeg, name, method="fft"):
-    """One rhythm's band-limited signal, built alone.
+def extract_rhythm(x, fs, name, method="fft"):
+    """One rhythm's band-limited signal of the samples x at fs Hz, built alone.
 
     ``fft`` is the brick-wall filter at the rhythm's band edges; ``dwt``
     rebuilds the single dyadic subband that best overlaps the band from a
@@ -129,25 +129,25 @@ def extract_rhythm(eeg, name, method="fft"):
     """
     band = RHYTHMS[name]
     if method == "fft":
-        return fft_bandpass(eeg, band)
-    max_level = int(math.floor(math.log2(len(eeg)))) - 2
-    level = dyadic_level_for_band(eeg.sample_rate_hz, band.low_hz, band.high_hz, max_level)
-    return eeg.with_samples(reconstruct_level(dwt(eeg.samples, level), level))
+        return fft_bandpass(x, fs, band)
+    max_level = int(math.floor(math.log2(len(x)))) - 2
+    level = dyadic_level_for_band(fs, band.low_hz, band.high_hz, max_level)
+    return reconstruct_level(dwt(x, level), level)
 
 
-def envelope(ts):
+def envelope(x):
     """|analytic signal| of one series: its own rfft, positive bins doubled, ifft."""
-    n = len(ts)
-    spec = np.fft.rfft(ts.samples)
+    n = len(x)
+    spec = np.fft.rfft(x)
     spec[1 : (n + 1) // 2] *= 2.0
-    return ts.with_samples(np.abs(np.fft.ifft(spec, n)))
+    return np.abs(np.fft.ifft(spec, n))
 
 
 def imf_sum(decomposition):
     """The residue plus every IMF of an EMD decomposition, added one at a time."""
-    total = decomposition.residue.samples.copy()
+    total = decomposition.residue.copy()
     for imf in decomposition.imfs:
-        total += imf.samples
+        total += imf
     return total
 
 

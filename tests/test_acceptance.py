@@ -55,8 +55,8 @@ class TestC1ListeningTable:
 class TestC2CascadeOracle:
     def test_hurst_curve_and_width_match_closed_form(self):
         t0 = time.perf_counter()
-        ts = binomial_cascade(16, 0.75)
-        result = run_mfdfa(ts, MfdfaConfig(bidirectional=True, scales=DYADIC_SCALES))
+        x = binomial_cascade(16, 0.75)
+        result = run_mfdfa(x, MfdfaConfig(bidirectional=True, scales=DYADIC_SCALES))
         fit = fit_spectrum(singularity_spectrum(result.hurst))
         elapsed = time.perf_counter() - t0
 
@@ -108,12 +108,9 @@ class TestC5ReconstructionIdentities:
         worst = 0.0
         for seed in range(10):
             n = 600 + 311 * seed
-            ts = white_noise(n, seed=seed)
-            back = idwt(dwt(ts.samples, 4))
-            rel = float(
-                np.sqrt(np.mean((back - ts.samples) ** 2))
-                / np.sqrt(np.mean(ts.samples**2))
-            )
+            x = white_noise(n, seed=seed)
+            back = idwt(dwt(x, 4))
+            rel = float(np.sqrt(np.mean((back - x) ** 2)) / np.sqrt(np.mean(x**2)))
             worst = max(worst, rel)
         assert worst <= 1e-8
         report("DWT round trip", f"worst rel RMS {worst:.2e} over 10 fixtures")
@@ -122,19 +119,13 @@ class TestC5ReconstructionIdentities:
         fs = 256.0
         t = np.arange(int(8 * fs)) / fs
         inputs = [
-            white_noise(2048, seed=41, sample_rate_hz=fs),
+            white_noise(2048, seed=41),
             tone(5, fs, 8.0),
-            white_noise(2048, seed=42, sample_rate_hz=fs).with_samples(
-                np.sin(2 * np.pi * 2 * t) + np.sin(2 * np.pi * 40 * t)
-            ),
+            np.sin(2 * np.pi * 2 * t) + np.sin(2 * np.pi * 40 * t),
         ]
         worst = 0.0
-        for ts in inputs:
-            result = emd(ts)
-            rel = float(
-                np.sqrt(np.mean((imf_sum(result) - ts.samples) ** 2))
-                / np.sqrt(np.mean(ts.samples**2))
-            )
+        for x in inputs:
+            rel = float(np.sqrt(np.mean((imf_sum(emd(x)) - x) ** 2)) / np.sqrt(np.mean(x**2)))
             worst = max(worst, rel)
         assert worst <= 1e-10
         report("EMD completeness", f"worst rel RMS {worst:.2e}")
@@ -142,31 +133,30 @@ class TestC5ReconstructionIdentities:
 
 class TestC6BandFilterSuite:
     def test_tone_rejection(self):
-        ts = tone(500, 44100, 0.25)
-        out = fft_bandpass(ts, STIMULUS_BANDS[1])
-        ratio = energy(out.samples) / energy(ts.samples)
+        x = tone(500, 44100, 0.25)
+        ratio = energy(fft_bandpass(x, 44100.0, STIMULUS_BANDS[1])) / energy(x)
         assert ratio <= 1e-6
         report("brick-wall rejection", f"out-of-band energy ratio {ratio:.2e}")
 
     def test_parseval_partition(self):
-        ts = white_noise(2**16, seed=55, sample_rate_hz=44100.0)
-        total = energy(ts.samples)
-        parts = [energy(b.samples) for b in split_bands(ts).values()]
-        parts.append(energy(fft_bandpass(ts, SUB_BAND_FLOOR).samples))
+        x = white_noise(2**16, seed=55)
+        total = energy(x)
+        parts = [energy(b) for b in split_bands(x, 44100.0).values()]
+        parts.append(energy(fft_bandpass(x, 44100.0, SUB_BAND_FLOOR)))
         rel = abs(sum(parts) - total) / total
         assert rel <= 1e-6
         report("Parseval partition", f"relative defect {rel:.2e}")
 
     def test_band_energy_proportionality(self):
-        ts = white_noise(2**17, seed=56, sample_rate_hz=44100.0)
-        bands = split_bands(ts)
-        total = energy(ts.samples)
+        x = white_noise(2**17, seed=56)
+        bands = split_bands(x, 44100.0)
+        total = energy(x)
         nyquist = 44100.0 / 2
         worst = 0.0
         for spec in STIMULUS_BANDS:
             high = spec.high_hz if spec.high_hz is not None else nyquist
             expected = (high - spec.low_hz) / nyquist
-            share = energy(bands[spec.name].samples) / total
+            share = energy(bands[spec.name]) / total
             worst = max(worst, abs(share / expected - 1.0))
         assert worst <= 0.05
         report("band proportionality", f"worst deviation {worst * 100:.2f}%")
@@ -220,7 +210,7 @@ class TestC8EndToEndDeterminism:
 
 class TestC9PlainDfaCrossCheck:
     @pytest.mark.parametrize(
-        "make_ts",
+        "make_series",
         [
             lambda: white_noise(8192, seed=71),
             lambda: binomial_cascade(13, 0.75),
@@ -228,11 +218,11 @@ class TestC9PlainDfaCrossCheck:
         ],
         ids=["white", "cascade", "shuffled"],
     )
-    def test_h2_equals_independent_dfa(self, make_ts):
-        ts = make_ts()
+    def test_h2_equals_independent_dfa(self, make_series):
+        x = make_series()
         scales = np.array([16, 32, 64, 128, 256, 512])
-        result = run_mfdfa(ts, MfdfaConfig(scales=scales, q_grid=np.array([2.0])))
-        ref = plain_dfa_slope(ts.samples, scales, order=1)
+        result = run_mfdfa(x, MfdfaConfig(scales=scales, q_grid=np.array([2.0])))
+        ref = plain_dfa_slope(x, scales, order=1)
         diff = abs(result.h_at(2.0) - ref)
         assert diff <= 1e-9
         report("q=2 cross-check", f"|h2 - dfa| = {diff:.2e}")

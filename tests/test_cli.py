@@ -17,9 +17,9 @@ from mfsig.errors import AnalysisError
 from mfsig.mfdfa import DEFAULT_Q_GRID
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline, timeline_from_markers
-from mfsig.series import TimeSeries
 from mfsig.synth import tone, white_noise
 
+from conftest import write_wav_at_rate
 from oracles import energy
 
 FIXDIR = Path(__file__).parent / "fixtures"
@@ -113,10 +113,10 @@ class TestMfdfaCommand:
     def test_sample_near_the_float_limit_is_analyzed(self, tmp_path, capsys):
         # one finite 1e308 cell: the profile reaches 1e308 and F2 would overflow
         # without the exact power-of-two rescale
-        x = white_noise(4096, seed=0).samples
+        x = white_noise(4096, seed=0)
         x[100] = 1e308
         series_csv, out = tmp_path / "series.csv", tmp_path / "result.json"
-        write_series_csv(series_csv, TimeSeries(x, 1.0))
+        write_series_csv(series_csv, x)
         assert main(["mfdfa", str(series_csv), "-o", str(out)]) == 0
         assert capsys.readouterr().err == ""
         payload = json.loads(out.read_text())
@@ -201,22 +201,47 @@ class TestMfdfaCommand:
 class TestSplitBandsCommand:
     def test_tone_lands_in_band3(self, tmp_path):
         wav = tmp_path / "tone.wav"
-        write_wav(wav, tone(2500, 44100, 0.5, amplitude=0.8))
+        write_wav(wav, tone(2500, 44100, 0.5, amplitude=0.8), 44100)
         outdir = tmp_path / "bands"
         assert main(["split-bands", str(wav), "--outdir", str(outdir)]) == 0
         emitted = {p.name: read_wav(p) for p in sorted(outdir.glob("*.wav"))}
         assert set(emitted) == {f"band{i}.wav" for i in range(1, 6)}
-        energies = {name: energy(ts.samples) for name, ts in emitted.items()}
+        energies = {name: energy(x) for name, (x, _) in emitted.items()}
         assert energies["band3.wav"] >= 0.99 * sum(energies.values())
-        src = read_wav(wav)
-        assert all(len(ts) == len(src) for ts in emitted.values())
-        assert all(ts.sample_rate_hz == src.sample_rate_hz for ts in emitted.values())
+        assert all(len(x) == 22050 and fs == 44100 for x, fs in emitted.values())
 
     def test_low_rate_input_fails(self, tmp_path, capsys):
         wav = tmp_path / "low.wav"
-        write_wav(wav, tone(1000, 8000, 0.5))
+        write_wav(wav, tone(1000, 8000, 0.5), 8000)
         assert main(["split-bands", str(wav), "--outdir", str(tmp_path / "x")]) == 1
         assert "10 kHz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "samples, rate, message",
+        [
+            (np.zeros(0), 44100, "no audio frames"),
+            (np.zeros(64), 0, "frame rate must be positive, got 0"),
+            (tone(1000, 8000, 0.5), 8000, "band split needs >= 10 kHz sample rate, got 8000.0 Hz"),
+            (np.full(8, 0.1), 44100, "band-pass needs at least 16 samples, got 8"),
+        ],
+        ids=["no_frames", "rate_0", "rate_8k", "frames_8"],
+    )
+    def test_unsplittable_input_names_the_file(self, tmp_path, capsys, samples, rate, message):
+        wav, outdir = tmp_path / "in.wav", tmp_path / "bands"
+        write_wav_at_rate(wav, samples, rate)
+        assert main(["split-bands", str(wav), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: {wav}: {message}\n"
+        assert not outdir.exists()
+
+    def test_silent_clip_writes_five_silent_bands(self, tmp_path):
+        # no band of a silent clip is boosted, as none is above the -60 dB threshold
+        wav, outdir = tmp_path / "silence.wav", tmp_path / "bands"
+        write_wav(wav, np.zeros(4410), 44100)
+        assert main(["split-bands", str(wav), "--outdir", str(outdir)]) == 0
+        for i in range(1, 6):
+            x, fs = read_wav(outdir / f"band{i}.wav")
+            assert fs == 44100
+            np.testing.assert_array_equal(x, np.zeros(4410))
 
 
 class TestListeningCommand:
@@ -437,7 +462,7 @@ class TestAnalyzeCommand:
     def test_sample_too_large_to_filter_is_one_error_line(self, tmp_path, capsys, method):
         # 1e308 is a finite CSV cell, but the rhythm filter overflows on it
         eeg = tmp_path / "eeg.csv"
-        f3 = white_noise(int(build_timeline(1).total_duration_s * 256), seed=5).samples
+        f3 = white_noise(int(build_timeline(1).total_duration_s * 256), seed=5)
         f3[0] = 1e308
         write_eeg_csv(eeg, {"F3": f3})
         rc = main([
@@ -467,7 +492,7 @@ class TestAnalyzeCommand:
         self, tmp_path, capsys, flags, code, message
     ):
         eeg = tmp_path / "eeg.csv"
-        f3 = white_noise(int(build_timeline(1).total_duration_s * 256), seed=5).samples
+        f3 = white_noise(int(build_timeline(1).total_duration_s * 256), seed=5)
         f3[300] = 1e308
         write_eeg_csv(eeg, {"F3": f3})
         rc = main([
@@ -541,7 +566,7 @@ class TestAnalyzeCommand:
     def test_flat_electrode_error_is_located(self, tmp_path, capsys, workers):
         eeg = tmp_path / "eeg.csv"
         n = int(build_timeline(1).total_duration_s * 256)
-        write_eeg_csv(eeg, {"F3": np.zeros(n), "T4": white_noise(n, seed=5).samples})
+        write_eeg_csv(eeg, {"F3": np.zeros(n), "T4": white_noise(n, seed=5)})
         rc = main([
             "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", "T4,F3",
             "--workers", workers, "--outdir", str(tmp_path / "out"),
@@ -571,7 +596,7 @@ class TestAnalyzeCommand:
             match="^F3 rest gamma: scale 16: all segments have zero residual variance$",
         ):
             analyze_recording(
-                {"F3": white_noise(n, seed=5).samples}, 256.0, build_timeline(1),
+                {"F3": white_noise(n, seed=5)}, 256.0, build_timeline(1),
                 RunConfig(electrodes=["F3"]),
             )
 
@@ -596,7 +621,7 @@ class TestAnalyzeCommand:
         eeg = tmp_path / "eeg.csv"
         timeline = build_timeline(1)
         flat = next(c for c in timeline.conditions if c.label == "clip1_band3")
-        f3 = white_noise(int(timeline.total_duration_s * 256), seed=5).samples
+        f3 = white_noise(int(timeline.total_duration_s * 256), seed=5)
         f3[int(flat.start_s * 256) : int(flat.end_s * 256)] = 0.0
         write_eeg_csv(eeg, {"F3": f3})
         rc = main([
@@ -617,7 +642,7 @@ class TestAnalyzeCommand:
         # only gamma of clip1_band2 and clip1_band1, the third and sixth windows of
         # the clip's batch, is constant; the first of them must be named
         timeline = build_timeline(1)
-        f3 = white_noise(int(timeline.total_duration_s * 256), seed=5).samples
+        f3 = white_noise(int(timeline.total_duration_s * 256), seed=5)
         constant = [
             f3[int(c.start_s * 256) : int(c.end_s * 256)]
             for c in timeline.conditions

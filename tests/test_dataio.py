@@ -17,22 +17,22 @@ from mfsig.dataio import (
 from mfsig.errors import DataFormatError
 from mfsig.synth import tone, white_noise
 
+from conftest import write_wav_at_rate
+
 
 class TestSeriesCsv:
     def test_round_trip_exact(self, tmp_path):
-        ts = white_noise(256, seed=1)
+        x = white_noise(256, seed=1)
         path = tmp_path / "s.csv"
-        write_series_csv(path, ts)
-        back = read_series_csv(path)
-        np.testing.assert_array_equal(back.samples, ts.samples)
+        write_series_csv(path, x)
+        np.testing.assert_array_equal(read_series_csv(path), x)
 
     def test_round_trip_exact_over_600_decades(self, tmp_path):
-        noise = white_noise(256, seed=1)
         exponents = np.random.default_rng(2).uniform(-300, 300, 256)
-        ts = noise.with_samples(noise.samples * 10.0**exponents)
+        x = white_noise(256, seed=1) * 10.0**exponents
         path = tmp_path / "s.csv"
-        write_series_csv(path, ts)
-        np.testing.assert_array_equal(read_series_csv(path).samples, ts.samples)
+        write_series_csv(path, x)
+        np.testing.assert_array_equal(read_series_csv(path), x)
 
     def test_bad_value_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -126,13 +126,13 @@ def test_bad_input_names_path_and_line(tmp_path, reader, text, expected):
 
 class TestWav:
     def test_16bit_round_trip(self, tmp_path):
-        ts = tone(440, 44100, 0.05, amplitude=0.5)
+        x = tone(440, 44100, 0.05, amplitude=0.5)
         path = tmp_path / "t.wav"
-        write_wav(path, ts)
-        back = read_wav(path)
-        assert back.sample_rate_hz == 44100
-        assert len(back) == len(ts)
-        assert np.abs(back.samples - ts.samples).max() <= 1.0 / 32767
+        write_wav(path, x, 44100)
+        back, fs = read_wav(path)
+        assert fs == 44100
+        assert len(back) == len(x)
+        assert np.abs(back - x).max() <= 1.0 / 32767
 
     def test_24bit_read(self, tmp_path):
         fs = 44100
@@ -147,8 +147,8 @@ class TestWav:
             fh.setsampwidth(3)
             fh.setframerate(fs)
             fh.writeframes(bytes(raw))
-        back = read_wav(path)
-        assert np.abs(back.samples - x).max() <= 1.0 / (1 << 23)
+        back, _ = read_wav(path)
+        assert np.abs(back - x).max() <= 1.0 / (1 << 23)
 
     def test_stereo_downmix(self, tmp_path):
         fs = 22050
@@ -163,9 +163,10 @@ class TestWav:
             fh.setsampwidth(2)
             fh.setframerate(fs)
             fh.writeframes(pcm.tobytes())
-        back = read_wav(path)
+        back, fs = read_wav(path)
+        assert fs == 22050
         assert len(back) == 64
-        np.testing.assert_allclose(back.samples, 0.125, atol=1e-4)
+        np.testing.assert_allclose(back, 0.125, atol=1e-4)
 
     def test_rejects_other_depths(self, tmp_path):
         path = tmp_path / "w32.wav"
@@ -181,6 +182,20 @@ class TestWav:
         path = tmp_path / "x.wav"
         path.write_text("not audio")
         with pytest.raises(DataFormatError):
+            read_wav(path)
+
+    @pytest.mark.parametrize(
+        "samples, rate, expected",
+        [
+            (np.zeros(0), 44100, "no audio frames"),
+            (np.zeros(64), 0, "frame rate must be positive, got 0"),
+        ],
+        ids=["no_frames", "rate_0"],
+    )
+    def test_no_frames_or_rate_names_path(self, tmp_path, samples, rate, expected):
+        path = tmp_path / "bad.wav"
+        write_wav_at_rate(path, samples, rate)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: {expected}")):
             read_wav(path)
 
 

@@ -30,7 +30,7 @@ SETTINGS = {
 def test_power_of_two_scaling_leaves_records_bit_identical(settings):
     # on arrays, not through the CSV: write_eeg_csv rounds to 9 digits, so a
     # scaled file would not hold scaled samples
-    channels = {"F3": white_noise(N, seed=41).samples}
+    channels = {"F3": white_noise(N, seed=41)}
     config = RunConfig(electrodes=["F3"], **settings)
     expected = [asdict(r) for r in analyze_recording(channels, FS, TIMELINE, config).records]
     for k in (-30, 7, 40):
@@ -52,7 +52,7 @@ def analyze_csv(tmp_path, name, channels, electrodes):
 
 
 def test_column_and_electrode_order_leave_the_report_unchanged(tmp_path):
-    channels = {"F3": white_noise(N, seed=42).samples, "T4": white_noise(N, seed=43).samples}
+    channels = {"F3": white_noise(N, seed=42), "T4": white_noise(N, seed=43)}
     reversed_channels = dict(reversed(channels.items()))
     assert analyze_csv(tmp_path, "forward", channels, "F3,T4") == analyze_csv(
         tmp_path, "reversed", reversed_channels, "T4,F3"
@@ -60,7 +60,7 @@ def test_column_and_electrode_order_leave_the_report_unchanged(tmp_path):
 
 
 def test_samples_after_the_last_condition_leave_the_report_unchanged(tmp_path):
-    x = white_noise(N + 1000, seed=44).samples
+    x = white_noise(N + 1000, seed=44)
     assert analyze_csv(tmp_path, "exact", {"F3": x[:N]}, "F3") == analyze_csv(
         tmp_path, "longer", {"F3": x}, "F3"
     )

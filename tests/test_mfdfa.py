@@ -16,7 +16,7 @@ from mfsig.mfdfa import (
     run_mfdfa_batch,
     segment_fluctuations,
 )
-from mfsig.series import TimeSeries, profile
+from mfsig.series import profile
 from mfsig.spectrum import fit_spectrum, singularity_spectrum
 from mfsig.synth import cascade_hurst_oracle, white_noise
 
@@ -87,8 +87,8 @@ class TestQOrderMean:
     def test_zero_segments_excluded_and_counted(self):
         assert fq_at(np.array([0.0, 4.0, 0.0]), -2.0) == pytest.approx(2.0)
         # a profile that is flat over its first half: those segments have F2 == 0
-        ts = TimeSeries(np.concatenate([np.zeros(2048), np.tile([1.0, -1.0], 1024)]), 1.0)
-        result = run_mfdfa(ts, MfdfaConfig(scales=np.array([16, 32])))
+        x = np.concatenate([np.zeros(2048), np.tile([1.0, -1.0], 1024)])
+        result = run_mfdfa(x, MfdfaConfig(scales=np.array([16, 32])))
         assert result.zero_variance_segments == 2048 // 16 + 2048 // 32
         assert np.all(np.isfinite(result.log_fq))
 
@@ -158,15 +158,13 @@ class TestRunMfdfa:
         )
 
     def test_too_short_input(self):
-        ts = white_noise(100, seed=1)
         with pytest.raises(AnalysisError, match="is shorter than 4 x max scale"):
-            run_mfdfa(ts, MfdfaConfig(scales=np.array([16, 32])))
+            run_mfdfa(white_noise(100, seed=1), MfdfaConfig(scales=np.array([16, 32])))
 
     def test_amplitude_scaling_leaves_h_unchanged(self):
-        ts = white_noise(8192, seed=21)
-        scaled = ts.with_samples(3.7 * ts.samples)
-        h1 = run_mfdfa(ts).hurst.h
-        h2 = run_mfdfa(scaled).hurst.h
+        x = white_noise(8192, seed=21)
+        h1 = run_mfdfa(x).hurst.h
+        h2 = run_mfdfa(3.7 * x).hurst.h
         np.testing.assert_allclose(h1, h2, atol=1e-9)
 
     @given(st.floats(-100.0, 100.0), st.floats(-5.0, 5.0))
@@ -176,7 +174,7 @@ class TestRunMfdfa:
         # precision of x; c spans 1e-100..1e100
         x = white_noise(4096, seed=24)
         c = 10.0**log10_c
-        mapped = run_mfdfa(x.with_samples(c * x.samples + c * offset)).h
+        mapped = run_mfdfa(c * x + c * offset).h
         np.testing.assert_allclose(mapped, run_mfdfa(x).h, rtol=0, atol=1e-9)
 
     @given(st.integers(0, 2**16), st.integers(-900, 900))
@@ -185,7 +183,7 @@ class TestRunMfdfa:
         # each profile is rescaled exactly, so F2 neither underflows (x * 2^-900
         # has F2 near 1e-542) nor overflows (x * 2^900, F2 near 1e+542)
         x = white_noise(1024, seed=seed)
-        scaled = x.with_samples(np.ldexp(x.samples, k))
+        scaled = np.ldexp(x, k)
         result, result_scaled = run_mfdfa(x), run_mfdfa(scaled)
         np.testing.assert_array_equal(result_scaled.h, result.h)
         assert fit_spectrum(singularity_spectrum(result_scaled.hurst)).width == (
@@ -196,17 +194,17 @@ class TestRunMfdfa:
         )
 
     def test_unidirectional_equals_bidirectional_on_exact_multiples(self):
-        ts = white_noise(4096, seed=22)
+        x = white_noise(4096, seed=22)
         scales = np.array([16, 32, 64, 128, 256, 512, 1024])
-        uni = run_mfdfa(ts, MfdfaConfig(scales=scales, bidirectional=False))
-        bi = run_mfdfa(ts, MfdfaConfig(scales=scales, bidirectional=True))
+        uni = run_mfdfa(x, MfdfaConfig(scales=scales, bidirectional=False))
+        bi = run_mfdfa(x, MfdfaConfig(scales=scales, bidirectional=True))
         np.testing.assert_allclose(uni.fq, bi.fq, rtol=1e-12)
 
     def test_q2_equals_plain_dfa(self):
-        ts = white_noise(8192, seed=23)
+        x = white_noise(8192, seed=23)
         scales = np.array([16, 32, 64, 128, 256, 512])
-        result = run_mfdfa(ts, MfdfaConfig(scales=scales, q_grid=np.array([0.0, 2.0])))
-        ref = plain_dfa_slope(ts.samples, scales, order=1)
+        result = run_mfdfa(x, MfdfaConfig(scales=scales, q_grid=np.array([0.0, 2.0])))
+        ref = plain_dfa_slope(x, scales, order=1)
         assert result.h_at(2.0) == pytest.approx(ref, abs=1e-9)
 
     def test_power_mean_monotone_across_whole_grid(self, white_result):
@@ -230,7 +228,7 @@ def flat_start_series(seed, n, flat):
     x = np.random.default_rng(seed).integers(-3, 4, n).astype(float)
     x[:flat] = 0.0
     x[-1] -= x.sum()
-    return TimeSeries(x, 1.0)
+    return x
 
 
 class TestRunMfdfaBatch:
@@ -248,10 +246,10 @@ class TestRunMfdfaBatch:
     def test_each_row_matches_its_single_series_run(self, specs, n, m, bidirectional):
         series = [flat_start_series(seed, n, int(share * n)) for seed, share in specs]
         cfg = MfdfaConfig(detrend_order=m, bidirectional=bidirectional)
-        batch = run_mfdfa_batch(np.stack([ts.samples for ts in series]), cfg)
+        batch = run_mfdfa_batch(np.stack(series), cfg)
         assert batch.log_fq.shape[0] == batch.zero_variance_segments.shape[0] == len(series)
-        for i, ((_, share), ts) in enumerate(zip(specs, series)):
-            single = run_mfdfa(ts, cfg)
+        for i, ((_, share), x) in enumerate(zip(specs, series)):
+            single = run_mfdfa(x, cfg)
             np.testing.assert_allclose(batch.log_fq[i], single.log_fq, rtol=0, atol=1e-12)
             np.testing.assert_allclose(batch.h[i], single.h, rtol=0, atol=1e-12)
             assert batch.hurst.monotone[i] == single.hurst.monotone
@@ -268,10 +266,10 @@ class TestRunMfdfaBatch:
 
     def test_constant_middle_series_fails_the_batch(self):
         noise = white_noise(4096, seed=30)
-        outer = [noise.samples, noise.samples[::-1]]
+        outer = [noise, noise[::-1]]
         constant = np.full(4096, 2.0)
         for x in outer:
-            run_mfdfa(noise.with_samples(x))
+            run_mfdfa(x)
         with pytest.raises(
             AnalysisError, match="^scale 16: all segments have zero residual variance$"
         ) as failure:
@@ -288,7 +286,7 @@ class TestRunMfdfaBatch:
         assert failure.value.series == 2
         # a length no scale grid fits fails the whole batch, no one series
         with pytest.raises(AnalysisError, match="supports no scales") as failure:
-            run_mfdfa_batch(np.stack([white_noise(41, seed=s).samples for s in (1, 2)]))
+            run_mfdfa_batch(np.stack([white_noise(41, seed=s) for s in (1, 2)]))
         assert failure.value.series is None
 
     def test_cached_bases_are_small_and_read_only(self):
@@ -306,19 +304,19 @@ class TestRunMfdfaBatch:
 
 
 def random_walk_profile(seed, n):
-    return profile(white_noise(n, seed=seed).samples)
+    return profile(white_noise(n, seed=seed))
 
 
 class TestSegmentFluctuations:
     def test_bidirectional_doubles_segments(self):
-        prof = profile(white_noise(1000, seed=2).samples)
+        prof = profile(white_noise(1000, seed=2))
         uni = segment_fluctuations(prof, 64, 1, bidirectional=False)
         bi = segment_fluctuations(prof, 64, 1, bidirectional=True)
         assert uni.size == 15
         assert bi.size == 30
 
     def test_nonnegative(self):
-        prof = profile(white_noise(1000, seed=2).samples)
+        prof = profile(white_noise(1000, seed=2))
         assert np.all(segment_fluctuations(prof, 32, 1) >= 0)
 
     @given(
@@ -374,9 +372,9 @@ class TestConfig:
             MfdfaConfig(scales=np.array([64, 32]))
 
     def test_rejects_small_scale_for_order(self):
-        ts = white_noise(4096, seed=1)
+        x = white_noise(4096, seed=1)
         with pytest.raises(AnalysisError, match="cannot support a polynomial of order"):
-            run_mfdfa(ts, MfdfaConfig(detrend_order=3, scales=np.array([4, 64])))
+            run_mfdfa(x, MfdfaConfig(detrend_order=3, scales=np.array([4, 64])))
 
     def test_default_q_grid_has_41_points(self, white_result):
         assert len(white_result.q_grid) == 41
@@ -384,6 +382,5 @@ class TestConfig:
         assert white_result.q_grid[-1] == 5.0
 
     def test_constant_series_has_no_usable_fluctuations(self):
-        ts = TimeSeries(np.full(4096, 2.0), 1.0)
         with pytest.raises(AnalysisError, match="all segments have zero residual variance"):
-            run_mfdfa(ts)
+            run_mfdfa(np.full(4096, 2.0))

@@ -25,7 +25,7 @@ def test_root_exports_exactly_the_library_example_imports():
         for alias in node.names
     }
     assert sorted(imported) == sorted(mfsig.__all__)
-    assert len(mfsig.__all__) == 7
+    assert len(mfsig.__all__) == 6
 
 
 def test_library_example_runs():

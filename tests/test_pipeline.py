@@ -15,7 +15,6 @@ from mfsig.mfdfa import MfdfaConfig, run_mfdfa, run_mfdfa_batch
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline, segment_recording, timeline_from_markers
 from mfsig.report import WidthRecord, read_report_json, record_sort_key
-from mfsig.series import TimeSeries
 from mfsig.spectrum import fit_spectrum, singularity_spectrum
 from mfsig.synth import white_noise
 
@@ -33,12 +32,10 @@ def one_window_at_a_time(channels, timeline, config):
     rhythms = sorted(bands.RHYTHMS)
     records = []
     for electrode in config.electrodes:
-        for cond, window in segment_recording(TimeSeries(channels[electrode], FS), conditions):
-            rows = bands.rhythm_series(
-                window.samples, FS, config.rhythm_method, config.use_envelope
-            )
+        for cond, window in segment_recording(channels[electrode], FS, conditions):
+            rows = bands.rhythm_series(window, FS, config.rhythm_method, config.use_envelope)
             for name, row in zip(rhythms, rows):
-                result = run_mfdfa(window.with_samples(row), mfdfa_config)
+                result = run_mfdfa(row, mfdfa_config)
                 fit = fit_spectrum(singularity_spectrum(result.hurst))
                 flags = [
                     ("nonconcave", not fit.concave),
@@ -71,7 +68,7 @@ def batch_shapes(monkeypatch):
 def test_clip_batch_equals_one_window_at_a_time(bidirectional, batch_shapes):
     timeline = build_timeline(1)
     n = int(timeline.total_duration_s * FS)
-    channels = {"F3": white_noise(n, seed=3).samples, "T4": white_noise(n, seed=4).samples}
+    channels = {"F3": white_noise(n, seed=3), "T4": white_noise(n, seed=4)}
     config = RunConfig(bidirectional=bidirectional, electrodes=["F3", "T4"])
     records = analyze_recording(channels, FS, timeline, config).records
     # per electrode: the rest baseline, then the clip's six windows x three rhythms
@@ -88,7 +85,7 @@ def test_clip_with_windows_of_two_lengths_splits_by_length(tmp_path, batch_shape
         {"label": "clip1_band2", "start_s": 100.0, "end_s": 120.0},
     ]
     eeg, markers_path, outdir = tmp_path / "eeg.csv", tmp_path / "markers.json", tmp_path / "out"
-    write_eeg_csv(eeg, {"F3": white_noise(int(120 * FS), seed=3).samples})
+    write_eeg_csv(eeg, {"F3": white_noise(int(120 * FS), seed=3)})
     markers_path.write_text(json.dumps(markers))
     rc = main([
         "analyze", str(eeg), "--fs", "256", "--markers", str(markers_path),
@@ -123,7 +120,7 @@ def test_each_window_is_denoised_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "emd_denoise", spy)
     timeline = build_timeline(1)
-    channels = {"F3": white_noise(int(timeline.total_duration_s * FS), seed=3).samples}
+    channels = {"F3": white_noise(int(timeline.total_duration_s * FS), seed=3)}
     analyze_recording(channels, FS, timeline, RunConfig(emd_drop=[1], electrodes=["F3"]))
     assert denoised == [15360] + [5120] * 6
 
@@ -141,7 +138,7 @@ def test_a_failing_job_does_its_work_once(monkeypatch):
     monkeypatch.setattr(bands, "rhythm_series", spy)
     timeline = build_timeline(1)
     flat = next(c for c in timeline.conditions if c.label == "clip1_band3")
-    f3 = white_noise(int(timeline.total_duration_s * FS), seed=5).samples
+    f3 = white_noise(int(timeline.total_duration_s * FS), seed=5)
     f3[int(flat.start_s * FS) : int(flat.end_s * FS)] = 0.0
     with pytest.raises(AnalysisError, match="^F3 clip1_band3 alpha: scale 16: "):
         analyze_recording({"F3": f3}, FS, timeline, RunConfig(electrodes=["F3"]))
@@ -169,7 +166,7 @@ def test_pool_has_no_more_workers_than_jobs(monkeypatch):
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
     timeline = build_timeline(1)
     n = int(timeline.total_duration_s * FS)
-    channels = {"F3": white_noise(n, seed=3).samples, "T4": white_noise(n, seed=4).samples}
+    channels = {"F3": white_noise(n, seed=3), "T4": white_noise(n, seed=4)}
     config = RunConfig(electrodes=["F3", "T4"])
     serial = analyze_recording(channels, FS, timeline, config).records
     # two electrodes, one clip: four jobs, the rest baseline and the clip of each

@@ -69,8 +69,8 @@ class TestSegmentRecording:
     def test_window_lengths_at_256hz(self):
         fs = 256.0
         timeline = build_timeline(1)
-        eeg = white_noise(int(timeline.total_duration_s * fs), seed=1, sample_rate_hz=fs)
-        segments = segment_recording(eeg, timeline.conditions)
+        eeg = white_noise(int(timeline.total_duration_s * fs), seed=1)
+        segments = segment_recording(eeg, fs, timeline.conditions)
         by_label = {}
         for cond, window in segments:
             by_label.setdefault(cond.label, []).append(len(window))
@@ -81,9 +81,9 @@ class TestSegmentRecording:
     def test_short_recording_names_condition(self):
         fs = 256.0
         timeline = build_timeline(1)
-        eeg = white_noise(int((timeline.total_duration_s - 1) * fs), seed=2, sample_rate_hz=fs)
+        eeg = white_noise(int((timeline.total_duration_s - 1) * fs), seed=2)
         with pytest.raises(AnalysisError, match="recording ends before condition 'rest'"):
-            segment_recording(eeg, timeline.conditions)
+            segment_recording(eeg, fs, timeline.conditions)
 
 
 class TestPartToBand:

@@ -18,21 +18,21 @@ from oracles import (
 
 class TestBinomialCascade:
     def test_hand_expansion_k2(self):
-        cells = binomial_cascade(2, 0.75).samples
+        cells = binomial_cascade(2, 0.75)
         assert sorted(cells.tolist()) == pytest.approx([0.0625, 0.1875, 0.1875, 0.5625])
         assert cells.sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("k,a", [(8, 0.6), (10, 0.75), (12, 0.9)])
     def test_measure_normalization(self, k, a):
-        assert binomial_cascade(k, a).samples.sum() == pytest.approx(1.0, abs=1e-12)
+        assert binomial_cascade(k, a).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_near_uniform_limit(self):
-        cells = binomial_cascade(8, 0.500001).samples
+        cells = binomial_cascade(8, 0.500001)
         np.testing.assert_allclose(cells, 2.0**-8, rtol=1e-4)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            binomial_cascade(10, 0.7).samples, binomial_cascade(10, 0.7).samples
+            binomial_cascade(10, 0.7), binomial_cascade(10, 0.7)
         )
 
     def test_rejects_bad_multiplier(self):
@@ -77,18 +77,18 @@ class TestCascadeOracles:
 
 class TestFgn:
     def test_h_half_is_uncorrelated(self):
-        x = fgn(2**16, hurst=0.5, seed=7).samples
+        x = fgn(2**16, hurst=0.5, seed=7)
         rho = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(rho) <= 0.02
 
     def test_deterministic_per_seed(self):
         np.testing.assert_array_equal(
-            fgn(2048, 0.8, seed=5).samples, fgn(2048, 0.8, seed=5).samples
+            fgn(2048, 0.8, seed=5), fgn(2048, 0.8, seed=5)
         )
-        assert not np.array_equal(fgn(2048, 0.8, seed=5).samples, fgn(2048, 0.8, seed=6).samples)
+        assert not np.array_equal(fgn(2048, 0.8, seed=5), fgn(2048, 0.8, seed=6))
 
     def test_standardized(self):
-        x = fgn(2**14, 0.7, seed=9).samples
+        x = fgn(2**14, 0.7, seed=9)
         assert x.mean() == pytest.approx(0.0, abs=1e-12)
         assert x.std() == pytest.approx(1.0, abs=1e-12)
 
@@ -110,14 +110,14 @@ class TestFgn:
 
 class TestWhiteNoiseAndTone:
     def test_white_noise_variance(self):
-        samples = white_noise(65536, seed=3).samples
+        samples = white_noise(65536, seed=3)
         assert samples.var() == pytest.approx(1.0, rel=0.03)
         assert abs(samples.mean()) <= 0.02
 
     def test_tone_shape(self):
-        ts = tone(10, 256, 8, amplitude=1.0)
-        assert len(ts) == 2048
-        assert np.abs(ts.samples).max() == pytest.approx(1.0, abs=1e-12)
+        x = tone(10, 256, 8, amplitude=1.0)
+        assert len(x) == 2048
+        assert np.abs(x).max() == pytest.approx(1.0, abs=1e-12)
 
     def test_tone_at_nyquist_rejected(self):
         with pytest.raises(AnalysisError, match="aliases at sample rate"):
