@@ -36,15 +36,23 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _sample_rate(text: str) -> float:
-    """argparse type of a sampling rate: a finite positive number."""
-    try:
-        fs = float(text)
-    except ValueError:
-        fs = float("nan")  # rejected below, with the same message
-    if not (math.isfinite(fs) and fs > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return fs
+def _finite_float(accepts, wanted: str):
+    """argparse type of a finite number for which ``accepts`` holds."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")  # rejected below, with the same message
+        if not (math.isfinite(value) and accepts(value)):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _finite_float(lambda v: v > 0, "a finite positive number")
+_non_negative = _finite_float(lambda v: v >= 0, "a finite non-negative number")
 
 
 def cmd_split_bands(args) -> int:
@@ -129,7 +137,9 @@ def cmd_analyze(args) -> int:
     if args.markers:
         timeline = dataio.read_markers(args.markers)
     else:
-        timeline = build_timeline(args.clips)
+        # a condition ending past (n + 1) / fs needs more than the n samples there are
+        n = len(next(iter(channels.values())))
+        timeline = build_timeline(args.clips, recording_s=(n + 1) / fs)
     cfg = RunConfig(
         detrend_order=args.order,
         bidirectional=args.bidirectional,
@@ -193,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split-bands", help="split audio into the five stimulus bands")
     p.add_argument("input", help="input WAV (16/24-bit PCM)")
     p.add_argument("--outdir", type=Path, default=".", help="output directory (default: .)")
-    p.add_argument("--rms", type=float, default=0.1, help="per-band target RMS (default 0.1)")
+    p.add_argument("--rms", type=_positive, default=0.1, help="per-band target RMS (default 0.1)")
     p.add_argument(
-        "--transition", type=float, default=0.0,
+        "--transition", type=_non_negative, default=0.0,
         help="raised-cosine edge width in Hz (0 = exact brick-wall)",
     )
     p.set_defaults(func=cmd_split_bands)
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full EEG pipeline for one recording")
     p.add_argument("input", help="EEG CSV: header sample,F3,F4,...")
     p.add_argument(
-        "--fs", type=_sample_rate, default=None, help="sample rate (Hz); else sidecar JSON"
+        "--fs", type=_positive, default=None, help="sample rate (Hz); else sidecar JSON"
     )
     p.add_argument("--clips", type=int, default=4, help="clips in the nominal timeline")
     p.add_argument("--markers", default=None, help="JSON marker file overriding the timeline")
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hurst", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--freq", type=float, default=440.0, help="tone frequency (Hz)")
-    p.add_argument("--fs", type=_sample_rate, default=44100.0)
+    p.add_argument("--fs", type=_positive, default=44100.0)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.set_defaults(func=cmd_synth)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import wave
@@ -25,6 +26,16 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, newlines read as ``Path.read_text`` reads them;
+    a byte that is not UTF-8 is a DataFormatError naming the file and line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise DataFormatError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _cell_problem(cell: str) -> str | None:
     """What is wrong with a cell that ``np.loadtxt`` rejects or reads as non-finite."""
     try:
@@ -42,7 +53,7 @@ def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     One ``np.loadtxt`` call parses the non-empty lines; only after a failure
     are they scanned to name the first bad line, and its column if several."""
     # splitlines() would also break at form feeds, which csv and editors do not
-    header, *lines = Path(path).read_text().split("\n")
+    header, *lines = read_text(path).split("\n")
     names = [name.strip() for name in header.split(",")]
     rows = [line for line in lines if line]
     if not rows:
@@ -116,7 +127,7 @@ def read_fs_sidecar(path: str | Path) -> float | None:
     if not sidecar.exists():
         return None
     try:
-        payload = json.loads(sidecar.read_text())
+        payload = json.loads(read_text(sidecar))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{sidecar}: bad sidecar ({exc})") from exc
     if not isinstance(payload, dict):
@@ -135,8 +146,9 @@ def read_fs_sidecar(path: str | Path) -> float | None:
 def read_markers(path: str | Path) -> ProtocolTimeline:
     """The timeline of a JSON marker file (see ``timeline_from_markers``);
     every error names the file."""
+    text = read_text(path)
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(text)
         if not isinstance(payload, list):
             raise DataFormatError("marker file must be a JSON list")
         return timeline_from_markers(payload)
@@ -150,32 +162,31 @@ def read_response_sheets(path: str | Path) -> list[ResponseSheet]:
     """Sheets from CSV rows ``subject,clip,part1..part5`` with 0/1 cells."""
     marks: dict[str, np.ndarray] = {}
     order: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 + N_PARTS:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {2 + N_PARTS} fields, got {len(row)}"
-                )
-            subject = row[0].strip()
-            try:
-                clip = int(row[1])
-                cells = [int(c) for c in row[2:]]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if not 1 <= clip <= N_CLIPS_SHEET:
-                raise DataFormatError(f"{path}: line {lineno}: clip must be 1..4, got {clip}")
-            if any(c not in (0, 1) for c in cells):
-                raise DataFormatError(f"{path}: line {lineno}: cells must be 0 or 1")
-            if subject not in marks:
-                marks[subject] = np.zeros((N_CLIPS_SHEET, N_PARTS), dtype=bool)
-                order.append(subject)
-            marks[subject][clip - 1] = np.array(cells, dtype=bool)
+    reader = csv.reader(io.StringIO(read_text(path)))
+    header = next(reader, None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2 + N_PARTS:
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {2 + N_PARTS} fields, got {len(row)}"
+            )
+        subject = row[0].strip()
+        try:
+            clip = int(row[1])
+            cells = [int(c) for c in row[2:]]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not 1 <= clip <= N_CLIPS_SHEET:
+            raise DataFormatError(f"{path}: line {lineno}: clip must be 1..4, got {clip}")
+        if any(c not in (0, 1) for c in cells):
+            raise DataFormatError(f"{path}: line {lineno}: cells must be 0 or 1")
+        if subject not in marks:
+            marks[subject] = np.zeros((N_CLIPS_SHEET, N_PARTS), dtype=bool)
+            order.append(subject)
+        marks[subject][clip - 1] = np.array(cells, dtype=bool)
     if not order:
         raise DataFormatError(f"{path}: no data rows")
     return [ResponseSheet(subject_id=s, marks=marks[s]) for s in order]

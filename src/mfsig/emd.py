@@ -2,7 +2,11 @@
 
 Upper and lower envelopes are natural cubic splines through the local
 maxima / minima, with the outermost extrema mirrored past the signal ends
-to anchor the splines. Sifting repeats until the normalized squared
+to anchor the splines. Each spline's second derivatives come from its
+tridiagonal system, solved by parallel cyclic reduction on numpy slices
+run to completion; the spline is then evaluated at every sample in one
+pass, each sample reading the cubic of the knot interval that holds it.
+Sifting repeats until the normalized squared
 difference between successive candidates drops below the threshold (or an
 iteration cap); extraction stops when the residue has too few extrema
 left to oscillate. Summing the IMFs and the residue recovers the input
@@ -33,10 +37,43 @@ def local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos[rising], pos[~rising]
 
 
+def _natural_spline(t: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Values at 0..n-1 of the natural cubic spline through (t, y).
+
+    t is strictly increasing and spans [0, n - 1]. The interior second
+    derivatives solve a strictly diagonally dominant tridiagonal system
+    (de Boor 1978), here by parallel cyclic reduction (Hockney and
+    Jesshope 1981): step s eliminates each row's neighbours at distance s,
+    so after ceil(log2(m - 2)) steps every row stands alone.
+    """
+    h = np.diff(t)
+    slope = np.diff(y) / h
+    lower, diag, upper = h[:-1].copy(), 2.0 * (h[:-1] + h[1:]), h[1:].copy()
+    rhs = 6.0 * np.diff(slope)
+    s = 1
+    while s < diag.size:
+        k_lo, k_hi = lower[s:] / diag[:-s], upper[:-s] / diag[s:]
+        diag[s:] -= k_lo * upper[:-s]
+        diag[:-s] -= k_hi * lower[s:]
+        old = rhs.copy()
+        rhs[s:] -= k_lo * old[:-s]
+        rhs[:-s] -= k_hi * old[s:]
+        # lower[:s] and upper[-s:] point past the ends: they feed only entries
+        # that point past the ends at the next step, never diag or rhs
+        lower[s:] = -k_lo * lower[:-s]
+        upper[:-s] = -k_hi * upper[s:]
+        s *= 2
+    m2 = np.concatenate([[0.0], rhs / diag, [0.0]])
+    x = np.arange(n, dtype=float)
+    j = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
+    dx = x - t[j]
+    lo, hi = m2[j], m2[j + 1]
+    curve = (0.5 * lo + (hi - lo) / (6.0 * h[j]) * dx) * dx
+    return y[j] + (slope[j] - h[j] * (2.0 * lo + hi) / 6.0 + curve) * dx
+
+
 def _mirrored_envelope(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Natural cubic spline through (idx, x[idx]) with mirrored end knots."""
-    from scipy.interpolate import CubicSpline  # scipy is needed only when EMD sifts
-
     n = x.size
     t = idx.astype(float)
     v = x[idx]
@@ -50,9 +87,7 @@ def _mirrored_envelope(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
             right_v.append(v[-1 - j])
     knots = np.concatenate([left_t[::-1], t, right_t])
     vals = np.concatenate([left_v[::-1], v, right_v])
-    knots, keep = np.unique(knots, return_index=True)
-    spline = CubicSpline(knots, vals[keep], bc_type="natural")
-    return spline(np.arange(n, dtype=float))
+    return _natural_spline(knots, vals, n)
 
 
 def _sift(x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ start, 5 s silent gaps between stimuli, and a 30 s rest after each clip.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -122,16 +123,17 @@ class ProtocolTimeline:
         return next(cond for cond in self.conditions if cond.kind == "rest")
 
 
-def build_timeline(n_clips: int) -> ProtocolTimeline:
+def build_timeline(n_clips: int, recording_s: float = math.inf) -> ProtocolTimeline:
     """Full session timeline for n_clips clips.
 
     60 s rest, then per clip: original and the five band parts (20 s
     each) separated by 5 s gaps, closed by a 30 s rest. Total duration is
-    60 + 175 * n_clips seconds.
+    60 + 175 * n_clips seconds. Clips after the first one whose stimuli
+    end past ``recording_s`` are left out: a recording of that length
+    cannot hold them, and already fails to cover that first one.
     """
     if n_clips < 1:
         raise ValueError("need at least one clip")
-    t = 0.0
     conditions = [Condition("rest", 0.0, INITIAL_REST_S)]
     t = INITIAL_REST_S
     for clip in range(1, n_clips + 1):
@@ -143,6 +145,8 @@ def build_timeline(n_clips: int) -> ProtocolTimeline:
             conditions.append(Condition(kind, t, t + STIMULUS_S, clip=clip, band=band))
             t += STIMULUS_S
         conditions.append(Condition("rest", t, t + CLIP_REST_S))
+        if t > recording_s:  # this clip's last stimulus ends past the recording
+            break
         t += CLIP_REST_S
     return ProtocolTimeline(conditions=tuple(conditions))
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+from .dataio import read_text
 from .errors import AnalysisError, DataFormatError
 from .protocol import PART_TO_BAND, check_electrode_name, parse_label
 
@@ -210,8 +211,9 @@ def _report_json(report: AnalysisReport, records: list, cells: dict) -> str:
 
 def read_report_json(path: str | Path) -> AnalysisReport:
     """The report a report.json holds; a malformed file is named in the error."""
+    text = read_text(path)
     try:
-        return report_from_json_dict(json.loads(Path(path).read_text()))
+        return report_from_json_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     except DataFormatError as exc:

@@ -143,6 +143,29 @@ def envelope(x):
     return np.abs(np.fft.ifft(spec, n))
 
 
+def natural_spline(t, y, x):
+    """The natural cubic spline through (t, y) at x: second derivatives from
+    one dense solve of all m equations, the end rows setting them to 0; each
+    point evaluated in the symmetric form of the cubic on its knot interval."""
+    t, y, x = (np.asarray(v, dtype=float) for v in (t, y, x))
+    m = t.size
+    h = np.diff(t)
+    a = np.zeros((m, m))
+    rhs = np.zeros(m)
+    a[0, 0] = a[-1, -1] = 1.0
+    for i in range(1, m - 1):
+        a[i, i - 1 : i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
+        rhs[i] = 6.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
+    second = np.linalg.solve(a, rhs)
+    j = np.clip(np.digitize(x, t) - 1, 0, m - 2)
+    left, right, hj = x - t[j], t[j + 1] - x, h[j]
+    return (
+        (second[j] * right**3 + second[j + 1] * left**3) / (6.0 * hj)
+        + (y[j] / hj - second[j] * hj / 6.0) * right
+        + (y[j + 1] / hj - second[j + 1] * hj / 6.0) * left
+    )
+
+
 def imf_sum(decomposition):
     """The residue plus every IMF of an EMD decomposition, added one at a time."""
     total = decomposition.residue.copy()

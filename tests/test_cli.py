@@ -40,12 +40,12 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_synth_tone(tmp_path, duration):
-    """``mfsig synth tone --duration <duration>`` in a child capped at 1 GiB."""
+def run_capped(tmp_path, *argv):
+    """``mfsig <argv>`` in a child capped at 1 GiB."""
     src = str(Path(mfsig.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-m", "mfsig.cli", "synth", "tone", "--duration", duration],
+        [sys.executable, "-m", "mfsig.cli", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=_cap_address_space,
     )
@@ -62,7 +62,7 @@ class TestSynthCommand:
         "duration,shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0"), ("0", "0.0")]
     )
     def test_bad_tone_duration_exits_1_without_traceback(self, tmp_path, duration, shown):
-        proc = run_synth_tone(tmp_path, duration)
+        proc = run_capped(tmp_path, "synth", "tone", "--duration", duration)
         assert proc.returncode == 1
         assert proc.stderr == (
             f"error: tone duration must be a finite positive number of seconds, got {shown}\n"
@@ -73,7 +73,7 @@ class TestSynthCommand:
         "duration,shown,count", [("1e-9", "1e-09", "4.41e-05"), ("1e305", "1e+305", "inf")]
     )
     def test_tone_sample_count_names_duration_and_rate(self, tmp_path, duration, shown, count):
-        proc = run_synth_tone(tmp_path, duration)
+        proc = run_capped(tmp_path, "synth", "tone", "--duration", duration)
         assert proc.returncode == 1
         assert proc.stderr == (
             f"error: tone duration {shown} s at sample rate 44100.0 Hz gives {count} samples;"
@@ -84,7 +84,7 @@ class TestSynthCommand:
     @pytest.mark.parametrize("duration", ["1e5", "1e12"])
     def test_tone_too_large_for_memory_exits_1_without_traceback(self, tmp_path, duration):
         # 4.4e9 samples need 35 GB, past the child's cap; 4.4e16 need 313 PiB
-        proc = run_synth_tone(tmp_path, duration)
+        proc = run_capped(tmp_path, "synth", "tone", "--duration", duration)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
@@ -321,6 +321,19 @@ class TestAnalyzeCommand:
             AnalysisError, match=r"'clip1_band1' .*needs 52480 samples, have 49920"
         ):
             analyze_recording({"F3": np.zeros(n)}, fs, build_timeline(1), RunConfig(electrodes=["F3"]))
+
+    def test_clip_count_past_the_recording_fails_in_bounded_memory(self, tmp_path):
+        # a nominal timeline of 1e9 clips would take hundreds of GB, past the child's cap
+        make_eeg_fixture(tmp_path / "eeg.csv", electrodes=("F3",))
+        proc = run_capped(
+            tmp_path, "analyze", "eeg.csv", "--fs", "256", "--clips", "1000000000",
+            "--electrodes", "F3", "--outdir", "out",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: recording ends before condition 'clip2_original' "
+            "(235-255 s needs 65280 samples, have 60160)\n"
+        )
 
     def test_window_covering_no_sample_names_condition(self):
         fs = 256.0
@@ -754,17 +767,26 @@ class TestReportCommand:
 
 
 class TestWithoutScipy:
-    def test_mfdfa_and_analyze_run_without_scipy(self, tmp_path):
-        # scipy is needed only to sift EMD; a None entry fails every import of it
-        write_series_csv(tmp_path / "s.csv", white_noise(4096, seed=1))
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # numpy is the only dependency; a None entry fails every import of scipy
+        write_wav(tmp_path / "clip.wav", tone(2500.0, 44100.0, 0.5), 44100.0)
         make_eeg_fixture(tmp_path / "eeg.csv", electrodes=("F3",))
         script = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
             "from mfsig.cli import main\n"
-            "assert main(['mfdfa', 's.csv', '-o', 'r.json']) == 0\n"
-            "assert main(['analyze', 'eeg.csv', '--fs', '256', '--clips', '1',"
-            " '--electrodes', 'F3', '--outdir', 'out']) == 0\n"
+            "for argv in [\n"
+            "    ['split-bands', 'clip.wav', '--outdir', 'bands'],\n"
+            "    ['synth', 'white', '--n', '4096', '-o', 's.csv'],\n"
+            "    ['mfdfa', 's.csv', '-o', 'r.json'],\n"
+            "    ['analyze', 'eeg.csv', '--fs', '256', '--clips', '1', '--electrodes', 'F3',"
+            " '--outdir', 'out'],\n"
+            "    ['analyze', 'eeg.csv', '--fs', '256', '--clips', '1', '--electrodes', 'F3',"
+            " '--emd-drop', '1', '--outdir', 'emd'],\n"
+            f"    ['listening', {str(FIXDIR / 'listening_sheets.csv')!r}, '-o', 'table.csv'],\n"
+            "    ['report', 'emd/report.json', '--outdir', 'again'],\n"
+            "]:\n"
+            "    assert main(argv) == 0, argv\n"
         )
         src = str(Path(mfsig.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -773,7 +795,55 @@ class TestWithoutScipy:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "out" / "report.csv").exists()
+        for path in ("bands/band5.wav", "r.json", "out/report.csv", "emd/report.csv",
+                     "table.csv", "again/report.csv"):
+            assert (tmp_path / path).exists(), path
+
+
+ONE_ROW_EEG = b"sample,F3\n0,1.0\n"
+SHEET_HEADER = b"subject,clip,part1,part2,part3,part4,part5\n"
+
+
+class TestInputNotUtf8:
+    @pytest.mark.parametrize(
+        "files,argv,where",
+        [
+            ({"s.csv": b"value\n0.5\n\xff\n"}, ["mfdfa", "s.csv", "-o", "out"], "s.csv: line 3"),
+            (
+                {"eeg.csv": b"sample,F3\n0,1.0\n1,\xff\n"},
+                ["analyze", "eeg.csv", "--fs", "256", "--outdir", "out"], "eeg.csv: line 3",
+            ),
+            (
+                {"eeg.csv": ONE_ROW_EEG, "eeg.json": b'{"fs_hz":\n\xff}'},
+                ["analyze", "eeg.csv", "--outdir", "out"], "eeg.json: line 2",
+            ),
+            (
+                {"eeg.csv": ONE_ROW_EEG, "m.json": b"[\xff]"},
+                ["analyze", "eeg.csv", "--fs", "256", "--markers", "m.json", "--outdir", "out"],
+                "m.json: line 1",
+            ),
+            (
+                {"report.json": b'{"records":\n\n\xff}'},
+                ["report", "report.json", "--outdir", "out"], "report.json: line 3",
+            ),
+            (
+                {"sheets.csv": SHEET_HEADER + b"S1,1,0,0,1,1,\xff\n"},
+                ["listening", "sheets.csv", "-o", "out"], "sheets.csv: line 2",
+            ),
+        ],
+        ids=["series_csv", "eeg_csv", "sidecar", "markers", "report_json", "response_sheets"],
+    )
+    def test_exits_1_naming_file_and_line(self, tmp_path, capsys, monkeypatch, files, argv, where):
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {where}: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "out").exists()
+
+
+POSITIVE = "expected a finite positive number"
+NON_NEGATIVE = "expected a finite non-negative number"
 
 
 class TestUsageErrors:
@@ -789,14 +859,31 @@ class TestUsageErrors:
             ),
             (["analyze", "{csv}", "--workers", "0"], "argument --workers: must be at least 1, got 0"),
             (["analyze", "{csv}", "--workers", "-2"], "argument --workers: must be at least 1, got -2"),
+            *(
+                (["split-bands", "{wav}", "--rms", value], f"argument --rms: {POSITIVE}, got {value!r}")
+                for value in ("nan", "inf", "0", "-1")
+            ),
+            *(
+                (
+                    ["split-bands", "{wav}", "--transition", value],
+                    f"argument --transition: {NON_NEGATIVE}, got {value!r}",
+                )
+                for value in ("nan", "inf", "-5")
+            ),
         ],
-        ids=["mfdfa_fs", "rhythm_method", "synth_kind", "synth_fs_inf", "workers_0", "workers_neg"],
+        ids=[
+            "mfdfa_fs", "rhythm_method", "synth_kind", "synth_fs_inf", "workers_0", "workers_neg",
+            "rms_nan", "rms_inf", "rms_0", "rms_neg", "transition_nan", "transition_inf",
+            "transition_neg",
+        ],
     )
     def test_exits_2_naming_the_argument(self, tmp_path, capsys, argv, message):
         series_csv = tmp_path / "series.csv"
         write_series_csv(series_csv, white_noise(1024, seed=3))
+        wav = tmp_path / "clip.wav"
+        write_wav(wav, tone(2500.0, 44100.0, 0.1), 44100.0)
         with pytest.raises(SystemExit) as exc:
-            main([arg.format(csv=series_csv) for arg in argv])
+            main([arg.format(csv=series_csv, wav=wav) for arg in argv])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfsig.emd import emd, emd_denoise, local_extrema
+from mfsig.emd import _natural_spline, emd, emd_denoise, local_extrema
 from mfsig.errors import AnalysisError
 from mfsig.synth import tone, white_noise
 
-from oracles import imf_sum, local_extrema_loop
+from oracles import imf_sum, local_extrema_loop, natural_spline
 
 FS = 256.0
 
@@ -45,6 +45,32 @@ class TestLocalExtrema:
         for mine, ref in zip(local_extrema(x), local_extrema_loop(x)):
             assert mine.dtype == ref.dtype
             np.testing.assert_array_equal(mine, ref)
+
+
+@st.composite
+def spline_knots(draw):
+    """(knots, values, n): strictly increasing integer knots, clustered or
+    sparse, that span samples 0..n-1, some of them below 0 or past n - 1 as
+    mirrored knots are."""
+    m = draw(st.integers(2, 200))
+    gaps = draw(st.lists(st.integers(1, 3) | st.integers(20, 400), min_size=m - 1, max_size=m - 1))
+    t = np.concatenate([[0], np.cumsum(gaps)])
+    first = draw(st.integers(0, int(t[-1]) - 1))
+    last = draw(st.integers(first + 1, int(t[-1])))
+    values = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(t.size)
+    return (t - first).astype(float), values, last - first + 1
+
+
+class TestNaturalSpline:
+    @given(spline_knots())
+    @example((np.array([0.0, 9.0]), np.array([1.0, -2.0]), 10))
+    @example((np.array([-3.0, 0.0, 3.0]), np.array([1.0, 0.0, 1.0]), 1))
+    @example((np.array([-4.0, -1.0, 1.0, 7.0]), np.array([0.5, 2.0, -1.0, 0.5]), 6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_solve(self, knots):
+        t, y, n = knots
+        ref = natural_spline(t, y, np.arange(n))
+        assert np.abs(_natural_spline(t, y, n) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestEmd:

@@ -22,6 +22,15 @@ class TestTimeline:
         timeline = build_timeline(4)
         assert timeline.total_duration_s == 760.0  # about 12.7 minutes
 
+    @pytest.mark.parametrize("recording_s,clips", [(204.9, 1), (205.0, 2), (400.0, 3)])
+    def test_stops_after_the_first_clip_past_the_recording(self, recording_s, clips):
+        # clip c's last stimulus ends at 205 + 175 (c - 1) s
+        timeline = build_timeline(10**9, recording_s=recording_s)
+        assert timeline.conditions == build_timeline(clips).conditions
+
+    def test_recording_holding_every_clip_gets_them_all(self):
+        assert build_timeline(4, recording_s=730.0).conditions == build_timeline(4).conditions
+
     def test_opens_with_long_rest(self):
         first = build_timeline(2).conditions[0]
         assert first.kind == "rest"
