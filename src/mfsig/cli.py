@@ -22,7 +22,7 @@ from .errors import AnalysisError
 from .mfdfa import DEFAULT_Q_GRID, MfdfaConfig, run_mfdfa
 from .pipeline import RunConfig, analyze_recording
 from .protocol import aggregate_responses, build_timeline
-from .report import emit_report, read_report_json
+from .report import check_subject_id, emit_report, read_report_json
 from .spectrum import fit_spectrum, singularity_spectrum
 
 def _int_list(text: str) -> list[int]:
@@ -51,8 +51,18 @@ def _finite_float(accepts, wanted: str):
     return parse
 
 
+_finite = _finite_float(lambda v: True, "a finite number")
 _positive = _finite_float(lambda v: v > 0, "a finite positive number")
 _non_negative = _finite_float(lambda v: v >= 0, "a finite non-negative number")
+
+
+def _subject_id(text: str) -> str:
+    """argparse type of a subject ID that fits a report.csv field."""
+    try:
+        check_subject_id(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def cmd_split_bands(args) -> int:
@@ -179,10 +189,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_listening(args) -> int:
-    sheets = dataio.read_response_sheets(args.input)
-    table = aggregate_responses(sheets)
-    Path(args.output).write_text(table.to_csv())
-    print(f"aggregated {table.n_sheets} sheets -> {args.output}")
+    marks = dataio.read_response_sheets(args.input)
+    table = aggregate_responses(marks)
+    lines = ["clip," + ",".join(f"band{b}" for b in range(1, table.shape[1] + 1))]
+    for clip, row in enumerate(table.tolist(), start=1):
+        lines.append(",".join(str(v) for v in [clip, *row]))
+    Path(args.output).write_text("\n".join(lines) + "\n")
+    print(f"aggregated {len(marks)} sheets -> {args.output}")
     return 0
 
 
@@ -230,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clips", type=int, default=4, help="clips in the nominal timeline")
     p.add_argument("--markers", default=None, help="JSON marker file overriding the timeline")
     p.add_argument("--outdir", type=Path, default=".", help="output directory (default: .)")
-    p.add_argument("--subject", default="S01")
+    p.add_argument("--subject", type=_subject_id, default="S01")
     p.add_argument("--workers", type=int, default=1, help="parallel jobs (default: 1)")
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--bidirectional", action="store_true")
@@ -248,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=65536, help="fgn/white: series length")
     p.add_argument("--hurst", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--freq", type=float, default=440.0, help="tone frequency (Hz)")
+    p.add_argument("--freq", type=_finite, default=440.0, help="tone frequency (Hz)")
     p.add_argument("--fs", type=_positive, default=44100.0)
     p.add_argument("--duration", type=float, default=1.0)
-    p.add_argument("--amplitude", type=float, default=1.0)
+    p.add_argument("--amplitude", type=_finite, default=1.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("listening", help="aggregate response sheets into the non-recognition table")

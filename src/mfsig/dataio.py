@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError, DataFormatError
-from .protocol import N_CLIPS_SHEET, N_PARTS, ProtocolTimeline, ResponseSheet
+from .protocol import N_CLIPS_SHEET, N_PARTS, ProtocolTimeline
 from .protocol import check_electrode_name, timeline_from_markers
 
 
@@ -158,10 +158,16 @@ def read_markers(path: str | Path) -> ProtocolTimeline:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def read_response_sheets(path: str | Path) -> list[ResponseSheet]:
-    """Sheets from CSV rows ``subject,clip,part1..part5`` with 0/1 cells."""
+def read_response_sheets(path: str | Path) -> np.ndarray:
+    """Non-recognition marks from CSV rows ``subject,clip,part1..part5`` with
+    0/1 cells: a bool array (subjects, 4 clips, 5 parts), True where the
+    listener could not recognize the part, subjects in first-seen order.
+
+    A clip with no row is unmarked; two rows for one subject and clip are
+    an error naming both lines.
+    """
     marks: dict[str, np.ndarray] = {}
-    order: list[str] = []
+    first_line: dict[tuple[str, int], int] = {}
     reader = csv.reader(io.StringIO(read_text(path)))
     header = next(reader, None)
     if header is None:
@@ -183,13 +189,17 @@ def read_response_sheets(path: str | Path) -> list[ResponseSheet]:
             raise DataFormatError(f"{path}: line {lineno}: clip must be 1..4, got {clip}")
         if any(c not in (0, 1) for c in cells):
             raise DataFormatError(f"{path}: line {lineno}: cells must be 0 or 1")
+        first = first_line.setdefault((subject, clip), lineno)
+        if first != lineno:
+            raise DataFormatError(
+                f"{path}: lines {first} and {lineno} both give subject {subject!r} clip {clip}"
+            )
         if subject not in marks:
             marks[subject] = np.zeros((N_CLIPS_SHEET, N_PARTS), dtype=bool)
-            order.append(subject)
-        marks[subject][clip - 1] = np.array(cells, dtype=bool)
-    if not order:
+        marks[subject][clip - 1] = cells
+    if not marks:
         raise DataFormatError(f"{path}: no data rows")
-    return [ResponseSheet(subject_id=s, marks=marks[s]) for s in order]
+    return np.stack(list(marks.values()))
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, float]:

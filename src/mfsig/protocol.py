@@ -1,9 +1,13 @@
-"""Experiment protocol: stimulus timeline, recording segmentation,
+"""Experiment protocol: stimulus names, timeline, recording segmentation,
 analyzed electrodes, and listening-test aggregation.
 
 Each clip is presented as the original followed by five band-filtered
 parts in a fixed jumbled order; the timeline places a 60 s rest at the
 start, 5 s silent gaps between stimuli, and a 30 s rest after each clip.
+A condition is a rest or a (clip, slot) stimulus. The slots, "original"
+and "band1".."band5", are named here and nowhere else: ``STIMULUS_SLOTS``
+lists them in presentation order, and ``Condition.label`` and
+``parse_label`` are the one mapping between (clip, slot) and a label.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from .errors import AnalysisError, DataFormatError
 # Part order on the response template: part 1 plays band 3, and so on.
 PART_TO_BAND = {1: 3, 2: 2, 3: 5, 4: 4, 5: 1}
 
+# Stimulus slots in presentation order: the original, then parts 1..5.
+STIMULUS_SLOTS = ("original",) + tuple(f"band{PART_TO_BAND[p]}" for p in sorted(PART_TO_BAND))
+_SLOT_ORDER = {slot: i for i, slot in enumerate(STIMULUS_SLOTS)}
+
 N_PARTS = 5
 N_CLIPS_SHEET = 4
 
@@ -31,26 +39,26 @@ DEFAULT_ANALYZED = ("F3", "F4", "F7", "F8", "T3", "T4", "T5", "T6", "O1", "O2")
 
 
 def check_electrode_name(name: str) -> None:
-    """Reject a name that cannot be a file name inside the plot-data directory."""
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
+    """Reject a name that cannot be a file name inside the plot-data directory
+    or a report.csv field."""
+    if name in ("", ".", "..") or any(char in name for char in '/\\,"\r\n'):
         raise ValueError(
-            f"electrode name {name!r} must not be empty, '.' or '..', or contain '/' or '\\'"
+            f"electrode name {name!r} must not be empty, '.' or '..', "
+            "or contain '/', '\\', ',', '\"', CR or LF"
         )
 
 
 @dataclass(frozen=True)
 class Condition:
-    """One experimental condition: a rest period or a stimulus window."""
+    """One experimental condition: a rest period (no clip) or the stimulus
+    window of a clip's slot."""
 
-    kind: str  # "rest" | "original" | "band"
     start_s: float
     end_s: float
     clip: int | None = None
-    band: int | None = None
+    slot: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rest", "original", "band"):
-            raise ValueError(f"unknown condition kind {self.kind!r}")
         if not np.isfinite([self.start_s, self.end_s]).all():
             times = f"{self.start_s:g}-{self.end_s:g} s"
             raise ValueError(f"condition times must be finite, got {times}")
@@ -64,32 +72,27 @@ class Condition:
     @property
     def label(self) -> str:
         """Inverse of parse_label."""
-        if self.kind == "rest":
+        if self.clip is None:
             return "rest"
-        if self.kind == "original":
-            return f"clip{self.clip}_original"
-        return f"clip{self.clip}_band{self.band}"
-
-    @property
-    def is_stimulus(self) -> bool:
-        return self.kind != "rest"
+        return f"clip{self.clip}_{self.slot}"
 
 
-def parse_label(label: str) -> tuple[str, int | None, int | None]:
-    """(kind, clip, band) of a condition label.
+def parse_label(label: str) -> tuple[int | None, str | None]:
+    """(clip, slot) of a condition label; (None, None) for "rest".
 
-    Labels are "rest", "clip<N>_original" and "clip<N>_band<B>"; clip and
-    band are None where the label has none. Anything else is a ValueError.
+    Labels are "rest", "clip<N>_original" and "clip<N>_band<B>"; the
+    numbers are read as integers, so "clip01_band03" is (1, "band3").
+    Anything else is a ValueError.
     """
     if label == "rest":
-        return "rest", None, None
+        return None, None
     clip_part, _, stim = label.partition("_")
     try:
         clip = int(clip_part.removeprefix("clip"))
         if stim == "original":
-            return "original", clip, None
+            return clip, stim
         if stim.startswith("band"):
-            return "band", clip, int(stim.removeprefix("band"))
+            return clip, f"band{int(stim.removeprefix('band'))}"
     except ValueError:
         pass
     raise ValueError(f"bad label {label!r}")
@@ -108,7 +111,7 @@ class ProtocolTimeline:
             if cond.start_s < prev_end - 1e-9:
                 raise ValueError(f"conditions overlap at {cond.start_s}s")
             prev_end = cond.end_s
-        if not any(cond.kind == "rest" for cond in self.conditions):
+        if not any(cond.clip is None for cond in self.conditions):
             raise ValueError("timeline has no rest condition")
 
     @property
@@ -116,11 +119,11 @@ class ProtocolTimeline:
         return self.conditions[-1].end_s
 
     def stimulus_conditions(self) -> list:
-        return [c for c in self.conditions if c.is_stimulus]
+        return [c for c in self.conditions if c.clip is not None]
 
     def baseline(self) -> Condition:
         """The initial long rest used as the no-music reference."""
-        return next(cond for cond in self.conditions if cond.kind == "rest")
+        return next(cond for cond in self.conditions if cond.clip is None)
 
 
 def build_timeline(n_clips: int, recording_s: float = math.inf) -> ProtocolTimeline:
@@ -134,17 +137,16 @@ def build_timeline(n_clips: int, recording_s: float = math.inf) -> ProtocolTimel
     """
     if n_clips < 1:
         raise ValueError("need at least one clip")
-    conditions = [Condition("rest", 0.0, INITIAL_REST_S)]
+    conditions = [Condition(0.0, INITIAL_REST_S)]
     t = INITIAL_REST_S
     for clip in range(1, n_clips + 1):
-        stimuli = [("original", None)] + [("band", PART_TO_BAND[p]) for p in range(1, 6)]
-        for i, (kind, band) in enumerate(stimuli):
+        for i, slot in enumerate(STIMULUS_SLOTS):
             if i > 0:
-                conditions.append(Condition("rest", t, t + GAP_S))
+                conditions.append(Condition(t, t + GAP_S))
                 t += GAP_S
-            conditions.append(Condition(kind, t, t + STIMULUS_S, clip=clip, band=band))
+            conditions.append(Condition(t, t + STIMULUS_S, clip, slot))
             t += STIMULUS_S
-        conditions.append(Condition("rest", t, t + CLIP_REST_S))
+        conditions.append(Condition(t, t + CLIP_REST_S))
         if t > recording_s:  # this clip's last stimulus ends past the recording
             break
         t += CLIP_REST_S
@@ -166,12 +168,11 @@ def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"marker {i}: {exc}") from exc
         try:
-            kind, clip, band = parse_label(label)
-            cond = Condition(kind, start, end, clip=clip, band=band)
+            cond = Condition(start, end, *parse_label(label))
         except ValueError as exc:
             raise DataFormatError(f"marker {i}: {exc}") from exc
         j = first_marker.setdefault(cond.label, i)
-        if cond.is_stimulus and j != i:
+        if cond.clip is not None and j != i:
             raise DataFormatError(f"markers {j} and {i} both label {cond.label!r}")
         conditions.append(cond)
     conditions.sort(key=lambda c: c.start_s)
@@ -206,51 +207,17 @@ def segment_recording(
     return out
 
 
-@dataclass(frozen=True)
-class ResponseSheet:
-    """One listener's non-recognition marks, 4 clips x 5 parts."""
+def aggregate_responses(marks: np.ndarray) -> np.ndarray:
+    """Percentage of sheets marking each (clip, band), integers 0..100.
 
-    subject_id: str
-    marks: np.ndarray  # bool, shape (4, 5); True = could not recognize
-
-    def __post_init__(self):
-        arr = np.asarray(self.marks, dtype=bool)
-        if arr.shape != (N_CLIPS_SHEET, N_PARTS):
-            raise ValueError(f"response sheet must be 4x5, got {arr.shape}")
-        object.__setattr__(self, "marks", arr)
-
-
-@dataclass(frozen=True)
-class RecognitionTable:
-    """Non-recognition percentages per (clip, band), integers 0..100."""
-
-    percentages: np.ndarray  # int, shape (4, 5); column j is band j+1
-    n_sheets: int
-
-    def value(self, clip: int, band: int) -> int:
-        return int(self.percentages[clip - 1, band - 1])
-
-    def to_csv(self) -> str:
-        lines = ["clip," + ",".join(f"band{b}" for b in range(1, 6))]
-        for clip in range(1, N_CLIPS_SHEET + 1):
-            row = ",".join(str(self.value(clip, b)) for b in range(1, 6))
-            lines.append(f"{clip},{row}")
-        return "\n".join(lines) + "\n"
-
-
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5).astype(int)
-
-
-def aggregate_responses(sheets: list) -> RecognitionTable:
-    """Percentage of sheets marking each (clip, band), via the part map."""
-    if not sheets:
+    ``marks`` is the (sheets, 4 clips, 5 parts) array of non-recognition
+    marks; the result is (4 clips, 5 bands), column j band j+1 via the
+    part map, each percentage rounded half up.
+    """
+    if len(marks) == 0:
         raise AnalysisError("no response sheets to aggregate")
-    counts = np.zeros((N_CLIPS_SHEET, N_PARTS), dtype=int)
-    for sheet in sheets:
-        counts += sheet.marks
+    counts = marks.sum(axis=0)
     by_band = np.zeros_like(counts)
     for part, band in PART_TO_BAND.items():
         by_band[:, band - 1] = counts[:, part - 1]
-    pct = _round_half_up(100.0 * by_band / len(sheets))
-    return RecognitionTable(percentages=pct, n_sheets=len(sheets))
+    return np.floor(100.0 * by_band / len(marks) + 0.5).astype(int)

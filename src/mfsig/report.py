@@ -18,15 +18,26 @@ from typing import NamedTuple
 
 from .dataio import read_text
 from .errors import AnalysisError, DataFormatError
-from .protocol import PART_TO_BAND, check_electrode_name, parse_label
+from .protocol import _SLOT_ORDER, STIMULUS_SLOTS, check_electrode_name, parse_label
 
 SCHEMA_VERSION = "1"
 
 BASELINE_CONDITION = "rest"
 
-# Stimulus columns in presentation order: the original, then parts 1..5.
-STIMULUS_SLOTS = ("original",) + tuple(f"band{PART_TO_BAND[p]}" for p in sorted(PART_TO_BAND))
-_SLOT_ORDER = {slot: i for i, slot in enumerate(STIMULUS_SLOTS)}
+
+def check_csv_field(key: str, text: str) -> None:
+    """Reject text that would split or quote its report.csv field."""
+    for char in (",", '"', "\r", "\n"):
+        if char in text:
+            raise ValueError(f"{key} {text!r} must not contain {char!r}")
+
+
+def check_subject_id(subject: str) -> None:
+    """Reject a subject ID that cannot be a report.csv field: an empty one,
+    or one holding a comma, a double quote, a CR or a LF."""
+    if not subject:
+        raise ValueError("subject must not be empty")
+    check_csv_field("subject", subject)
 
 
 def baseline_delta(w_cond: float, w_rest: float) -> float:
@@ -115,18 +126,10 @@ def _nan(x, key: str) -> float:
     return float("nan") if x is None else _number(x, key)
 
 
-def _split_condition(label: str) -> tuple[int | None, str | None]:
-    """(clip number, stimulus slot) for a stimulus label, (None, None) for rest."""
-    kind, clip, band = parse_label(label)
-    if kind == "rest":
-        return None, None
-    return clip, "original" if kind == "original" else f"band{band}"
-
-
 def record_sort_key(rec: WidthRecord) -> tuple:
     """Subject, electrode, rest first, then clip and presentation slot, then
     rhythm; a band outside the protocol sorts after its clip's known slots."""
-    clip, slot = _split_condition(rec.condition)
+    clip, slot = parse_label(rec.condition)
     order = _SLOT_ORDER.get(slot, len(STIMULUS_SLOTS))
     return (rec.subject_id, rec.electrode, clip is not None, clip or 0, order, rec.rhythm)
 
@@ -154,7 +157,7 @@ def _tables(report: AnalysisReport) -> tuple[list, list, dict]:
     rows = []
     per_cell: dict[tuple, list[float]] = {}
     for rec in records:
-        clip, slot = _split_condition(rec.condition)
+        clip, slot = parse_label(rec.condition)
         if clip is None:
             continue
         w_rest = base.get((rec.subject_id, rec.electrode, rec.rhythm))
@@ -245,8 +248,11 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
             texts = (rec.subject_id, rec.electrode, rec.rhythm, rec.condition, rec.flags)
             if not all(isinstance(v, str) for v in texts):
                 raise TypeError("subject, electrode, rhythm, condition and flags must be strings")
+            check_subject_id(rec.subject_id)
             check_electrode_name(rec.electrode)
-            _split_condition(rec.condition)
+            check_csv_field("rhythm", rec.rhythm)
+            check_csv_field("flags", rec.flags)
+            parse_label(rec.condition)
         except KeyError as exc:
             raise DataFormatError(f"record {i}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:

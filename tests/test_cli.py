@@ -575,6 +575,29 @@ class TestAnalyzeCommand:
         lines = (outdir / "report.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 1 * 3 * 6
 
+    def test_markers_labels_are_normalised(self, tmp_path):
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg, electrodes=("F3",))
+        markers = [
+            {"label": "rest", "start_s": 0, "end_s": 60},
+            {"label": "clip01_band03", "start_s": 60, "end_s": 80},
+            {"label": "clip1_original", "start_s": 85, "end_s": 105},
+        ]
+        markers_path = tmp_path / "markers.json"
+        markers_path.write_text(json.dumps(markers))
+        outdir = tmp_path / "out"
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--markers", str(markers_path),
+            "--electrodes", "F3", "--outdir", str(outdir),
+        ])
+        assert rc == 0
+        payload = json.loads((outdir / "report.json").read_text())
+        assert {r["condition"] for r in payload["records"]} == {
+            "rest", "clip1_band3", "clip1_original",
+        }
+        rows = (outdir / "report.csv").read_text().strip().split("\n")[1:]
+        assert {tuple(row.split(",")[3:5]) for row in rows} == {("1", "band3"), ("1", "original")}
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_flat_electrode_error_is_located(self, tmp_path, capsys, workers):
         eeg = tmp_path / "eeg.csv"
@@ -750,13 +773,31 @@ class TestReportCommand:
             ({"config": 5, "records": [GOOD_RECORD]}, "config must be a JSON object"),
             ({"inputs": [1], "records": [GOOD_RECORD]}, "inputs must be a JSON object"),
             ({"records": []}, "no records"),
+            (
+                {"records": [GOOD_RECORD, dict(GOOD_RECORD, subject="S,1")]},
+                "record 1: subject 'S,1' must not contain ','",
+            ),
+            ({"records": [dict(GOOD_RECORD, subject="")]}, "record 0: subject must not be empty"),
+            (
+                {"records": [dict(GOOD_RECORD, electrode='F"3')]},
+                "record 0: electrode name 'F\"3' must not be empty",
+            ),
+            (
+                {"records": [dict(GOOD_RECORD, rhythm="alpha\n")]},
+                "record 0: rhythm 'alpha\\n' must not contain '\\n'",
+            ),
+            (
+                {"records": [dict(GOOD_RECORD, flags="nonconcave,x")]},
+                "record 0: flags 'nonconcave,x' must not contain ','",
+            ),
         ],
         ids=[
             "list", "records_not_list", "record_not_object", "missing_key", "null_width",
             "negative_width", "bad_condition", "flags_not_string", "electrode_path",
             "electrode_empty", "baseline_not_rest", "width_bool", "width_string",
             "fit_a_string", "h2_r2_bool", "config_not_object", "inputs_not_object",
-            "no_records",
+            "no_records", "subject_comma", "subject_empty", "electrode_quote", "rhythm_newline",
+            "flags_comma",
         ],
     )
     def test_malformed_report_names_file_and_record(self, tmp_path, capsys, payload, expected):
@@ -844,6 +885,7 @@ class TestInputNotUtf8:
 
 POSITIVE = "expected a finite positive number"
 NON_NEGATIVE = "expected a finite non-negative number"
+FINITE = "expected a finite number"
 
 
 class TestUsageErrors:
@@ -870,11 +912,28 @@ class TestUsageErrors:
                 )
                 for value in ("nan", "inf", "-5")
             ),
+            *(
+                (["synth", "tone", f"{flag}={value}"], f"argument {flag}: {FINITE}, got {value!r}")
+                for flag in ("--freq", "--amplitude")
+                for value in ("nan", "inf", "-inf")
+            ),
+            *(
+                (["analyze", "{csv}", "--subject", value], f"argument --subject: {message}")
+                for value, message in [
+                    ("S,1", "subject 'S,1' must not contain ','"),
+                    ('S"1', "subject 'S\"1' must not contain '\"'"),
+                    ("S\n1", "subject 'S\\n1' must not contain '\\n'"),
+                    ("S\r1", "subject 'S\\r1' must not contain '\\r'"),
+                    ("", "subject must not be empty"),
+                ]
+            ),
         ],
         ids=[
             "mfdfa_fs", "rhythm_method", "synth_kind", "synth_fs_inf", "workers_0", "workers_neg",
             "rms_nan", "rms_inf", "rms_0", "rms_neg", "transition_nan", "transition_inf",
-            "transition_neg",
+            "transition_neg", "freq_nan", "freq_inf", "freq_neg_inf", "amplitude_nan",
+            "amplitude_inf", "amplitude_neg_inf", "subject_comma", "subject_quote",
+            "subject_lf", "subject_cr", "subject_empty",
         ],
     )
     def test_exits_2_naming_the_argument(self, tmp_path, capsys, argv, message):

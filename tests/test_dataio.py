@@ -110,11 +110,12 @@ class TestEegCsv:
         (read_eeg_csv, "sample,F3,\n0,1.0,2.0\n", "line 1: column 3: electrode name ''"),
         (read_eeg_csv, "sample,..\n0,1.0\n", "line 1: column 2: electrode name '..'"),
         (read_eeg_csv, "sample,a\\b\n0,1.0\n", "line 1: column 2: electrode name 'a\\\\b'"),
+        (read_eeg_csv, 'sample,"F3"\n0,1.0\n', "line 1: column 2: electrode name '\"F3\"'"),
     ],
     ids=[
         "empty_cell", "digit_separator", "whitespace_line", "quoted_cell", "crlf", "form_feed",
         "two_column_series", "non_numeric_sample", "electrode_path", "electrode_empty",
-        "electrode_dotdot", "electrode_backslash",
+        "electrode_dotdot", "electrode_backslash", "electrode_quoted",
     ],
 )
 def test_bad_input_names_path_and_line(tmp_path, reader, text, expected):
@@ -199,7 +200,7 @@ class TestWav:
             read_wav(path)
 
 
-class TestResponseSheets:
+class TestListeningSheets:
     def test_rejects_bad_cell(self, tmp_path):
         path = tmp_path / "sheets.csv"
         path.write_text("subject,clip,part1,part2,part3,part4,part5\nA,1,0,1,2,0,0\n")
@@ -215,9 +216,30 @@ class TestResponseSheets:
     def test_partial_subject_rows_default_to_unmarked(self, tmp_path):
         path = tmp_path / "sheets.csv"
         path.write_text("subject,clip,part1,part2,part3,part4,part5\nA,2,1,0,0,0,0\n")
-        sheets = read_response_sheets(path)
-        assert len(sheets) == 1
-        assert sheets[0].marks.sum() == 1
+        marks = read_response_sheets(path)
+        assert marks.shape == (1, 4, 5)
+        assert marks.sum() == 1
+
+    def test_subjects_in_first_seen_order(self, tmp_path):
+        path = tmp_path / "sheets.csv"
+        path.write_text(
+            "subject,clip,part1,part2,part3,part4,part5\n"
+            "B,1,1,0,0,0,0\nA,3,0,0,0,0,1\nB,2,0,1,0,0,0\n"
+        )
+        marks = read_response_sheets(path)
+        assert marks.dtype == bool
+        assert marks.shape == (2, 4, 5)
+        assert marks[0, 0, 0] and marks[0, 1, 1] and marks[1, 2, 4]
+        assert marks.sum() == 3
+
+    def test_repeated_subject_clip_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "subject,clip,part1,part2,part3,part4,part5\nA,1,1,1,1,1,1\nA,1,0,0,0,0,0\n"
+        )
+        expected = f"{path}: lines 2 and 3 both give subject 'A' clip 1"
+        with pytest.raises(DataFormatError, match=re.escape(expected)):
+            read_response_sheets(path)
 
 
 class TestHash:

@@ -4,7 +4,7 @@ import pytest
 from mfsig.errors import AnalysisError, DataFormatError
 from mfsig.protocol import (
     PART_TO_BAND,
-    ResponseSheet,
+    STIMULUS_SLOTS,
     aggregate_responses,
     build_timeline,
     parse_label,
@@ -33,7 +33,8 @@ class TestTimeline:
 
     def test_opens_with_long_rest(self):
         first = build_timeline(2).conditions[0]
-        assert first.kind == "rest"
+        assert first.label == "rest"
+        assert first.clip is None
         assert first.duration_s == 60.0
 
     def test_stimulus_order_within_clip(self):
@@ -58,7 +59,7 @@ class TestTimeline:
 
     def test_gaps_are_five_seconds_and_clip_rest_thirty(self):
         timeline = build_timeline(1)
-        rests = [c for c in timeline.conditions if c.kind == "rest"]
+        rests = [c for c in timeline.conditions if c.clip is None]
         assert [r.duration_s for r in rests] == [60.0] + [5.0] * 5 + [30.0]
 
     def test_markers_round_trip(self):
@@ -104,10 +105,46 @@ class TestPartToBand:
         assert sorted(PART_TO_BAND.values()) == [1, 2, 3, 4, 5]
 
 
+class TestStimulusSlots:
+    def test_presentation_order(self):
+        labels = [c.label for c in build_timeline(1).stimulus_conditions()]
+        assert STIMULUS_SLOTS == tuple(label.partition("_")[2] for label in labels)
+
+
 class TestParseLabel:
     def test_inverse_of_condition_label(self):
         for cond in build_timeline(4).conditions:
-            assert parse_label(cond.label) == (cond.kind, cond.clip, cond.band)
+            assert parse_label(cond.label) == (cond.clip, cond.slot)
+
+    @pytest.mark.parametrize(
+        "label,parsed",
+        [
+            ("rest", (None, None)),
+            ("clip1_original", (1, "original")),
+            ("clip01_band03", (1, "band3")),
+            ("clip2_band7", (2, "band7")),
+        ],
+        ids=["rest", "original", "zero_padded", "band_outside_protocol"],
+    )
+    def test_numbers_are_normalised(self, label, parsed):
+        assert parse_label(label) == parsed
+
+    def test_markers_normalise_labels(self):
+        markers = [{"label": "rest", "start_s": 0, "end_s": 60},
+                   {"label": "clip01_band03", "start_s": 60, "end_s": 80},
+                   {"label": "clip1_original", "start_s": 85, "end_s": 105}]
+        timeline = timeline_from_markers(markers)
+        assert [c.label for c in timeline.conditions] == ["rest", "clip1_band3", "clip1_original"]
+        assert [(c.clip, c.slot) for c in timeline.stimulus_conditions()] == [
+            (1, "band3"), (1, "original"),
+        ]
+
+    def test_markers_normalising_to_one_label_are_rejected(self):
+        markers = [{"label": "rest", "start_s": 0, "end_s": 60},
+                   {"label": "clip1_band3", "start_s": 60, "end_s": 80},
+                   {"label": "clip01_band03", "start_s": 85, "end_s": 105}]
+        with pytest.raises(DataFormatError, match="markers 1 and 2 both label 'clip1_band3'"):
+            timeline_from_markers(markers)
 
     @pytest.mark.parametrize(
         "bad", ["baseline", "clip1", "clip1_band", "clipX_original", "clip1_tone"]
@@ -124,45 +161,43 @@ class TestParseLabel:
             timeline_from_markers(markers)
 
 
-def sheet(subject, marked_cells):
+def sheet(marked_cells):
     marks = np.zeros((4, 5), dtype=bool)
     for clip, part in marked_cells:
         marks[clip - 1, part - 1] = True
-    return ResponseSheet(subject_id=subject, marks=marks)
+    return marks
 
 
 class TestAggregateResponses:
     def test_spec_example_78_percent(self):
-        sheets = [
-            sheet(f"s{i}", [(1, 4)] if i < 39 else []) for i in range(50)
-        ]
-        table = aggregate_responses(sheets)
-        assert table.value(clip=1, band=4) == 78
-        assert table.n_sheets == 50
+        marks = np.stack([sheet([(1, 4)] if i < 39 else []) for i in range(50)])
+        table = aggregate_responses(marks)
+        assert table[0, 3] == 78  # clip 1, band 4
+        assert table.shape == (4, 5)
 
     def test_unmarked_parts_give_zero_for_low_bands(self):
-        sheets = [sheet(f"s{i}", [(1, 3), (2, 4)]) for i in range(10)]
-        table = aggregate_responses(sheets)
+        table = aggregate_responses(np.stack([sheet([(1, 3), (2, 4)]) for _ in range(10)]))
         for clip in range(1, 5):
-            assert table.value(clip, 1) == 0  # band1 = part5, unmarked
-            assert table.value(clip, 2) == 0  # band2 = part2, unmarked
+            assert table[clip - 1, 0] == 0  # band1 = part5, unmarked
+            assert table[clip - 1, 1] == 0  # band2 = part2, unmarked
 
     def test_single_sheet_all_marked(self):
-        table = aggregate_responses([sheet("s", [(c, p) for c in range(1, 5) for p in range(1, 6)])])
-        assert np.all(table.percentages == 100)
+        every_cell = [(c, p) for c in range(1, 5) for p in range(1, 6)]
+        table = aggregate_responses(np.stack([sheet(every_cell)]))
+        assert np.all(table == 100)
 
     def test_order_invariance(self):
-        sheets = [sheet(f"s{i}", [(1, 1)] if i % 3 else [(2, 2)]) for i in range(9)]
-        fwd = aggregate_responses(sheets).percentages
-        rev = aggregate_responses(sheets[::-1]).percentages
+        marks = np.stack([sheet([(1, 1)] if i % 3 else [(2, 2)]) for i in range(9)])
+        fwd = aggregate_responses(marks)
+        rev = aggregate_responses(marks[::-1])
         np.testing.assert_array_equal(fwd, rev)
 
     def test_duplication_invariance(self):
-        sheets = [sheet(f"s{i}", [(1, 4)] if i < 3 else []) for i in range(10)]
-        once = aggregate_responses(sheets).percentages
-        twice = aggregate_responses(sheets + sheets).percentages
+        marks = np.stack([sheet([(1, 4)] if i < 3 else []) for i in range(10)])
+        once = aggregate_responses(marks)
+        twice = aggregate_responses(np.concatenate([marks, marks]))
         np.testing.assert_array_equal(once, twice)
 
     def test_no_sheets(self):
         with pytest.raises(AnalysisError, match="no response sheets to aggregate"):
-            aggregate_responses([])
+            aggregate_responses(np.zeros((0, 4, 5), dtype=bool))

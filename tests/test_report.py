@@ -3,9 +3,7 @@ import json
 import pytest
 
 from mfsig.errors import AnalysisError
-from mfsig.protocol import build_timeline
 from mfsig.report import (
-    STIMULUS_SLOTS,
     AnalysisReport,
     WidthRecord,
     baseline_delta,
@@ -81,12 +79,6 @@ class TestAverageSubjects:
     def test_empty(self):
         with pytest.raises(AnalysisError, match="no values in cell"):
             cell_mean_sd([])
-
-
-class TestStimulusSlots:
-    def test_presentation_order(self):
-        labels = [c.label for c in build_timeline(1).stimulus_conditions()]
-        assert STIMULUS_SLOTS == tuple(label.partition("_")[2] for label in labels)
 
 
 class TestEmission:
