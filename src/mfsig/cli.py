@@ -36,6 +36,17 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _finite_float(accepts, wanted: str):
     """argparse type of a finite number for which ``accepts`` holds."""
 
@@ -87,17 +98,18 @@ def cmd_split_bands(args) -> int:
 def _q_grid(parser: argparse.ArgumentParser, args) -> np.ndarray | None:
     """``mfdfa``'s q grid: None without q flags, else the flags' range with the
     default grid's ends and step filling unset flags. A usage error when the
-    range cannot be built, or when the step does not divide it."""
+    range is empty, or when the step does not divide it; a ValueError or
+    MemoryError when the grid has too many points to build."""
     if args.q_min is None and args.q_max is None and args.q_step is None:
         return None
     lo = float(DEFAULT_Q_GRID[0]) if args.q_min is None else args.q_min
     hi = float(DEFAULT_Q_GRID[-1]) if args.q_max is None else args.q_max
     step = float(DEFAULT_Q_GRID[1] - DEFAULT_Q_GRID[0]) if args.q_step is None else args.q_step
-    if not step > 0:
-        parser.error(f"argument --q-step: must be positive, got {step:g}")
     if not hi >= lo:
         parser.error(f"argument --q-max: {hi:g} is below --q-min {lo:g}")
     steps = (hi - lo) / step
+    if not steps < np.iinfo(np.intp).max:  # also when hi - lo overflows
+        raise ValueError(f"q grid from {lo:g} to {hi:g} in steps of {step:g} is too large")
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
         parser.error(f"argument --q-step: {step:g} does not divide the q range {lo:g} to {hi:g}")
     return np.linspace(lo, hi, int(round(steps)) + 1)
@@ -227,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="single-column CSV with header")
     p.add_argument("-o", "--output", default="result.json")
     p.add_argument("--csv", default=None, help="also write the (q, s) fluctuation table")
-    p.add_argument("--order", type=int, default=1, help="detrending polynomial order")
+    p.add_argument("--order", type=_at_least_one, default=1, help="detrending polynomial order")
     p.add_argument("--scales", type=_int_list, help="comma-separated scale list (default: auto)")
-    p.add_argument("--q-min", type=float, default=None)
-    p.add_argument("--q-max", type=float, default=None)
-    p.add_argument("--q-step", type=float, default=None)
+    p.add_argument("--q-min", type=_finite, default=None)
+    p.add_argument("--q-max", type=_finite, default=None)
+    p.add_argument("--q-step", type=_positive, default=None)
     p.add_argument("--bidirectional", action="store_true")
     p.set_defaults(func=cmd_mfdfa)
 
@@ -244,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--markers", default=None, help="JSON marker file overriding the timeline")
     p.add_argument("--outdir", type=Path, default=".", help="output directory (default: .)")
     p.add_argument("--subject", type=_subject_id, default="S01")
-    p.add_argument("--workers", type=int, default=1, help="parallel jobs (default: 1)")
-    p.add_argument("--order", type=int, default=1)
+    p.add_argument("--workers", type=_at_least_one, default=1, help="parallel jobs (default: 1)")
+    p.add_argument("--order", type=_at_least_one, default=1)
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--rhythm-method", choices=("fft", "dwt"), default="fft")
     p.add_argument("--no-envelope", action="store_true", help="analyze band signals, not envelopes")
@@ -283,11 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "mfdfa":
-        args.q_grid = _q_grid(parser, args)
-    if args.command == "analyze" and args.workers < 1:
-        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
+        if args.command == "mfdfa":
+            args.q_grid = _q_grid(parser, args)
         return args.func(args)
     except (AnalysisError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -1,5 +1,8 @@
 """File formats: series and multi-channel EEG CSV (one numeric reader),
-WAV audio, response sheets, marker files, and input hashing for provenance."""
+WAV audio, response sheets, marker files, and input hashing for provenance.
+
+A valid numeric CSV is parsed straight from disk; only a rejected one is
+read again as text and scanned to locate the error."""
 
 from __future__ import annotations
 
@@ -8,6 +11,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 import wave
 from pathlib import Path
 
@@ -50,30 +54,41 @@ def _cell_problem(cell: str) -> str | None:
 def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Header names and the ``(rows, columns)`` array of a CSV of numbers.
 
-    One ``np.loadtxt`` call parses the non-empty lines; only after a failure
-    are they scanned to name the first bad line, and its column if several."""
+    A valid file is parsed from disk by one ``np.loadtxt`` call, so its text
+    is never held whole; only a rejected file is read again and scanned to
+    name the first bad line, and its column if several."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            names = [name.strip() for name in fh.readline().split(",")]
+            with warnings.catch_warnings():
+                # a file with no data rows: rejected below, with our message
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # not UTF-8, a bad cell or a ragged row
+        raise _csv_error(path) from None
+    if not len(data) or data.shape[1] != len(names) or not np.isfinite(data).all():
+        raise _csv_error(path)
+    return names, data
+
+
+def _csv_error(path: str | Path) -> DataFormatError:
+    """The error naming the first bad line of a CSV that ``_read_numeric_csv``
+    rejects (``read_text`` raises its own for a file that is not UTF-8)."""
     # splitlines() would also break at form feeds, which csv and editors do not
     header, *lines = read_text(path).split("\n")
     names = [name.strip() for name in header.split(",")]
-    rows = [line for line in lines if line]
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # a bad cell or a ragged row
-        data = None
-    if data is None or data.shape[1] != len(names) or not np.isfinite(data).all():
-        for n, line in enumerate(lines, start=2):
-            cells = line.split(",") if line else []
-            if cells and len(cells) != len(names):
-                got = len(cells)
-                raise DataFormatError(f"{path}: line {n}: expected {len(names)} fields, got {got}")
-            for name, cell in zip(names, cells):
-                if problem := _cell_problem(cell):
-                    where = f"column {name}: " if len(names) > 1 else ""
-                    raise DataFormatError(f"{path}: line {n}: {where}{cell!r} {problem}")
-        raise DataFormatError(f"{path}: not a CSV of numbers")
-    return names, data
+    if not any(lines):
+        return DataFormatError(f"{path}: no data rows")
+    for n, line in enumerate(lines, start=2):
+        cells = line.split(",") if line else []
+        if cells and len(cells) != len(names):
+            got = len(cells)
+            return DataFormatError(f"{path}: line {n}: expected {len(names)} fields, got {got}")
+        for name, cell in zip(names, cells):
+            if problem := _cell_problem(cell):
+                where = f"column {name}: " if len(names) > 1 else ""
+                return DataFormatError(f"{path}: line {n}: {where}{cell!r} {problem}")
+    return DataFormatError(f"{path}: not a CSV of numbers")
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:

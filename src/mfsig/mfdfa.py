@@ -27,7 +27,8 @@ from .series import profile
 DEFAULT_Q_GRID = np.linspace(-5.0, 5.0, 41)
 DEFAULT_N_SCALES = 19
 DEFAULT_MIN_SCALE = 16
-# Bounds the working memory of log_fluctuation_function at any series length.
+# Bounds the temporaries of segment_fluctuations and log_fluctuation_function,
+# in elements, at any series length.
 _BLOCK_ELEMENTS = 2**16
 
 
@@ -123,11 +124,22 @@ def segment_fluctuations(y: np.ndarray, s: int, m: int, bidirectional: bool = Fa
     n = y.shape[-1]
     ns = n // s
     basis = _detrend_basis(s, m)
+    rows = y.reshape(math.prod(y.shape[:-1]), n)
     starts = (0, n - ns * s) if bidirectional else (0,)
-    tilings = (y[..., a : a + ns * s].reshape(*y.shape[:-1], ns, s) for a in starts)
-    return np.concatenate(
-        [np.mean((g - (g @ basis) @ basis.T) ** 2, axis=-1) for g in tilings], axis=-1
-    )
+    f2 = np.empty((len(rows), len(starts), ns))
+    # A block is a slab of whole rows, or of segments of one row longer than
+    # _BLOCK_ELEMENTS, so a row's matmuls do not depend on the batch size
+    block_rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    block_segments = max(1, _BLOCK_ELEMENTS // s)
+    for r in range(0, len(rows), block_rows):
+        slab = rows[r : r + block_rows]
+        for t, a in enumerate(starts):
+            for k in range(0, ns, block_segments):
+                kb = min(block_segments, ns - k)
+                seg = slab[:, a + k * s : a + (k + kb) * s].reshape(len(slab), kb, s)
+                resid = seg - (seg @ basis) @ basis.T
+                f2[r : r + block_rows, t, k : k + kb] = np.mean(resid**2, axis=-1)
+    return f2.reshape(*y.shape[:-1], len(starts) * ns)
 
 
 def log_fluctuation_function(f2: np.ndarray, q_grid: np.ndarray) -> np.ndarray:

@@ -18,19 +18,20 @@ _LN2 = math.log(2.0)
 SUB_BAND_FLOOR = BandSpec(0.0, 50.0, "sub50")
 
 
-def normal_equations_residual_ms(segment, order):
-    """Mean squared residual of a polynomial fit via normal equations.
+def normal_equations_residual_ms(segments, order):
+    """Mean squared residual of a polynomial fit via normal equations, for
+    each segment in the last axis of segments (..., s).
 
     Centered integer abscissa keeps the normal equations well conditioned;
     the residual itself is invariant to the abscissa shift.
     """
-    seg = np.asarray(segment, dtype=float)
-    s = seg.size
+    seg = np.asarray(segments, dtype=float)
+    s = seg.shape[-1]
     t = np.arange(s, dtype=float) - (s - 1) / 2.0
     a = np.vander(t, order + 1)
-    coef = np.linalg.solve(a.T @ a, a.T @ seg)
-    resid = seg - a @ coef
-    return float(np.mean(resid * resid))
+    coef = np.linalg.solve(a.T @ a, (seg @ a)[..., np.newaxis])[..., 0]
+    resid = seg - coef @ a.T
+    return np.mean(resid * resid, axis=-1)
 
 
 def plain_dfa_slope(samples, scales, order=1, bidirectional=False):

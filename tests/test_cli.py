@@ -137,6 +137,11 @@ class TestMfdfaCommand:
             (["--q-step", "-0.5"], "--q-step"),
             (["--q-min", "2", "--q-max", "1"], "--q-max"),
             (["--q-step", "0.3"], "--q-step"),
+            (["--q-min=-inf"], "--q-min"),
+            (["--q-min", "nan"], "--q-min"),
+            (["--q-max", "inf"], "--q-max"),
+            (["--q-step", "inf"], "--q-step"),
+            (["--q-step", "nan"], "--q-step"),
         ],
     )
     def test_bad_q_range_is_usage_error(self, tmp_path, capsys, flags, named):
@@ -146,6 +151,25 @@ class TestMfdfaCommand:
             main(["mfdfa", str(series_csv), "-o", str(tmp_path / "r.json"), *flags])
         assert exc.value.code == 2
         assert f"argument {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            # 1e18 points: 8e18 bytes, more than any address space holds
+            (["--q-step", "1e-17"], "Unable to allocate"),
+            (["--q-step", "1e-300"], "q grid from -5 to 5 in steps of 1e-300 is too large"),
+            (["--q-min=-1e308", "--q-max=1e308"], "q grid from -1e+308 to 1e+308 in steps"),
+        ],
+        ids=["unallocatable", "beyond_an_array", "range_overflows"],
+    )
+    def test_q_grid_too_large_is_one_error_line(self, tmp_path, capsys, flags, message):
+        series_csv = tmp_path / "series.csv"
+        write_series_csv(series_csv, white_noise(1024, seed=3))
+        assert main(["mfdfa", str(series_csv), "-o", str(tmp_path / "r.json"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
     def test_config_holds_the_mfdfa_settings(self, tmp_path, capsys):
         series_csv = tmp_path / "series.csv"
@@ -901,6 +925,10 @@ class TestUsageErrors:
             ),
             (["analyze", "{csv}", "--workers", "0"], "argument --workers: must be at least 1, got 0"),
             (["analyze", "{csv}", "--workers", "-2"], "argument --workers: must be at least 1, got -2"),
+            (["analyze", "{csv}", "--workers", "two"], "argument --workers: expected an integer"),
+            (["analyze", "{csv}", "--order", "0"], "argument --order: must be at least 1, got 0"),
+            (["mfdfa", "{csv}", "--order", "0"], "argument --order: must be at least 1, got 0"),
+            (["mfdfa", "{csv}", "--order", "-1"], "argument --order: must be at least 1, got -1"),
             *(
                 (["split-bands", "{wav}", "--rms", value], f"argument --rms: {POSITIVE}, got {value!r}")
                 for value in ("nan", "inf", "0", "-1")
@@ -930,6 +958,7 @@ class TestUsageErrors:
         ],
         ids=[
             "mfdfa_fs", "rhythm_method", "synth_kind", "synth_fs_inf", "workers_0", "workers_neg",
+            "workers_word", "analyze_order_0", "mfdfa_order_0", "mfdfa_order_neg",
             "rms_nan", "rms_inf", "rms_0", "rms_neg", "transition_nan", "transition_inf",
             "transition_neg", "freq_nan", "freq_inf", "freq_neg_inf", "amplitude_nan",
             "amplitude_inf", "amplitude_neg_inf", "subject_comma", "subject_quote",

@@ -1,9 +1,11 @@
 import re
+import warnings
 import wave
 
 import numpy as np
 import pytest
 
+from mfsig import dataio
 from mfsig.dataio import (
     read_eeg_csv,
     read_response_sheets,
@@ -93,6 +95,51 @@ class TestEegCsv:
             DataFormatError, match=f"eeg.csv: line 5: column F4: '{cell}' is not a finite"
         ):
             read_eeg_csv(path)
+
+
+class TestNumericCsvFromDisk:
+    def test_valid_files_are_never_held_as_text(self, tmp_path, monkeypatch):
+        # only a rejected file is read again as text, to locate its error
+        series, eeg = tmp_path / "s.csv", tmp_path / "eeg.csv"
+        x = white_noise(300, seed=4)
+        write_series_csv(series, x)
+        write_eeg_csv(eeg, {"F3": x, "O2": -x})
+
+        def no_text(path):
+            raise AssertionError(f"{path} read as text")
+
+        monkeypatch.setattr(dataio, "read_text", no_text)
+        np.testing.assert_array_equal(read_series_csv(series), x)
+        np.testing.assert_allclose(read_eeg_csv(eeg)["O2"], -x, rtol=1e-8)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sample,F3\r\n0,1.5\r\n1,-2e3\r\n",
+            "sample,F3\n0,1.5\n\n\n1,-2e3\n\n",
+            "sample,F3\n0,1.5\n1,-2e3",
+            "sample,F3\n0,1.5\n",
+            "sample,F3\r\n0,1.5",
+        ],
+        ids=["crlf", "blank_lines", "no_final_newline", "single_row", "single_row_crlf"],
+    )
+    def test_equals_the_line_scan(self, tmp_path, text):
+        path = tmp_path / "eeg.csv"
+        path.write_bytes(text.encode())
+        header, *lines = text.replace("\r\n", "\n").split("\n")
+        rows = [[float(cell) for cell in line.split(",")] for line in lines if line]
+        back = read_eeg_csv(path)
+        assert list(back) == header.split(",")[1:]
+        np.testing.assert_array_equal(back["F3"], np.array(rows)[:, 1])
+
+    @pytest.mark.parametrize("text", ["value\n", "value", "value\n\n\n", ""])
+    def test_no_data_rows_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=re.escape(f"{path}: no data rows")):
+                read_series_csv(path)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,42 @@ class TestSegmentFluctuations:
             starts += [n - ns * s + k * s for k in range(ns)]
         ref = [normal_equations_residual_ms(y[a : a + s], m) for a in starts]
         np.testing.assert_allclose(segment_fluctuations(y, s, m, bidirectional), ref, rtol=1e-9)
+
+    @staticmethod
+    def tilings(y, s, bidirectional):
+        """The segments of the profiles y (rows, n) at scale s, (rows, k, s)."""
+        ns = y.shape[-1] // s
+        starts = (0, y.shape[-1] - ns * s) if bidirectional else (0,)
+        return np.concatenate([y[:, a : a + ns * s].reshape(len(y), ns, s) for a in starts], 1)
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize(
+        "rows,n,s",
+        [(2, 2**17 + 5, 16), (2, 2**17, 2**16 + 3), (30, 5120, 16), (7, 5000, 17)],
+        ids=["rows_longer_than_a_block", "segment_longer_than_a_block", "eeg_windows", "ragged"],
+    )
+    def test_batch_rows_equal_single_rows(self, rows, n, s, bidirectional):
+        # F2 is formed in blocks of at most _BLOCK_ELEMENTS: of a long row's
+        # segments, or of several short rows; either way a row's F2 is the
+        # same bit for bit however many rows its batch has
+        y = np.stack([random_walk_profile(seed, n) for seed in range(rows)])
+        f2 = segment_fluctuations(y, s, 1, bidirectional)
+        for row, row_f2 in zip(y, f2):
+            np.testing.assert_array_equal(row_f2, segment_fluctuations(row, s, 1, bidirectional))
+        ref = normal_equations_residual_ms(self.tilings(y, s, bidirectional), 1)
+        np.testing.assert_allclose(f2, ref, rtol=1e-9)
+
+    @pytest.mark.parametrize("rows,n", [(2, 2**17), (40, 5120)])
+    def test_temporaries_stay_within_a_few_blocks(self, rows, n):
+        y = np.stack([random_walk_profile(seed, n) for seed in range(rows)])
+        segment_fluctuations(y, 16, 1, bidirectional=True)  # lazy imports and cached bases
+        tracemalloc.start()
+        try:
+            f2 = segment_fluctuations(y, 16, 1, bidirectional=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= f2.nbytes + 4 * _BLOCK_ELEMENTS * y.itemsize
 
 
 class TestConfig:
