@@ -26,13 +26,15 @@ from .report import check_subject_id, emit_report, read_report_json
 from .spectrum import fit_spectrum, singularity_spectrum
 
 def _int_list(text: str) -> list[int]:
-    """argparse type of a comma-separated list of at least one integer."""
+    """argparse type of a comma-separated list of at least one integer, each at least 1."""
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         values = []  # rejected below, with the same message
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers of at least 1, got {text!r}"
+        )
     return values
 
 
@@ -241,8 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write the (q, s) fluctuation table")
     p.add_argument("--order", type=_at_least_one, default=1, help="detrending polynomial order")
     p.add_argument("--scales", type=_int_list, help="comma-separated scale list (default: auto)")
-    p.add_argument("--q-min", type=_finite, default=None)
-    p.add_argument("--q-max", type=_finite, default=None)
+    p.add_argument(
+        "--q-min", type=_finite, default=None,
+        help="lowest q (default -5); a negative exponent form needs '=': --q-min=-5e-1",
+    )
+    p.add_argument(
+        "--q-max", type=_finite, default=None,
+        help="highest q (default 5); a negative exponent form needs '=': --q-max=-1e-1",
+    )
     p.add_argument("--q-step", type=_positive, default=None)
     p.add_argument("--bidirectional", action="store_true")
     p.set_defaults(func=cmd_mfdfa)
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fs", type=_positive, default=None, help="sample rate (Hz); else sidecar JSON"
     )
-    p.add_argument("--clips", type=int, default=4, help="clips in the nominal timeline")
+    p.add_argument("--clips", type=_at_least_one, default=4, help="clips in the nominal timeline")
     p.add_argument("--markers", default=None, help="JSON marker file overriding the timeline")
     p.add_argument("--outdir", type=Path, default=".", help="output directory (default: .)")
     p.add_argument("--subject", type=_subject_id, default="S01")
@@ -273,10 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=65536, help="fgn/white: series length")
     p.add_argument("--hurst", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--freq", type=_finite, default=440.0, help="tone frequency (Hz)")
+    p.add_argument(
+        "--freq", type=_finite, default=440.0,
+        help="tone frequency (Hz); a negative exponent form needs '=': --freq=-4.4e2",
+    )
     p.add_argument("--fs", type=_positive, default=44100.0)
     p.add_argument("--duration", type=float, default=1.0)
-    p.add_argument("--amplitude", type=_finite, default=1.0)
+    p.add_argument(
+        "--amplitude", type=_finite, default=1.0,
+        help="tone amplitude; a negative exponent form needs '=': --amplitude=-5e-1",
+    )
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("listening", help="aggregate response sheets into the non-recognition table")

@@ -124,6 +124,14 @@ class TestMfdfaCommand:
         assert h[2.0] == pytest.approx(4.24, abs=0.005)
         assert payload["spectrum"]["W"] == pytest.approx(7.54, abs=0.005)
 
+    def test_missing_input_is_one_error_line_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["mfdfa", str(missing), "-o", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("value\n1.0\nnot_a_number\n2.0\n")
@@ -200,8 +208,10 @@ class TestMfdfaCommand:
             (["--q-step", "0.25"], DEFAULT_Q_GRID.tolist()),
             (["--q-step", "0.1"], np.linspace(-5.0, 5.0, 101).tolist()),
             (["--q-min", "0"], [0.25 * k for k in range(21)]),
+            # argparse takes -5e-1 after a space for an option; the = form passes it
+            (["--q-min=-5e-1"], [-0.5 + 0.25 * k for k in range(23)]),
         ],
-        ids=["none", "step_only", "step_default", "step_tenth", "min_only"],
+        ids=["none", "step_only", "step_default", "step_tenth", "min_only", "min_exponent"],
     )
     def test_unset_q_flags_take_the_default_grid(self, tmp_path, flags, q_grid):
         series_csv = tmp_path / "series.csv"
@@ -632,8 +642,10 @@ class TestAnalyzeCommand:
             "--workers", workers, "--outdir", str(tmp_path / "out"),
         ])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "error: F3 rest alpha: scale 16: all segments have zero residual variance" in err
+        # one line, also through the pool: a worker prints no traceback
+        assert capsys.readouterr().err == (
+            "error: F3 rest alpha: scale 16: all segments have zero residual variance\n"
+        )
         with pytest.raises(AnalysisError, match="^F3 rest alpha: scale 16: "):
             analyze_recording(
                 read_eeg_csv(eeg), 256.0, build_timeline(1),
@@ -976,21 +988,33 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
 
+LIST = "expected comma-separated integers"
+
+
 class TestIntegerListFlags:
     @pytest.mark.parametrize(
-        "argv,flag",
+        "argv,flag,message",
         [
-            (["mfdfa", "--scales", "16,abc"], "--scales"),
-            (["analyze", "--fs", "256", "--emd-drop", "x"], "--emd-drop"),
-            (["mfdfa", "--scales", ","], "--scales"),
-            (["analyze", "--fs", "256", "--emd-drop", ","], "--emd-drop"),
+            (["mfdfa", "--scales", "16,abc"], "--scales", LIST),
+            (["analyze", "--fs", "256", "--emd-drop", "x"], "--emd-drop", LIST),
+            (["mfdfa", "--scales", ","], "--scales", LIST),
+            (["analyze", "--fs", "256", "--emd-drop", ","], "--emd-drop", LIST),
+            (["analyze", "--fs", "256", "--emd-drop", "0"], "--emd-drop", LIST),
+            (["analyze", "--fs", "256", "--emd-drop=-1"], "--emd-drop", LIST),
+            (["mfdfa", "--scales=0,16"], "--scales", LIST),
+            (["analyze", "--fs", "256", "--clips", "0"], "--clips", "must be at least 1, got 0"),
         ],
-        ids=["scales", "emd_drop", "scales_empty", "emd_drop_empty"],
+        ids=[
+            "scales", "emd_drop", "scales_empty", "emd_drop_empty", "emd_drop_0",
+            "emd_drop_neg", "scales_0", "clips_0",
+        ],
     )
-    def test_bad_list_is_usage_error_before_input_is_read(self, tmp_path, capsys, argv, flag):
+    def test_bad_list_is_usage_error_before_input_is_read(
+        self, tmp_path, capsys, argv, flag, message
+    ):
         # the input does not exist: reading it first would exit 1, not 2
         missing = str(tmp_path / "missing.csv")
         with pytest.raises(SystemExit) as exc:
             main([argv[0], missing, *argv[1:]])
         assert exc.value.code == 2
-        assert f"argument {flag}: expected comma-separated integers" in capsys.readouterr().err
+        assert f"argument {flag}: {message}" in capsys.readouterr().err

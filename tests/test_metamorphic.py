@@ -39,10 +39,12 @@ def test_power_of_two_scaling_leaves_records_bit_identical(settings):
         assert [asdict(r) for r in records] == expected, k
 
 
-def analyze_csv(tmp_path, name, channels, electrodes):
-    """``report.csv`` of ``mfsig analyze`` on the channels written in their order."""
+def analyze_csv(tmp_path, name, channels, electrodes, line_end=b"\n"):
+    """``report.csv`` of ``mfsig analyze`` on the channels written in their order,
+    each line of the file ended by line_end."""
     eeg, outdir = tmp_path / f"{name}.csv", tmp_path / name
     write_eeg_csv(eeg, channels)
+    eeg.write_bytes(eeg.read_bytes().replace(b"\n", line_end))
     rc = main([
         "analyze", str(eeg), "--fs", "256", "--clips", "1", "--electrodes", electrodes,
         "--workers", "1", "--outdir", str(outdir),
@@ -63,4 +65,11 @@ def test_samples_after_the_last_condition_leave_the_report_unchanged(tmp_path):
     x = white_noise(N + 1000, seed=44)
     assert analyze_csv(tmp_path, "exact", {"F3": x[:N]}, "F3") == analyze_csv(
         tmp_path, "longer", {"F3": x}, "F3"
+    )
+
+
+def test_crlf_line_ends_leave_the_report_unchanged(tmp_path):
+    channels = {"F3": white_noise(N, seed=45), "T4": white_noise(N, seed=46)}
+    assert analyze_csv(tmp_path, "lf", channels, "F3,T4") == analyze_csv(
+        tmp_path, "crlf", channels, "F3,T4", line_end=b"\r\n"
     )
