@@ -118,11 +118,13 @@ def rhythm_series(windows: np.ndarray, fs: float, method: str, envelope: bool) -
 
     ``method="fft"`` masks one rfft of each window at each rhythm's exact
     band edges; ``"dwt"`` rebuilds each rhythm's nearest dyadic wavelet
-    subband (at 256 Hz: 8-16 / 4-8 / 16-32 Hz). With ``envelope`` a row is
-    the magnitude of the analytic signal. An AnalysisError's ``series`` is
-    the first failing row of the flattened (..., 3) grid, or None when every
-    row fails; a row that overflows on finite samples near the float limit
-    raises one, not a numpy warning.
+    subband (at 256 Hz: 8-16 / 4-8 / 16-32 Hz) from one decomposition per
+    zero-padding ``-n % 2**level``, run to the deepest level with it (one
+    for n a multiple of 32 at 256 Hz), so each level is padded as on its
+    own. With ``envelope`` a row is the magnitude of the analytic signal.
+    An AnalysisError's ``series`` is the first failing row of the flattened
+    (..., 3) grid, or None when every row fails; a row that overflows on
+    finite samples near the float limit raises one, not a numpy warning.
     """
     bands = [RHYTHMS[name] for name in sorted(RHYTHMS)]
     n = windows.shape[-1]
@@ -135,7 +137,9 @@ def rhythm_series(windows: np.ndarray, fs: float, method: str, envelope: bool) -
         elif method == "dwt":
             top = int(math.floor(math.log2(n))) - 2
             levels = [dyadic_level_for_band(fs, b.low_hz, b.high_hz, top) for b in bands]
-            rows = np.stack([reconstruct_level(dwt(windows, lvl), lvl) for lvl in levels], axis=-2)
+            deepest = {-n % (1 << k): k for k in sorted(levels)}
+            coeffs = {pad: dwt(windows, k) for pad, k in deepest.items()}
+            rows = np.stack([reconstruct_level(coeffs[-n % (1 << k)], k) for k in levels], axis=-2)
             if envelope:
                 rows = _analytic_magnitude(np.fft.rfft(rows), n)
         else:

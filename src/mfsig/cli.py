@@ -38,15 +38,22 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type of an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _integer(low: int, high: int | None = None):
+    """argparse type of an integer in [low, high], or of at least low when
+    high is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if high is None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {value}")
+        return value
+
+    return parse
 
 
 def _finite_float(accepts, wanted: str):
@@ -64,6 +71,13 @@ def _finite_float(accepts, wanted: str):
     return parse
 
 
+def _open_interval(bounds: tuple):
+    """argparse type of a number strictly between the two bounds."""
+    lo, hi = bounds
+    return _finite_float(lambda v: lo < v < hi, f"a number in ({lo:g}, {hi:g})")
+
+
+_at_least_one = _integer(1)
 _finite = _finite_float(lambda v: True, "a finite number")
 _positive = _finite_float(lambda v: v > 0, "a finite positive number")
 _non_negative = _finite_float(lambda v: v >= 0, "a finite non-negative number")
@@ -276,10 +290,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a benchmark series as CSV")
     p.add_argument("kind", choices=("cascade", "fgn", "white", "tone"))
     p.add_argument("-o", "--output", default="series.csv")
-    p.add_argument("--k", type=int, default=16, help="cascade: series length is 2^k")
-    p.add_argument("--a", type=float, default=0.75, help="cascade multiplier in (0.5, 1)")
-    p.add_argument("--n", type=int, default=65536, help="fgn/white: series length")
-    p.add_argument("--hurst", type=float, default=0.8)
+    p.add_argument(
+        "--k", type=_integer(*synth.CASCADE_DEPTHS), default=16,
+        help="cascade: series length is 2^k",
+    )
+    p.add_argument(
+        "--a", type=_open_interval(synth.CASCADE_MULTIPLIERS), default=0.75,
+        help="cascade multiplier in ({:g}, {:g})".format(*synth.CASCADE_MULTIPLIERS),
+    )
+    p.add_argument(
+        "--n", type=_at_least_one, default=65536,
+        help=f"fgn/white: series length (fgn: at least {synth.FGN_MIN_LENGTH})",
+    )
+    p.add_argument(
+        "--hurst", type=_open_interval(synth.HURST_EXPONENTS), default=0.8,
+        help="fgn: Hurst exponent in ({:g}, {:g})".format(*synth.HURST_EXPONENTS),
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--freq", type=_finite, default=440.0,
@@ -309,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "synth" and args.kind == "fgn" and args.n < synth.FGN_MIN_LENGTH:
+        parser.error(f"argument --n: fgn needs at least {synth.FGN_MIN_LENGTH}, got {args.n}")
     try:
         if args.command == "mfdfa":
             args.q_grid = _q_grid(parser, args)

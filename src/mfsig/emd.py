@@ -4,8 +4,8 @@ Upper and lower envelopes are natural cubic splines through the local
 maxima / minima, with the outermost extrema mirrored past the signal ends
 to anchor the splines. Each spline's second derivatives come from its
 tridiagonal system, solved by parallel cyclic reduction on numpy slices
-run to completion; the spline is then evaluated at every sample in one
-pass, each sample reading the cubic of the knot interval that holds it.
+run to completion; each knot interval's cubic is then formed once and
+spread over the samples that the interval holds.
 Sifting repeats until the normalized squared
 difference between successive candidates drops below the threshold (or an
 iteration cap); extraction stops when the residue has too few extrema
@@ -44,7 +44,8 @@ def _natural_spline(t: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     derivatives solve a strictly diagonally dominant tridiagonal system
     (de Boor 1978), here by parallel cyclic reduction (Hockney and
     Jesshope 1981): step s eliminates each row's neighbours at distance s,
-    so after ceil(log2(m - 2)) steps every row stands alone.
+    so after ceil(log2(m - 2)) steps every row stands alone. The cubic's
+    coefficients are formed per knot interval and repeated over its samples.
     """
     h = np.diff(t)
     slope = np.diff(y) / h
@@ -64,12 +65,14 @@ def _natural_spline(t: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
         upper[:-s] = -k_hi * upper[s:]
         s *= 2
     m2 = np.concatenate([[0.0], rhs / diag, [0.0]])
-    x = np.arange(n, dtype=float)
-    j = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
-    dx = x - t[j]
-    lo, hi = m2[j], m2[j + 1]
-    curve = (0.5 * lo + (hi - lo) / (6.0 * h[j]) * dx) * dx
-    return y[j] + (slope[j] - h[j] * (2.0 * lo + hi) / 6.0 + curve) * dx
+    lo, hi = m2[:-1], m2[1:]
+    # interval j holds samples ceil(t[j]) to ceil(t[j + 1]) - 1; the last, all to n - 1
+    edges = np.clip(np.ceil(t), 0, n).astype(np.intp)
+    edges[-1] = n
+    coeffs = [t[:-1], y[:-1], slope - h * (2.0 * lo + hi) / 6.0, 0.5 * lo, (hi - lo) / (6.0 * h)]
+    t0, c0, c1, c2, c3 = np.repeat(coeffs, np.diff(edges), axis=1)
+    dx = np.arange(n) - t0
+    return c0 + (c1 + (c2 + c3 * dx) * dx) * dx
 
 
 def _mirrored_envelope(idx: np.ndarray, x: np.ndarray) -> np.ndarray:

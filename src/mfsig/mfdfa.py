@@ -6,11 +6,11 @@ into segments at each scale. A segment's squared fluctuation F2
 is the mean square of what is left after projecting it off the
 orthonormal basis of the order-m polynomials (the QR factor of the
 Vandermonde matrix on [-1, 1], built once per scale and order). ln Fq is
-formed in the log domain, so it overflows for no q, and h(q) is the
-least-squares slope of ln Fq on ln s. Each profile is first scaled by a
-power of two, which is exact, so h(q) does not depend on the amplitude:
-it is bit for bit the same for x and x * 2^k. One series is the batch of
-one (``run_mfdfa``).
+formed in the log domain, so it overflows for no q, in one pass over the F2
+of all scales laid side by side, and h(q) is the least-squares slope of
+ln Fq on ln s. Each profile is first scaled by a power of two, which is
+exact, so h(q) does not depend on the amplitude: it is bit for bit the
+same for x and x * 2^k. One series is the batch of one (``run_mfdfa``).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .series import profile
 DEFAULT_Q_GRID = np.linspace(-5.0, 5.0, 41)
 DEFAULT_N_SCALES = 19
 DEFAULT_MIN_SCALE = 16
-# Bounds the temporaries of segment_fluctuations and log_fluctuation_function,
-# in elements, at any series length.
+# Bounds the temporaries of segment_fluctuations at any series length, and the
+# q blocks of log_fluctuation_function, in elements.
 _BLOCK_ELEMENTS = 2**16
 
 
@@ -137,50 +137,58 @@ def segment_fluctuations(y: np.ndarray, s: int, m: int, bidirectional: bool = Fa
             for k in range(0, ns, block_segments):
                 kb = min(block_segments, ns - k)
                 seg = slab[:, a + k * s : a + (k + kb) * s].reshape(len(slab), kb, s)
-                resid = seg - (seg @ basis) @ basis.T
-                f2[r : r + block_rows, t, k : k + kb] = np.mean(resid**2, axis=-1)
+                proj = (seg @ basis) @ basis.T
+                np.subtract(seg, proj, out=proj)
+                f2[r : r + block_rows, t, k : k + kb] = np.mean(np.square(proj, out=proj), axis=-1)
     return f2.reshape(*y.shape[:-1], len(starts) * ns)
 
 
-def log_fluctuation_function(f2: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
-    """ln Fq of one scale's squared fluctuations (..., k), for every q: (..., q).
+def log_fluctuation_function(f2: np.ndarray, scales, lengths, q_grid: np.ndarray) -> np.ndarray:
+    """ln Fq (..., q, scales) of the squared fluctuations f2 (..., K), which
+    holds the segments of every scale side by side, lengths[j] at scales[j].
 
     Fq = mean(F2^(q/2))^(1/q) is evaluated in the log domain,
-    ln Fq = (logsumexp(q/2 ln F2) - ln n) / q, which overflows for no q;
-    q = 0 takes the limit mean(ln F2) / 2.
-    Zero-variance segments are excluded per row: they would make ln Fq
-    infinite for q <= 0, so their terms are exactly 0 and n counts the
-    others. A row with no other segment raises AnalysisError, its
-    ``series`` the index of the first such row. The q x row x segment terms
-    are formed in blocks of at most _BLOCK_ELEMENTS, so a long series never
-    holds a whole scale of them.
+    ln Fq = (logsumexp(q/2 ln F2) - ln n) / q, shifted per (row, scale) by
+    q/2 times the largest ln F2 for q > 0 and the smallest for q < 0, so it
+    overflows for no q; q = 0 takes the limit mean(ln F2) / 2.
+    Zero-variance segments are excluded per row and scale: they would make
+    ln Fq infinite for q <= 0, so their terms are exactly 0 and n counts the
+    others. A row with no other segment raises AnalysisError at the first
+    such scale, its ``series`` the first such row there. The q x row x
+    segment terms are formed in blocks of q of at most _BLOCK_ELEMENTS.
     """
     f2 = np.asarray(f2, dtype=float)
     rows = f2.reshape(-1, f2.shape[-1])
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
     valid = rows > 0.0
-    count = np.count_nonzero(valid, axis=-1)
-    if np.any(count == 0):
-        raise AnalysisError(
-            "all segments have zero residual variance", series=int(np.argmax(count == 0))
-        )
-    # ln F2 of an excluded segment is -inf for q > 0 and +inf for q < 0,
-    # so that q/2 ln F2 is -inf and its exp term exactly 0
-    ln_f2 = np.log(rows, out=np.full(rows.shape, -np.inf), where=valid)
-    ln_f2_neg_q = np.where(valid, ln_f2, np.inf)
+    count = np.add.reduceat(valid, starts, axis=-1, dtype=np.intp)
+    if not count.all():
+        j = int(np.argmax(~count.all(axis=0)))
+        message = f"scale {scales[j]}: all segments have zero residual variance"
+        raise AnalysisError(message, series=int(np.argmax(count[:, j] == 0)))
+    ln_f2 = np.log(rows, out=np.zeros(rows.shape), where=valid)
     q_grid = np.asarray(q_grid, dtype=float)
-    out = np.empty((q_grid.size, rows.shape[0]))
-    out[:] = 0.5 * (np.sum(np.where(valid, ln_f2, 0.0), axis=-1) / count)
+    out = np.empty((q_grid.size, *count.shape))
+    out[:] = 0.5 * (np.add.reduceat(ln_f2, starts, axis=-1) / count)
     log_count = np.log(count)
     block = max(1, _BLOCK_ELEMENTS // rows.size)
-    for ln, sel in ((ln_f2_neg_q, q_grid < 0.0), (ln_f2, q_grid > 0.0)):
+    # an excluded segment's ln F2 is +inf for q < 0 and -inf for q > 0, so
+    # that q/2 ln F2 is -inf and its exp term exactly 0
+    signs = ((q_grid < 0.0, np.inf, np.minimum), (q_grid > 0.0, -np.inf, np.maximum))
+    for sel, excluded, reduce in signs:
+        shifted = np.where(valid, ln_f2, excluded)
+        extreme = reduce.reduceat(shifted, starts, axis=-1)
+        shifted -= np.repeat(extreme, lengths, axis=-1)
         qs = np.flatnonzero(sel)
-        for start in range(0, qs.size, block):
-            idx = qs[start : start + block]
-            terms = 0.5 * q_grid[idx, np.newaxis, np.newaxis] * ln
-            peak = terms.max(axis=-1, keepdims=True)
-            lse = peak[..., 0] + np.log(np.sum(np.exp(terms - peak), axis=-1))
-            out[idx] = (lse - log_count) / q_grid[idx, np.newaxis]
-    return out.T.reshape(*f2.shape[:-1], q_grid.size)
+        for first in range(0, qs.size, block):
+            idx = qs[first : first + block]
+            half_q = 0.5 * q_grid[idx, np.newaxis, np.newaxis]
+            terms = half_q * shifted
+            np.exp(terms, out=terms)
+            lse = half_q * extreme + np.log(np.add.reduceat(terms, starts, axis=-1))
+            out[idx] = (lse - log_count) / q_grid[idx, np.newaxis, np.newaxis]
+    return np.moveaxis(out, 0, -2).reshape(*f2.shape[:-1], q_grid.size, lengths.size)
 
 
 @dataclass(frozen=True)
@@ -288,16 +296,11 @@ def run_mfdfa_batch(samples: np.ndarray, config: MfdfaConfig | None = None) -> M
     # to max |y| in [0.5, 1), so F2 cannot overflow, and add it back to ln Fq only
     _, exponent = np.frexp(np.abs(y).max(axis=-1))
     y = np.ldexp(y, -exponent[:, np.newaxis])
-    log_fq = np.empty((len(y), len(cfg.q_grid), len(cfg.scales)))
-    zero_total = np.zeros(len(y), dtype=int)
-    for j, s in enumerate(cfg.scales):
-        f2 = segment_fluctuations(y, int(s), cfg.detrend_order, cfg.bidirectional)
-        try:
-            log_fq[:, :, j] = log_fluctuation_function(f2, cfg.q_grid)
-        except AnalysisError as exc:
-            exc.args = (f"scale {s}: {exc}",)  # keeps exc.series
-            raise
-        zero_total += np.count_nonzero(f2 == 0.0, axis=-1)
+    f2 = [segment_fluctuations(y, int(s), cfg.detrend_order, cfg.bidirectional) for s in cfg.scales]
+    lengths = [f.shape[-1] for f in f2]
+    f2 = np.concatenate(f2, axis=-1)
+    log_fq = log_fluctuation_function(f2, cfg.scales, lengths, cfg.q_grid)
+    zero_total = np.count_nonzero(f2 == 0.0, axis=-1)
     return MfdfaResult(
         scales=cfg.scales,
         q_grid=cfg.q_grid,

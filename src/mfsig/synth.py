@@ -15,10 +15,19 @@ from .errors import AnalysisError
 
 _LN2 = math.log(2.0)
 
+# The generators' parameter ranges, which the command line checks its flags
+# against: cascade depths (inclusive), multipliers and Hurst exponents
+# (exclusive), and the shortest fGn.
+CASCADE_DEPTHS = (1, 24)
+CASCADE_MULTIPLIERS = (0.5, 1.0)
+HURST_EXPONENTS = (0.0, 1.0)
+FGN_MIN_LENGTH = 1024
+
 
 def _validate_multiplier(a: float) -> None:
-    if not 0.5 < a < 1.0:
-        raise ValueError(f"cascade multiplier must lie in (0.5, 1), got {a}")
+    lo, hi = CASCADE_MULTIPLIERS
+    if not lo < a < hi:
+        raise ValueError(f"cascade multiplier must lie in ({lo:g}, {hi:g}), got {a}")
 
 
 def binomial_cascade(k: int, a: float) -> np.ndarray:
@@ -29,8 +38,9 @@ def binomial_cascade(k: int, a: float) -> np.ndarray:
     Depths of 8..24 are the useful analysis range; smaller k is allowed
     for hand-checkable fixtures.
     """
-    if not 1 <= k <= 24:
-        raise ValueError(f"cascade depth k must lie in [1, 24], got {k}")
+    lo, hi = CASCADE_DEPTHS
+    if not lo <= k <= hi:
+        raise ValueError(f"cascade depth k must lie in [{lo}, {hi}], got {k}")
     _validate_multiplier(a)
     n = 1 << k
     ones = np.zeros(n, dtype=np.int64)
@@ -61,10 +71,11 @@ def fgn(n: int, hurst: float, seed: int) -> np.ndarray:
     the fGn power law f**(1 - 2H); the result is standardized to zero mean
     and unit variance. Deterministic per seed.
     """
-    if n < 1024:
-        raise ValueError(f"fgn needs n >= 1024, got {n}")
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
+    if n < FGN_MIN_LENGTH:
+        raise ValueError(f"fgn needs n >= {FGN_MIN_LENGTH}, got {n}")
+    lo, hi = HURST_EXPONENTS
+    if not lo < hurst < hi:
+        raise ValueError(f"hurst must lie in ({lo:g}, {hi:g}), got {hurst}")
     rng = np.random.default_rng(seed)
     spec = np.fft.rfft(rng.standard_normal(n))
     freqs = np.fft.rfftfreq(n)

@@ -51,8 +51,10 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
 
     Coefficient k spreads over samples 2k..2k+3, so each sample pair sums
     taps 0-1 of its own coefficient and taps 2-3 of the one before."""
-    contrib = approx[..., None] * DEC_LO + detail[..., None] * DEC_HI
-    pairs = contrib[..., :2] + np.roll(contrib[..., 2:], 1, axis=-2)
+    pairs = np.empty((*approx.shape, 2))
+    for t in (0, 1):
+        before = approx * DEC_LO[t + 2] + detail * DEC_HI[t + 2]
+        pairs[..., t] = approx * DEC_LO[t] + detail * DEC_HI[t] + np.roll(before, 1, axis=-1)
     return pairs.reshape(*pairs.shape[:-2], -1)
 
 
@@ -83,11 +85,12 @@ def idwt(coeffs: WaveletCoeffs) -> np.ndarray:
 
 
 def reconstruct_level(coeffs: WaveletCoeffs, level: int) -> np.ndarray:
-    """Signal rebuilt from a single detail level, all else zeroed."""
+    """Signal rebuilt from a single detail level, all else zeroed; synthesis
+    starts at that level, so a deeper decomposition gives the same samples."""
     if not 1 <= level <= len(coeffs.details):
         raise ValueError(f"level {level} outside 1..{len(coeffs.details)}")
-    details = [d if lvl == level else np.zeros_like(d) for lvl, d in enumerate(coeffs.details, 1)]
-    return idwt(replace(coeffs, approx=np.zeros_like(coeffs.approx), details=details))
+    details = [np.zeros_like(d) for d in coeffs.details[: level - 1]] + [coeffs.details[level - 1]]
+    return idwt(replace(coeffs, approx=np.zeros_like(details[-1]), details=details))
 
 
 def dyadic_level_for_band(fs: float, low_hz: float, high_hz: float, max_level: int) -> int:

@@ -9,7 +9,9 @@ import math
 import numpy as np
 
 from mfsig.bands import RHYTHMS, BandSpec, fft_bandpass
-from mfsig.wavelet import dwt, dyadic_level_for_band, reconstruct_level
+from mfsig.errors import AnalysisError
+from mfsig.mfdfa import _BLOCK_ELEMENTS, _detrend_basis
+from mfsig.wavelet import DEC_HI, DEC_LO, dwt, dyadic_level_for_band, reconstruct_level
 
 _MASK64 = (1 << 64) - 1
 _LN2 = math.log(2.0)
@@ -262,3 +264,129 @@ def swap_loop(targets):
         j = targets[i]
         idx[i], idx[j] = idx[j], idx[i]
     return idx
+
+
+# The kernels below are the library's earlier forms, kept as they were:
+# the library now does the same arithmetic in fewer passes, so its results
+# must equal theirs bit for bit (ln Fq, whose log-sum-exp shift moved,
+# within rounding).
+
+
+def segment_fluctuations_out_of_place(y, s, m, bidirectional=False):
+    """F2 (..., k) of the profiles y (..., n) at scale s, order m, with a
+    fresh array for the residual and for its square."""
+    n = y.shape[-1]
+    ns = n // s
+    basis = _detrend_basis(s, m)
+    rows = y.reshape(math.prod(y.shape[:-1]), n)
+    starts = (0, n - ns * s) if bidirectional else (0,)
+    f2 = np.empty((len(rows), len(starts), ns))
+    block_rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    block_segments = max(1, _BLOCK_ELEMENTS // s)
+    for r in range(0, len(rows), block_rows):
+        slab = rows[r : r + block_rows]
+        for t, a in enumerate(starts):
+            for k in range(0, ns, block_segments):
+                kb = min(block_segments, ns - k)
+                seg = slab[:, a + k * s : a + (k + kb) * s].reshape(len(slab), kb, s)
+                resid = seg - (seg @ basis) @ basis.T
+                f2[r : r + block_rows, t, k : k + kb] = np.mean(resid**2, axis=-1)
+    return f2.reshape(*y.shape[:-1], len(starts) * ns)
+
+
+def log_fq_one_scale(f2, q_grid):
+    """ln Fq (..., q) of one scale's F2 (..., k), shifted per q by the largest
+    term; zero-variance segments excluded; a row without others raises."""
+    f2 = np.asarray(f2, dtype=float)
+    rows = f2.reshape(-1, f2.shape[-1])
+    valid = rows > 0.0
+    count = np.count_nonzero(valid, axis=-1)
+    if np.any(count == 0):
+        raise AnalysisError(
+            "all segments have zero residual variance", series=int(np.argmax(count == 0))
+        )
+    ln_f2 = np.log(rows, out=np.full(rows.shape, -np.inf), where=valid)
+    ln_f2_neg_q = np.where(valid, ln_f2, np.inf)
+    q_grid = np.asarray(q_grid, dtype=float)
+    out = np.empty((q_grid.size, rows.shape[0]))
+    out[:] = 0.5 * (np.sum(np.where(valid, ln_f2, 0.0), axis=-1) / count)
+    log_count = np.log(count)
+    block = max(1, _BLOCK_ELEMENTS // rows.size)
+    for ln, sel in ((ln_f2_neg_q, q_grid < 0.0), (ln_f2, q_grid > 0.0)):
+        qs = np.flatnonzero(sel)
+        for start in range(0, qs.size, block):
+            idx = qs[start : start + block]
+            terms = 0.5 * q_grid[idx, np.newaxis, np.newaxis] * ln
+            peak = terms.max(axis=-1, keepdims=True)
+            lse = peak[..., 0] + np.log(np.sum(np.exp(terms - peak), axis=-1))
+            out[idx] = (lse - log_count) / q_grid[idx, np.newaxis]
+    return out.T.reshape(*f2.shape[:-1], q_grid.size)
+
+
+def log_fq_scale_by_scale(f2_per_scale, scales, q_grid):
+    """ln Fq (rows, q, scales), one log_fq_one_scale call per scale's F2
+    (rows, k); the first failing scale's error is prefixed with the scale."""
+    columns = []
+    for s, f2 in zip(scales, f2_per_scale):
+        try:
+            columns.append(log_fq_one_scale(f2, q_grid))
+        except AnalysisError as exc:
+            exc.args = (f"scale {s}: {exc}",)
+            raise
+    return np.stack(columns, axis=-1)
+
+
+def synthesis_step_four_wide(approx, detail):
+    """One periodized synthesis level: each coefficient's four taps in one
+    (..., k, 4) array, the later two rolled onto the next sample pair."""
+    contrib = approx[..., None] * DEC_LO + detail[..., None] * DEC_HI
+    pairs = contrib[..., :2] + np.roll(contrib[..., 2:], 1, axis=-2)
+    return pairs.reshape(*pairs.shape[:-2], -1)
+
+
+def dwt_rhythm_rows_per_level(windows, fs):
+    """The DWT rhythm rows (..., 3, n) of windows (..., n), sorted by rhythm:
+    a decomposition to each rhythm's own level, rebuilt from that level's
+    details alone through every level below it."""
+    n = windows.shape[-1]
+    max_level = int(math.floor(math.log2(n))) - 2
+    rows = []
+    for name in sorted(RHYTHMS):
+        band = RHYTHMS[name]
+        level = dyadic_level_for_band(fs, band.low_hz, band.high_hz, max_level)
+        coeffs = dwt(windows, level)
+        x = np.zeros_like(coeffs.approx)
+        for lvl in range(level, 0, -1):
+            detail = coeffs.details[lvl - 1]
+            x = synthesis_step_four_wide(x, detail if lvl == level else np.zeros_like(detail))
+        rows.append(x[..., :n])
+    return np.stack(rows, axis=-2)
+
+
+def natural_spline_searchsorted(t, y, n):
+    """Values at 0..n-1 of the natural cubic spline through (t, y), t spanning
+    [0, n - 1]: second derivatives by parallel cyclic reduction, then each
+    sample's knot interval found by searchsorted and its cubic's terms
+    gathered per sample."""
+    h = np.diff(t)
+    slope = np.diff(y) / h
+    lower, diag, upper = h[:-1].copy(), 2.0 * (h[:-1] + h[1:]), h[1:].copy()
+    rhs = 6.0 * np.diff(slope)
+    s = 1
+    while s < diag.size:
+        k_lo, k_hi = lower[s:] / diag[:-s], upper[:-s] / diag[s:]
+        diag[s:] -= k_lo * upper[:-s]
+        diag[:-s] -= k_hi * lower[s:]
+        old = rhs.copy()
+        rhs[s:] -= k_lo * old[:-s]
+        rhs[:-s] -= k_hi * old[s:]
+        lower[s:] = -k_lo * lower[:-s]
+        upper[:-s] = -k_hi * upper[s:]
+        s *= 2
+    m2 = np.concatenate([[0.0], rhs / diag, [0.0]])
+    x = np.arange(n, dtype=float)
+    j = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
+    dx = x - t[j]
+    lo, hi = m2[j], m2[j + 1]
+    curve = (0.5 * lo + (hi - lo) / (6.0 * h[j]) * dx) * dx
+    return y[j] + (slope[j] - h[j] * (2.0 * lo + hi) / 6.0 + curve) * dx

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfsig.bands import (
     RHYTHMS,
@@ -14,7 +16,14 @@ from mfsig.bands import (
 from mfsig.errors import AnalysisError
 from mfsig.synth import tone, white_noise
 
-from oracles import SUB_BAND_FLOOR, analytic_envelope_weights, energy, envelope, extract_rhythm
+from oracles import (
+    SUB_BAND_FLOOR,
+    analytic_envelope_weights,
+    dwt_rhythm_rows_per_level,
+    energy,
+    envelope,
+    extract_rhythm,
+)
 
 BAND2 = STIMULUS_BANDS[1]
 ROW = {name: i for i, name in enumerate(sorted(RHYTHMS))}
@@ -184,6 +193,20 @@ class TestRhythmSeries:
                 np.testing.assert_allclose(row, expected, rtol=0, atol=tol)
             else:
                 np.testing.assert_array_equal(row, expected)
+
+    @given(
+        n=st.integers(128, 6000).filter(lambda n: n % 32),
+        windows=st.integers(1, 3),
+        fs=st.sampled_from([128.0, 256.0, 512.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5120, windows=2, fs=256.0, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_dwt_rows_equal_a_decomposition_per_level(self, n, windows, fs, seed):
+        # the rhythms share a decomposition where their levels pad alike; each
+        # row is still that of a decomposition to its own level alone
+        x = np.random.default_rng(seed).standard_normal((windows, n))
+        assert np.array_equal(rhythm_series(x, fs, "dwt", False), dwt_rhythm_rows_per_level(x, fs))
 
     @pytest.mark.parametrize("method", ["fft", "dwt"])
     def test_overflowing_row_is_named(self, method):

@@ -957,6 +957,17 @@ class TestUsageErrors:
                 for flag in ("--freq", "--amplitude")
                 for value in ("nan", "inf", "-inf")
             ),
+            (["synth", "white", "--n", "0"], "argument --n: must be at least 1, got 0"),
+            (["synth", "cascade", "--k", "40"], "argument --k: must lie in [1, 24], got 40"),
+            (
+                ["synth", "cascade", "--a", "2"],
+                "argument --a: expected a number in (0.5, 1), got '2'",
+            ),
+            (
+                ["synth", "fgn", "--hurst", "1.5"],
+                "argument --hurst: expected a number in (0, 1), got '1.5'",
+            ),
+            (["synth", "fgn", "--n", "3"], "argument --n: fgn needs at least 1024, got 3"),
             *(
                 (["analyze", "{csv}", "--subject", value], f"argument --subject: {message}")
                 for value, message in [
@@ -973,7 +984,8 @@ class TestUsageErrors:
             "workers_word", "analyze_order_0", "mfdfa_order_0", "mfdfa_order_neg",
             "rms_nan", "rms_inf", "rms_0", "rms_neg", "transition_nan", "transition_inf",
             "transition_neg", "freq_nan", "freq_inf", "freq_neg_inf", "amplitude_nan",
-            "amplitude_inf", "amplitude_neg_inf", "subject_comma", "subject_quote",
+            "amplitude_inf", "amplitude_neg_inf", "white_n_0", "cascade_k_40", "cascade_a_2",
+            "fgn_hurst_1_5", "fgn_n_3", "subject_comma", "subject_quote",
             "subject_lf", "subject_cr", "subject_empty",
         ],
     )

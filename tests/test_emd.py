@@ -7,7 +7,7 @@ from mfsig.emd import _natural_spline, emd, emd_denoise, local_extrema
 from mfsig.errors import AnalysisError
 from mfsig.synth import tone, white_noise
 
-from oracles import imf_sum, local_extrema_loop, natural_spline
+from oracles import imf_sum, local_extrema_loop, natural_spline, natural_spline_searchsorted
 
 FS = 256.0
 
@@ -71,6 +71,17 @@ class TestNaturalSpline:
         t, y, n = knots
         ref = natural_spline(t, y, np.arange(n))
         assert np.abs(_natural_spline(t, y, n) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @given(spline_knots(), st.floats(0.0, 0.99))
+    @example((np.array([-3.0, 0.0, 3.0]), np.array([1.0, 0.0, 1.0]), 1), 0.0)
+    @example((np.array([-4.0, -1.0, 1.0, 7.0]), np.array([0.5, 2.0, -1.0, 0.5]), 6), 0.5)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_sample_searchsorted_evaluation(self, knots, shift):
+        # integer knots as EMD's extrema are, and knots moved off the integers
+        # (the ends stay put, so the knots still span the samples)
+        t, y, n = knots
+        t = np.concatenate([t[:1], t[1:-1] + shift * (np.diff(t[:-1]) > 1), t[-1:]])
+        assert np.array_equal(_natural_spline(t, y, n), natural_spline_searchsorted(t, y, n))
 
 
 class TestEmd:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfsig.errors import AnalysisError
@@ -22,7 +22,13 @@ from mfsig.series import profile
 from mfsig.spectrum import fit_spectrum, singularity_spectrum
 from mfsig.synth import cascade_hurst_oracle, white_noise
 
-from oracles import normal_equations_residual_ms, plain_dfa_slope, power_mean_fq
+from oracles import (
+    log_fq_scale_by_scale,
+    normal_equations_residual_ms,
+    plain_dfa_slope,
+    power_mean_fq,
+    segment_fluctuations_out_of_place,
+)
 
 
 class TestSegmentCount:
@@ -58,9 +64,14 @@ class TestLocalFluctuation:
             local_fluctuation(np.arange(3, dtype=float), 2)
 
 
+def one_scale_log_fq(f2, q_grid):
+    """ln Fq (..., q) of one scale's squared fluctuations f2 (..., k)."""
+    return log_fluctuation_function(f2, [16], [np.shape(f2)[-1]], q_grid)[..., 0]
+
+
 def fq_at(f2, q):
     """Fq of one q through the array function."""
-    return float(np.exp(log_fluctuation_function(f2, [q])[0]))
+    return float(np.exp(one_scale_log_fq(f2, [q])[0]))
 
 
 # F2 values spread log-uniformly over 1e-300..1e300, the range in which
@@ -84,7 +95,7 @@ class TestQOrderMean:
 
     def test_all_degenerate(self):
         with pytest.raises(AnalysisError, match="all segments have zero residual variance"):
-            log_fluctuation_function(np.zeros(4), np.array([2.0]))
+            one_scale_log_fq(np.zeros(4), np.array([2.0]))
 
     def test_zero_segments_excluded_and_counted(self):
         assert fq_at(np.array([0.0, 4.0, 0.0]), -2.0) == pytest.approx(2.0)
@@ -99,28 +110,28 @@ class TestQOrderMean:
         f2 = 10.0 ** rng.uniform(-300.0, 300.0, size=(3, 40))
         f2[0, ::3] = 0.0
         f2[2, 5:] = 0.0
-        batch = log_fluctuation_function(f2, DEFAULT_Q_GRID)
+        batch = one_scale_log_fq(f2, DEFAULT_Q_GRID)
         assert batch.shape == (3, DEFAULT_Q_GRID.size)
         for row, log_fq in zip(f2, batch):
-            compacted = log_fluctuation_function(row[row > 0.0], DEFAULT_Q_GRID)
+            compacted = one_scale_log_fq(row[row > 0.0], DEFAULT_Q_GRID)
             np.testing.assert_allclose(log_fq, compacted, rtol=1e-12, atol=1e-12)
 
     def test_power_mean_monotone_in_q(self):
         rng = np.random.default_rng(3)
         f2 = rng.uniform(0.1, 5.0, size=40)
-        vals = np.exp(log_fluctuation_function(f2, np.linspace(-5, 5, 41)))
+        vals = np.exp(one_scale_log_fq(f2, np.linspace(-5, 5, 41)))
         diffs = np.diff(vals)
         assert np.all(diffs >= -1e-9 * np.abs(vals[:-1]))
 
     @given(wide_f2)
     def test_monotone_and_finite_across_the_float_range(self, f2):
-        log_fq = log_fluctuation_function(f2, DEFAULT_Q_GRID)
+        log_fq = one_scale_log_fq(f2, DEFAULT_Q_GRID)
         assert np.all(np.isfinite(log_fq))
         assert np.all(np.diff(log_fq) >= -1e-12 * (1.0 + np.abs(log_fq[:-1])))
 
     @given(wide_f2)
     def test_matches_direct_power_mean_where_it_is_representable(self, f2):
-        log_fq = log_fluctuation_function(f2, DEFAULT_Q_GRID)
+        log_fq = one_scale_log_fq(f2, DEFAULT_Q_GRID)
         for q, mine in zip(DEFAULT_Q_GRID, log_fq):
             # the direct form is exact only while every term F2^(q/2) is a
             # normal double well away from overflow
@@ -402,6 +413,65 @@ class TestSegmentFluctuations:
         finally:
             tracemalloc.stop()
         assert peak <= f2.nbytes + 4 * _BLOCK_ELEMENTS * y.itemsize
+
+
+class TestAgainstEarlierKernels:
+    """The F2 and ln Fq kernels against their earlier forms in tests/oracles.py."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 3),
+        m=st.integers(1, 3),
+        s=st.integers(5, 300),
+        k=st.integers(1, 40),
+        extra=st.integers(0, 299),
+        bidirectional=st.booleans(),
+    )
+    @example(seed=0, rows=2, m=1, s=16, k=2**12 + 3, extra=5, bidirectional=True)
+    @example(seed=1, rows=1, m=2, s=2**16 + 3, k=2, extra=0, bidirectional=False)
+    @settings(max_examples=60, deadline=None)
+    def test_f2_equals_out_of_place_f2(self, seed, rows, m, s, k, extra, bidirectional):
+        n = s * k + extra % s
+        y = np.stack([random_walk_profile(seed + r, n) for r in range(rows)])
+        mine = segment_fluctuations(y, s, m, bidirectional)
+        assert np.array_equal(mine, segment_fluctuations_out_of_place(y, s, m, bidirectional))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 4),
+        lengths=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+        zero_share=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_log_fq_over_all_scales_matches_scale_by_scale(self, seed, rows, lengths, zero_share):
+        rng = np.random.default_rng(seed)
+        f2 = [10.0 ** rng.uniform(-300.0, 300.0, size=(rows, k)) for k in lengths]
+        for block in f2:
+            block[rng.random(block.shape) < zero_share] = 0.0
+        scales = 16 + 3 * np.arange(len(lengths))
+        args = (np.concatenate(f2, axis=-1), scales, lengths, DEFAULT_Q_GRID)
+        try:
+            ref = log_fq_scale_by_scale(f2, scales, DEFAULT_Q_GRID)
+        except AnalysisError as exc:
+            with pytest.raises(AnalysisError) as failure:
+                log_fluctuation_function(*args)
+            assert str(failure.value) == str(exc)
+            assert failure.value.series == exc.series
+            return
+        mine = log_fluctuation_function(*args)
+        assert mine.shape == (rows, DEFAULT_Q_GRID.size, len(lengths))
+        np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=1e-12)
+
+    def test_failure_is_located_at_the_first_failing_scale_and_row(self):
+        f2 = [np.ones((3, 4)), np.ones((3, 5)), np.ones((3, 2))]
+        f2[1][2] = 0.0
+        f2[1][1] = 0.0
+        f2[2][0] = 0.0
+        with pytest.raises(
+            AnalysisError, match="^scale 32: all segments have zero residual variance$"
+        ) as failure:
+            log_fluctuation_function(np.concatenate(f2, axis=-1), [16, 32, 64], [4, 5, 2], [2.0])
+        assert failure.value.series == 1
 
 
 class TestConfig:
