@@ -52,18 +52,17 @@ RHYTHMS = {
 
 def _rfft_freqs(n: int, fs: float, bands: list[BandSpec]) -> np.ndarray:
     """The rfft bin frequencies of n samples at fs Hz, once n is checked to be
-    long enough to band-pass; a band above Nyquist raises, with its index in
-    ``series``."""
+    long enough to band-pass; the first band above Nyquist raises."""
     if n < 16:
         raise AnalysisError(f"band-pass needs at least 16 samples, got {n}")
     nyquist = fs / 2.0
-    for i, band in enumerate(bands):
+    for band in bands:
         if band.low_hz >= nyquist:
             name = band.name or band.low_hz
-            raise AnalysisError(f"band {name} starts at or above Nyquist ({nyquist} Hz)", series=i)
+            raise AnalysisError(f"band {name} starts at or above Nyquist ({nyquist} Hz)")
         if band.high_hz is not None and band.high_hz > nyquist:
             name = band.name or band.high_hz
-            raise AnalysisError(f"band {name} exceeds Nyquist ({nyquist} Hz)", series=i)
+            raise AnalysisError(f"band {name} exceeds Nyquist ({nyquist} Hz)")
     return np.fft.rfftfreq(n, d=1.0 / fs)
 
 
@@ -122,9 +121,8 @@ def rhythm_series(windows: np.ndarray, fs: float, method: str, envelope: bool) -
     zero-padding ``-n % 2**level``, run to the deepest level with it (one
     for n a multiple of 32 at 256 Hz), so each level is padded as on its
     own. With ``envelope`` a row is the magnitude of the analytic signal.
-    An AnalysisError's ``series`` is the first failing row of the flattened
-    (..., 3) grid, or None when every row fails; a row that overflows on
-    finite samples near the float limit raises one, not a numpy warning.
+    A row that overflows on finite samples near the float limit raises
+    AnalysisError, not a numpy warning.
     """
     bands = [RHYTHMS[name] for name in sorted(RHYTHMS)]
     n = windows.shape[-1]
@@ -144,12 +142,8 @@ def rhythm_series(windows: np.ndarray, fs: float, method: str, envelope: bool) -
                 rows = _analytic_magnitude(np.fft.rfft(rows), n)
         else:
             raise ValueError(f"unknown rhythm extraction method: {method!r}")
-    overflowed = ~np.isfinite(rows).all(axis=-1)
-    if overflowed.any():
-        raise AnalysisError(
-            "rhythm filter overflowed: the window's samples are too large",
-            series=int(np.argmax(overflowed)),
-        )
+    if not np.isfinite(rows).all():
+        raise AnalysisError("rhythm filter overflowed: the window's samples are too large")
     return rows
 
 

@@ -38,6 +38,14 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _scale_list(text: str) -> list[int]:
+    """argparse type of ``mfdfa --scales``: a list ``MfdfaConfig`` accepts."""
+    try:
+        return MfdfaConfig(scales=_int_list(text)).scales.tolist()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _integer(low: int, high: int | None = None):
     """argparse type of an integer in [low, high], or of at least low when
     high is None."""
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="result.json")
     p.add_argument("--csv", default=None, help="also write the (q, s) fluctuation table")
     p.add_argument("--order", type=_at_least_one, default=1, help="detrending polynomial order")
-    p.add_argument("--scales", type=_int_list, help="comma-separated scale list (default: auto)")
+    p.add_argument("--scales", type=_scale_list, help="comma-separated scale list (default: auto)")
     p.add_argument(
         "--q-min", type=_finite, default=None,
         help="lowest q (default -5); a negative exponent form needs '=': --q-min=-5e-1",

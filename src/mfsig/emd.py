@@ -56,9 +56,9 @@ def _natural_spline(t: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
         k_lo, k_hi = lower[s:] / diag[:-s], upper[:-s] / diag[s:]
         diag[s:] -= k_lo * upper[:-s]
         diag[:-s] -= k_hi * lower[s:]
-        old = rhs.copy()
-        rhs[s:] -= k_lo * old[:-s]
-        rhs[:-s] -= k_hi * old[s:]
+        lo_rhs, hi_rhs = k_lo * rhs[:-s], k_hi * rhs[s:]  # both before rhs changes
+        rhs[s:] -= lo_rhs
+        rhs[:-s] -= hi_rhs
         # lower[:s] and upper[-s:] point past the ends: they feed only entries
         # that point past the ends at the next step, never diag or rhs
         lower[s:] = -k_lo * lower[:-s]

@@ -153,9 +153,8 @@ def log_fluctuation_function(f2: np.ndarray, scales, lengths, q_grid: np.ndarray
     overflows for no q; q = 0 takes the limit mean(ln F2) / 2.
     Zero-variance segments are excluded per row and scale: they would make
     ln Fq infinite for q <= 0, so their terms are exactly 0 and n counts the
-    others. A row with no other segment raises AnalysisError at the first
-    such scale, its ``series`` the first such row there. The q x row x
-    segment terms are formed in blocks of q of at most _BLOCK_ELEMENTS.
+    others; a row with none raises AnalysisError at the first such scale.
+    The q x row x segment terms are formed in blocks of q of at most _BLOCK_ELEMENTS.
     """
     f2 = np.asarray(f2, dtype=float)
     rows = f2.reshape(-1, f2.shape[-1])
@@ -165,8 +164,7 @@ def log_fluctuation_function(f2: np.ndarray, scales, lengths, q_grid: np.ndarray
     count = np.add.reduceat(valid, starts, axis=-1, dtype=np.intp)
     if not count.all():
         j = int(np.argmax(~count.all(axis=0)))
-        message = f"scale {scales[j]}: all segments have zero residual variance"
-        raise AnalysisError(message, series=int(np.argmax(count[:, j] == 0)))
+        raise AnalysisError(f"scale {scales[j]}: all segments have zero residual variance")
     ln_f2 = np.log(rows, out=np.zeros(rows.shape), where=valid)
     q_grid = np.asarray(q_grid, dtype=float)
     out = np.empty((q_grid.size, *count.shape))
@@ -286,9 +284,7 @@ def run_mfdfa_batch(samples: np.ndarray, config: MfdfaConfig | None = None) -> M
 
     Row b of each field equals ``run_mfdfa`` of series b; the scales are
     walked once for all of them. A series that cannot be analyzed fails the
-    whole batch; the AnalysisError's ``series`` is its row (the first
-    non-finite series, else the first to fail at the first failing scale),
-    or None when the whole batch fails, as at a length no scale grid fits.
+    whole batch.
     """
     cfg = (config or MfdfaConfig()).resolve(np.shape(samples)[-1])
     y = profile(samples)

@@ -5,9 +5,10 @@ The unit of work is one electrode's windows of one clip and one length
 (the rest baseline is its own job), carried as one array: the windows
 (k, n) become their rhythm series (k, 3, n), which go through MFDFA and
 the spectrum fit as one batch of k * 3 rows, and the records are read off
-the result arrays. Jobs are pure and independent, so they can run across
-processes. Records come back in job order; emission sorts them,
-so the emitted report is identical for any worker count.
+the result arrays; only a job whose batch fails is run again, a window at
+a time, to name the window that fails. Jobs are pure and independent, so
+they can run across processes. Records come back in job order; emission
+sorts them, so the emitted report is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -42,39 +43,53 @@ class RunConfig:
     input_path: str = ""
 
 
+def _rhythm_rows(windows: list, fs: float, config: RunConfig) -> np.ndarray:
+    """The rhythm series (k, 3, n) of k windows sampled at fs Hz, each
+    EMD-denoised first when configured."""
+    if config.emd_drop:
+        windows = [emd_denoise(window, drop_imfs=list(config.emd_drop)) for window in windows]
+    return bands.rhythm_series(np.stack(windows), fs, config.rhythm_method, config.use_envelope)
+
+
+def _job_error(exc: AnalysisError, job: tuple, mfdfa_config: MfdfaConfig) -> AnalysisError:
+    """The error of the first failing window of a job whose batch raised exc,
+    the job run again a window at a time and MFDFA a rhythm series at a time:
+    prefixed with the electrode, condition and, past the filter, rhythm."""
+    _, electrode, fs, windows, config = job
+    for label, window in windows:
+        try:
+            rows = _rhythm_rows([window], fs, config)[0]
+        except AnalysisError as failure:
+            return type(failure)(f"{electrode} {label}: {failure}")
+        for rhythm, row in zip(sorted(bands.RHYTHMS), rows):
+            try:
+                result = run_mfdfa_batch(row[np.newaxis], mfdfa_config)
+                fit_spectra(singularity_spectrum(result.hurst))
+            except AnalysisError as failure:
+                return type(failure)(f"{electrode} {label} {rhythm}: {failure}")
+    return type(exc)(f"{electrode}: {exc}")  # unreached: a row fails alone as in its batch
+
+
 def _run_job(job: tuple) -> list[WidthRecord]:
     """Analyze one electrode's windows, sampled at fs Hz, of one clip and one
     length, all rhythms.
 
     The windows are EMD-denoised first when configured; one
     ``bands.rhythm_series`` call turns them into their rhythm series, which
-    go through MFDFA and the spectrum fit as one batch. An AnalysisError is
-    prefixed with the electrode and condition of the window EMD failed on,
-    else with those and the rhythm of the (window, rhythm) row that the
-    failing step names (the first row when it names none).
-    Returns the records in window order and sorted rhythm order.
+    go through MFDFA and the spectrum fit as one batch; a failure is located
+    by ``_job_error``. Returns the records in window order and sorted rhythm
+    order.
     """
     subject, electrode, fs, windows, config = job
     mfdfa_config = MfdfaConfig(config.detrend_order, bidirectional=config.bidirectional)
     rhythms = sorted(bands.RHYTHMS)
     labels = [label for label, _ in windows]
-    where = None
     try:
-        samples = []
-        for label, window in windows:
-            if config.emd_drop:
-                where = f"{electrode} {label}"
-                window = emd_denoise(window, drop_imfs=list(config.emd_drop))
-            samples.append(window)
-        where = None
-        rows = bands.rhythm_series(np.stack(samples), fs, config.rhythm_method, config.use_envelope)
+        rows = _rhythm_rows([window for _, window in windows], fs, config)
         result = run_mfdfa_batch(rows.reshape(-1, rows.shape[-1]), mfdfa_config)
         fit = fit_spectra(singularity_spectrum(result.hurst))
     except AnalysisError as exc:
-        if where is None:
-            window, rhythm = divmod(exc.series or 0, len(rhythms))
-            where = f"{electrode} {labels[window]} {rhythms[rhythm]}"
-        raise type(exc)(f"{where}: {exc}") from None
+        raise _job_error(exc, job, mfdfa_config) from None
     q2 = result.hurst.index(2.0)
     h2_r2 = np.full(fit.width.shape, np.nan) if q2 is None else result.hurst.r2[:, q2]
     flags = {

@@ -37,16 +37,14 @@ def profile(x: np.ndarray) -> np.ndarray:
     The final value telescopes to zero (up to rounding), which downstream
     code relies on: detrended fluctuations of the profile, not of the raw
     signal, carry the scaling information. A non-finite sample raises
-    AnalysisError, its ``series`` the index of the first row holding one.
+    AnalysisError naming its index in the first row holding one.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] < 2:
         raise AnalysisError("profile needs at least 2 samples")
     bad = np.argwhere(~np.isfinite(x.reshape(-1, x.shape[-1])))
     if bad.size:
-        raise AnalysisError(
-            f"series contains a non-finite value at index {bad[0, 1]}", series=int(bad[0, 0])
-        )
+        raise AnalysisError(f"series contains a non-finite value at index {bad[0, 1]}")
     return np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
 
 

@@ -101,16 +101,14 @@ def fit_spectra(spec: SingularitySpectrum) -> SpectrumFit:
     at 1. A non-concave fit (A >= 0) has no zero crossings bracketing the
     peak, so the raw alpha spread is reported with ``concave=False``. A row
     with fewer than 3 distinct alpha values that is not degenerate raises
-    AnalysisError, its ``series`` the first such row.
+    AnalysisError.
     """
     alpha, f = spec.alpha, spec.f
     raw = spec.raw_width()
     degenerate = raw <= _DEGENERATE_ALPHA_SPREAD * np.maximum(1.0, np.abs(alpha).max(axis=-1))
     unfittable = ~degenerate & (np.count_nonzero(np.diff(np.sort(alpha)), axis=-1) < 2)
     if unfittable.any():
-        raise AnalysisError(
-            "need at least 3 distinct alpha points to fit", series=int(np.argmax(unfittable))
-        )
+        raise AnalysisError("need at least 3 distinct alpha points to fit")
     peak = np.where(f == f.max(axis=-1, keepdims=True), alpha, np.inf).min(axis=-1)
     u = alpha - peak[..., np.newaxis]
     u2, g = u * u, f - 1.0

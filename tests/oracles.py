@@ -302,9 +302,7 @@ def log_fq_one_scale(f2, q_grid):
     valid = rows > 0.0
     count = np.count_nonzero(valid, axis=-1)
     if np.any(count == 0):
-        raise AnalysisError(
-            "all segments have zero residual variance", series=int(np.argmax(count == 0))
-        )
+        raise AnalysisError("all segments have zero residual variance")
     ln_f2 = np.log(rows, out=np.full(rows.shape, -np.inf), where=valid)
     ln_f2_neg_q = np.where(valid, ln_f2, np.inf)
     q_grid = np.asarray(q_grid, dtype=float)

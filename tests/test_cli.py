@@ -395,7 +395,7 @@ class TestAnalyzeCommand:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "error: F3 clip1_original alpha: band-pass needs at least 16 samples, got 8" in err
+        assert "error: F3 clip1_original: band-pass needs at least 16 samples, got 8" in err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_window_too_short_for_mfdfa_is_located(self, tmp_path, capsys, workers):
@@ -518,7 +518,7 @@ class TestAnalyzeCommand:
         ])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: F3 rest alpha: rhythm filter overflowed: the window's samples are too large\n"
+            "error: F3 rest: rhythm filter overflowed: the window's samples are too large\n"
         )
 
     @pytest.mark.parametrize(
@@ -529,7 +529,7 @@ class TestAnalyzeCommand:
             # EMD sifts the window rescaled exactly; the FFT envelope then overflows
             (
                 ["--emd-drop", "1"], 1,
-                "error: F3 rest alpha: rhythm filter overflowed: "
+                "error: F3 rest: rhythm filter overflowed: "
                 "the window's samples are too large\n",
             ),
         ],
@@ -1001,6 +1001,7 @@ class TestUsageErrors:
 
 
 LIST = "expected comma-separated integers"
+SCALES = "scales must be strictly increasing with >= 2 entries"
 
 
 class TestIntegerListFlags:
@@ -1014,11 +1015,13 @@ class TestIntegerListFlags:
             (["analyze", "--fs", "256", "--emd-drop", "0"], "--emd-drop", LIST),
             (["analyze", "--fs", "256", "--emd-drop=-1"], "--emd-drop", LIST),
             (["mfdfa", "--scales=0,16"], "--scales", LIST),
+            (["mfdfa", "--scales", "32,16"], "--scales", SCALES),
+            (["mfdfa", "--scales", "16"], "--scales", SCALES),
             (["analyze", "--fs", "256", "--clips", "0"], "--clips", "must be at least 1, got 0"),
         ],
         ids=[
             "scales", "emd_drop", "scales_empty", "emd_drop_empty", "emd_drop_0",
-            "emd_drop_neg", "scales_0", "clips_0",
+            "emd_drop_neg", "scales_0", "scales_decreasing", "scales_one", "clips_0",
         ],
     )
     def test_bad_list_is_usage_error_before_input_is_read(

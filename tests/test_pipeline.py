@@ -4,6 +4,7 @@ one clip and one length; its records must equal those of one window at a time.""
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from mfsig import bands, pipeline
@@ -126,8 +127,8 @@ def test_each_window_is_denoised_once(monkeypatch):
 
 
 def test_a_failing_job_does_its_work_once(monkeypatch):
-    # F3 is zero only in clip1_band3: every window's rhythm series are still
-    # built once, in one call for the rest baseline and one for the clip's windows
+    # each job builds its windows' rhythm series in one call; only a job whose
+    # batch fails runs again, one window at a time, up to its first failure
     calls = []
     rhythm_series = bands.rhythm_series
 
@@ -137,12 +138,40 @@ def test_a_failing_job_does_its_work_once(monkeypatch):
 
     monkeypatch.setattr(bands, "rhythm_series", spy)
     timeline = build_timeline(1)
-    flat = next(c for c in timeline.conditions if c.label == "clip1_band3")
     f3 = white_noise(int(timeline.total_duration_s * FS), seed=5)
+    analyze_recording({"F3": f3}, FS, timeline, RunConfig(electrodes=["F3"]))
+    assert calls == [(1, 15360), (6, 5120)]
+    # F3 is zero only in clip1_band3, the second of the clip's six windows
+    calls.clear()
+    flat = next(c for c in timeline.conditions if c.label == "clip1_band3")
     f3[int(flat.start_s * FS) : int(flat.end_s * FS)] = 0.0
     with pytest.raises(AnalysisError, match="^F3 clip1_band3 alpha: scale 16: "):
         analyze_recording({"F3": f3}, FS, timeline, RunConfig(electrodes=["F3"]))
-    assert calls == [(1, 15360), (6, 5120)]
+    assert calls == [(1, 15360), (6, 5120), (1, 5120), (1, 5120)]
+
+
+def test_the_first_failing_window_is_named_whatever_step_fails(monkeypatch):
+    # clip1_band3, the second window, fails in MFDFA; clip1_band1, the sixth,
+    # fails in the rhythm filter, a step that comes before MFDFA in the batch
+    timeline = build_timeline(1)
+    by_label = {c.label: c for c in timeline.conditions}
+    f3 = white_noise(int(timeline.total_duration_s * FS), seed=5)
+    flat, failing = by_label["clip1_band3"], by_label["clip1_band1"]
+    f3[int(flat.start_s * FS) : int(flat.end_s * FS)] = 0.0
+    failing_window = f3[int(failing.start_s * FS) : int(failing.end_s * FS)]
+    rhythm_series = bands.rhythm_series
+
+    def failing_filter(windows, fs, method, envelope):
+        if any(np.array_equal(window, failing_window) for window in windows):
+            raise AnalysisError("rhythm filter overflowed: the window's samples are too large")
+        return rhythm_series(windows, fs, method, envelope)
+
+    monkeypatch.setattr(bands, "rhythm_series", failing_filter)
+    with pytest.raises(
+        AnalysisError,
+        match="^F3 clip1_band3 alpha: scale 16: all segments have zero residual variance$",
+    ):
+        analyze_recording({"F3": f3}, FS, timeline, RunConfig(electrodes=["F3"]))
 
 
 def test_pool_has_no_more_workers_than_jobs(monkeypatch):

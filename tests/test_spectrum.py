@@ -191,9 +191,8 @@ class TestFitSpectra:
         two_points = SingularitySpectrum(
             np.array([0.5, 0.5, 0.7, 0.7, 0.7]), np.ones(5), good.q_grid
         )
-        with pytest.raises(AnalysisError, match="^need at least 3 distinct alpha points") as exc:
+        with pytest.raises(AnalysisError, match="^need at least 3 distinct alpha points"):
             fit_spectra(stacked(good, two_points, two_points))
-        assert exc.value.series == 1
 
 
 class TestAmplitudeInvariance:
