@@ -93,18 +93,19 @@ def _mirrored_envelope(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _natural_spline(knots, vals, n)
 
 
-def _sift(x: np.ndarray) -> np.ndarray:
-    h = x
-    for _ in range(MAX_SIFT_ITERATIONS):
-        maxima, minima = local_extrema(h)
-        if maxima.size < 2 or minima.size < 2:
-            break
+def _sift(h: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.ndarray:
+    """One IMF sifted out of h, given h's own local maxima and minima (at
+    least two of each); later candidates find their extrema themselves."""
+    for iteration in range(1, MAX_SIFT_ITERATIONS + 1):
         mean_env = 0.5 * (_mirrored_envelope(maxima, h) + _mirrored_envelope(minima, h))
         h_next = h - mean_env
         denom = float(h @ h)
         sd = float((h - h_next) @ (h - h_next)) / denom if denom > 0 else 0.0
         h = h_next
-        if sd < SD_THRESHOLD:
+        if sd < SD_THRESHOLD or iteration == MAX_SIFT_ITERATIONS:
+            break
+        maxima, minima = local_extrema(h)
+        if maxima.size < 2 or minima.size < 2:
             break
     return h
 
@@ -144,7 +145,7 @@ def emd(x: np.ndarray, max_imfs: int = 10) -> ImfSet:
         maxima, minima = local_extrema(residue)
         if maxima.size < 2 or minima.size < 2:
             break
-        imf = _sift(residue)
+        imf = _sift(residue, maxima, minima)
         imfs.append(imf)
         residue = residue - imf
     # completeness identity; stripped under -O

@@ -15,11 +15,14 @@ modulo rejection: draw 64-bit r, accept when ``r < 2^64 - (2^64 mod
 bound)``, return ``r mod bound``; a rejected r is discarded and the next
 output is drawn for the same bound.
 
-A shuffle makes all its bounded draws in one pass of wrapping ``uint64``
-arithmetic and then resolves the Fisher-Yates swaps in closed form: one
-sort groups the swaps by target, and pointer doubling follows the chains
-of positions that later swaps move again. No step loops over the samples,
-and the permutation is bit for bit that of the sequential swap loop.
+A shuffle makes its bounded draws in wrapping ``uint64`` arithmetic,
+``_DRAW_BLOCK`` (2^15) draws at a time, and then resolves the Fisher-Yates
+swaps in closed form: one in-place sort groups the swaps by target, and
+pointer doubling follows the chains of positions that later swaps move
+again. No step loops over the samples, and the permutation is bit for bit
+that of the sequential swap loop. The swap indices are 32-bit when
+n < 2^31, so a shuffle of n samples holds no more than 5 * 8n bytes at
+once, the permutation it returns included.
 """
 
 from __future__ import annotations
@@ -52,42 +55,56 @@ _MAX64 = np.uint64(_MASK64)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# Outputs drawn and range-checked at a time by _draws_below.
+_DRAW_BLOCK = 2**15
 
 
 def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs ``start + 1 .. start + count`` of the SplitMix64 stream of ``seed``.
 
     The k-th output is the mix of the state ``seed + k * gamma mod 2^64``, so
-    any run of the stream is one pass of wrapping ``uint64`` arithmetic.
+    any run of the stream is wrapping ``uint64`` arithmetic on one array.
     """
-    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = k * _GAMMA + np.uint64(seed & _MASK64)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z *= _GAMMA
+        z += np.uint64(seed & _MASK64)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= mix
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
     """One bounded draw per entry of ``bounds`` (positive ``uint64``), in order.
 
     A draw r for bound b is accepted when ``r < 2^64 - (2^64 mod b)``, that
-    is ``r <= (2^64 - 1) - (2^64 mod b)``. Draws are accepted up to the first
-    rejected one; the next pass redraws its bound from the following state,
-    since a rejection shifts every later draw of the stream.
+    is ``r <= (2^64 - 1) - (2^64 mod b)``. The stream is drawn and checked
+    ``_DRAW_BLOCK`` outputs at a time, so the working memory beyond the
+    result is a few blocks whatever the number of bounds. Draws are accepted
+    up to a block's first rejected one; the next block redraws that bound
+    from the state after it, since a rejection shifts every later draw of
+    the stream.
     """
-    with np.errstate(over="ignore"):
-        highest = _MAX64 - (np.uint64(0) - bounds) % bounds
     out = np.empty(bounds.size, dtype=np.uint64)
     done = used = 0
     while done < bounds.size:
-        r = _splitmix64(seed, used, bounds.size - done)
-        rejected = np.flatnonzero(r > highest[done:])
+        b = bounds[done : done + _DRAW_BLOCK]
+        r = _splitmix64(seed, used, b.size)
+        with np.errstate(over="ignore"):
+            highest = _MAX64 - (np.uint64(0) - b) % b
+        rejected = np.flatnonzero(r > highest)
         take = int(rejected[0]) if rejected.size else r.size
-        out[done : done + take] = r[:take] % bounds[done : done + take]
+        np.remainder(r[:take], b[:take], out=out[done : done + take])
         done += take
-        used += take + 1
+        used += take + (take < r.size)
     return out
+
+
+def _index_dtype(n: int) -> type:
+    """Signed integer type of the swap indices 0..n-1: 32-bit when n < 2^31."""
+    return np.int32 if n < 2**31 else np.int64
 
 
 def _apply_swaps(j: np.ndarray) -> np.ndarray:
@@ -101,27 +118,41 @@ def _apply_swaps(j: np.ndarray) -> np.ndarray:
     ``c(later[i])``; with no such step it is still ``j[i]``. Here ``c(p)``,
     what position p held as step p began, is ``c(first[p])`` for the
     smallest step ``first[p] > p`` that targets p, or p when none does.
-    One sort of the key ``j * n + i`` groups the steps by target in step
-    order; the chains of ``first`` are resolved by pointer doubling, in
-    about log2 of the longest chain rounds. Requires ``n * n < 2^63``.
+    One in-place sort of the key ``j * n + i`` groups the steps by target
+    in step order; the chains of ``first`` are resolved by pointer doubling,
+    in about log2 of the longest chain rounds. Every index array but the
+    key and the result is 32-bit when n < 2^31. Requires ``n * n < 2^63``.
     """
     n = j.size
-    step = np.arange(n, dtype=np.int64)
-    target, by_target = np.divmod(np.sort(j.astype(np.int64) * np.int64(n) + step), n)
-    later = np.full(n, -1, dtype=np.int64)
-    same = target[1:] == target[:-1]
+    index = _index_dtype(n)
+    key = np.multiply(j, np.int64(n), dtype=np.int64)
+    key += np.arange(n, dtype=index)
+    key.sort()
+    target = np.floor_divide(key, n, out=np.empty(n, dtype=index), casting="unsafe")
+    by_target = np.remainder(key, n, out=np.empty(n, dtype=index), casting="unsafe")
+    del key
+    head = np.ones(n, dtype=bool)  # the first step of each target's group
+    np.not_equal(target[1:], target[:-1], out=head[1:])
+    same = ~head[1:]
+    later = np.full(n, -1, dtype=index)
     later[by_target[:-1][same]] = by_target[1:][same]
+    del same
     # root[p] is the smallest step targeting p, which is first[p] unless it
     # is p itself; c(p) of such a p is never read, as neither later[i] nor
     # first[q] can be a step that targets itself. Doubling carries every
     # root to the end of its chain, c(p).
-    head = np.flatnonzero(np.diff(target, prepend=-1))
-    root = step.copy()
+    root = np.arange(n, dtype=index)
     root[target[head]] = by_target[head]
+    del target, by_target, head
     jumped = root[root]
     while not np.array_equal(jumped, root):
-        root, jumped = jumped, jumped[jumped]
-    return np.where(later >= 0, root[later], j)
+        root = jumped  # the old root goes before the next jump is made
+        jumped = root[root]
+    del jumped
+    out = j.astype(np.int_)
+    moved = later >= 0
+    out[moved] = root[later[moved]]
+    return out
 
 
 def permutation(n: int, seed: int) -> np.ndarray:
@@ -129,13 +160,18 @@ def permutation(n: int, seed: int) -> np.ndarray:
 
     Swaps run from the top index down: for i = n-1 .. 1, j is drawn
     uniformly from 0..i and positions i, j are swapped (Durstenfeld 1964).
-    The draws are made all at once and the swaps are resolved in closed
-    form by ``_apply_swaps``, so the result is bit for bit that of the
-    sequential loop. Requires ``n * n < 2^63``.
+    The draws are made in blocks and the swaps are resolved in closed form
+    by ``_apply_swaps``, so the result is bit for bit that of the
+    sequential loop. Requires ``n * n < 2^63``, which holds for n up to
+    3037000499; a larger n is a ValueError.
     """
-    j = np.zeros(n, dtype=np.int64)
-    j[1:] = _draws_below(seed, np.arange(2, n + 1, dtype=np.uint64)[::-1])[::-1]
-    return _apply_swaps(j).astype(np.int_, copy=False)
+    if n * n >= 2**63:
+        raise ValueError(f"permutation needs n * n < 2^63 (n <= 3037000499), got n = {n}")
+    draws = _draws_below(seed, np.arange(n, 1, -1, dtype=np.uint64))
+    j = np.zeros(n, dtype=_index_dtype(n))
+    j[1:] = draws[::-1]
+    del draws
+    return _apply_swaps(j)
 
 
 def shuffle(x: np.ndarray, seed: int) -> np.ndarray:

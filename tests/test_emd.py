@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mfsig import emd as emd_module
 from mfsig.emd import _natural_spline, emd, emd_denoise, local_extrema
 from mfsig.errors import AnalysisError
 from mfsig.synth import tone, white_noise
@@ -158,6 +159,27 @@ class TestEmdDenoise:
         full = emd(x)
         assert full.n_imfs > 1
         np.testing.assert_array_equal(emd_denoise(x, drop_imfs=[1]), x - full.imfs[0])
+
+    def test_one_extrema_search_per_sifting_iteration(self, monkeypatch):
+        # emd's own search, which decides whether to sift, serves the first
+        # iteration; each later iteration searches its candidate once
+        calls = {"local_extrema": 0, "_mirrored_envelope": 0}
+
+        def counted(name):
+            original = getattr(emd_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(emd_module, name, wrapper)
+
+        counted("local_extrema")
+        counted("_mirrored_envelope")
+        emd_denoise(white_noise(5120, seed=7), drop_imfs=[1])
+        iterations = calls["_mirrored_envelope"] // 2  # two envelopes each
+        assert iterations >= 2
+        assert calls["local_extrema"] == iterations
 
     def test_denoising_gain_on_jittered_sine(self):
         # Gain threshold frozen from an oracle run of this exact fixture:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -22,6 +20,7 @@ from mfsig.series import profile
 from mfsig.spectrum import fit_spectrum, singularity_spectrum
 from mfsig.synth import cascade_hurst_oracle, white_noise
 
+from memory import transient_peak
 from oracles import (
     log_fq_scale_by_scale,
     normal_equations_residual_ms,
@@ -402,12 +401,7 @@ class TestSegmentFluctuations:
     def test_temporaries_stay_within_a_few_blocks(self, rows, n):
         y = np.stack([random_walk_profile(seed, n) for seed in range(rows)])
         segment_fluctuations(y, 16, 1, bidirectional=True)  # lazy imports and cached bases
-        tracemalloc.start()
-        try:
-            f2 = segment_fluctuations(y, 16, 1, bidirectional=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        f2, peak = transient_peak(lambda: segment_fluctuations(y, 16, 1, bidirectional=True))
         assert peak <= f2.nbytes + 4 * _BLOCK_ELEMENTS * y.itemsize
 
 

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfsig import series
 from mfsig.errors import AnalysisError
 from mfsig.series import _apply_swaps, _draws_below, _splitmix64, permutation, profile, shuffle
 from mfsig.synth import white_noise
 
+from memory import transient_peak
 from oracles import SplitMix64, fisher_yates_loop, splitmix64_seed_with_first_output, swap_loop
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -59,11 +61,15 @@ class TestShuffle:
         assert SplitMix64(42).next_u64() == 13679457532755275413
         assert _splitmix64(42, 0, 1).tolist() == [13679457532755275413]
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -3])
-    def test_draws_below_match_scalar_oracle(self, seed):
+    @staticmethod
+    def rejecting_bounds():
         # near 2^63 about half the draws are rejected, so the stream shifts
         offsets = np.random.default_rng(11).integers(-(2**40), 2**40, size=300)
-        bounds = [2**63 + int(d) for d in offsets] + [1, 2, 2**63, 2**63 + 1, 2**64 - 1]
+        return [2**63 + int(d) for d in offsets] + [1, 2, 2**63, 2**63 + 1, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -3])
+    def test_draws_below_match_scalar_oracle(self, seed):
+        bounds = self.rejecting_bounds()
         rng = SplitMix64(seed)
         expected = [rng.next_below(b) for b in bounds]
         bounds = np.array(bounds, dtype=np.uint64)
@@ -71,6 +77,18 @@ class TestShuffle:
         assert draws.tolist() == expected
         unrejected = _splitmix64(seed, 0, bounds.size) % bounds
         assert (draws != unrejected).sum() > 100
+
+    @pytest.mark.parametrize("block", [4, 7])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -3])
+    def test_draws_across_block_edges(self, monkeypatch, block, seed):
+        # Near 2^63 blocks end on a rejection; permutation(1000)'s bounds are
+        # at most 1000, so none is rejected and every block ends unrejected.
+        monkeypatch.setattr(series, "_DRAW_BLOCK", block)
+        bounds = self.rejecting_bounds()
+        rng = SplitMix64(seed)
+        expected = [rng.next_below(b) for b in bounds]
+        assert _draws_below(seed, np.array(bounds, dtype=np.uint64)).tolist() == expected
+        assert permutation(1000, seed).tolist() == fisher_yates_loop(1000, seed)
 
     @pytest.mark.parametrize("bound", [3, 2**63 + 1, 2**64 - 1])
     @pytest.mark.parametrize("past_limit", [0, 1], ids=["highest_accepted", "lowest_rejected"])
@@ -91,6 +109,24 @@ class TestShuffle:
     def test_full_size_permutation_matches_scalar_oracle(self, seed):
         # the surrogate seeds of the series benchmark at its length, 2^18
         assert permutation(2**18, seed).tolist() == fisher_yates_loop(2**18, seed)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_64_bit_indices_give_the_same_permutation(self, monkeypatch, seed):
+        # the indices turn 64-bit from n = 2^31, too large for a test to run
+        monkeypatch.setattr(series, "_index_dtype", lambda n: np.int64)
+        assert permutation(1000, seed).tolist() == fisher_yates_loop(1000, seed)
+
+    def test_full_size_permutation_memory(self):
+        # the returned permutation is 8n of the 5 * 8n bytes
+        n = 2**18
+        perm, peak = transient_peak(lambda: permutation(n, 1000))
+        assert perm.size == n
+        assert peak <= 5 * 8 * n
+
+    def test_permutation_too_large_for_its_sort_key(self):
+        # the smallest n with n * n >= 2^63; refused before anything is allocated
+        with pytest.raises(ValueError, match=r"n \* n < 2\^63 .*got n = 3037000500"):
+            permutation(3_037_000_500, 0)
 
     @pytest.mark.parametrize(
         "target",
