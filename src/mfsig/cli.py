@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -179,13 +180,13 @@ def cmd_analyze(args) -> int:
     if fs is None:
         print("error: sampling rate not given (--fs) and no sidecar JSON found", file=sys.stderr)
         return 1
-    channels = dataio.read_eeg_csv(args.input)
     if args.markers:
         timeline = dataio.read_markers(args.markers)
     else:
-        # a condition ending past (n + 1) / fs needs more than the n samples there are
-        n = len(next(iter(channels.values())))
-        timeline = build_timeline(args.clips, recording_s=(n + 1) / fs)
+        # each row of the CSV takes at least two bytes, a field and a comma or a line
+        # end: a condition ending past (rows + 1) / fs needs more rows than there are
+        rows = os.path.getsize(args.input) // 2
+        timeline = build_timeline(args.clips, recording_s=(rows + 1) / fs)
     cfg = RunConfig(
         detrend_order=args.order,
         bidirectional=args.bidirectional,
@@ -197,7 +198,7 @@ def cmd_analyze(args) -> int:
     if args.electrodes:
         cfg.electrodes = [e.strip() for e in args.electrodes.split(",") if e.strip()]
     report = analyze_recording(
-        channels, fs, timeline, cfg, subject_id=args.subject, workers=args.workers
+        args.input, fs, timeline, cfg, subject_id=args.subject, workers=args.workers
     )
     report.inputs = {"path": str(args.input), "sha256": dataio.sha256_file(args.input)}
     if args.markers:

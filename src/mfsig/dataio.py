@@ -1,7 +1,8 @@
 """File formats: series and multi-channel EEG CSV (one numeric reader),
 WAV audio, response sheets, marker files, and input hashing for provenance.
 
-A valid numeric CSV is parsed straight from disk; only a rejected one is
+A numeric CSV is parsed straight from disk in blocks of rows, which an EEG
+recording can be analysed from as they are read; only a rejected file is
 read again as text and scanned to locate the error."""
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import warnings
 import wave
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -51,28 +53,52 @@ def _cell_problem(cell: str) -> str | None:
     return None if math.isfinite(value) else "is not a finite number"
 
 
-def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Header names and the ``(rows, columns)`` array of a CSV of numbers.
+# Rows parsed by one np.loadtxt call of a numeric CSV.
+_BLOCK_ROWS = 8192
 
-    A valid file is parsed from disk by one ``np.loadtxt`` call, so its text
-    is never held whole; only a rejected file is read again and scanned to
-    name the first bad line, and its column if several."""
+
+def _csv_blocks(path: str | Path) -> Iterator:
+    """The header names of a CSV of numbers, then its rows as ``(rows, columns)``
+    arrays of up to ``_BLOCK_ROWS`` rows, each checked, every column of it.
+
+    Each block is parsed from the one open file by its own ``np.loadtxt``
+    call when the iterator reaches it, so the file's text is never held
+    whole. Only a rejected file is read again and scanned to name the first
+    bad line, and its column if several: every row before it has passed."""
     try:
         with open(path, encoding="utf-8") as fh:
             names = [name.strip() for name in fh.readline().split(",")]
-            with warnings.catch_warnings():
-                # a file with no data rows: rejected below, with our message
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            yield names
+            rows = 0
+            while True:
+                with warnings.catch_warnings():
+                    # past the last row: an empty block, which ends the file
+                    warnings.simplefilter("ignore", UserWarning)
+                    block = np.loadtxt(
+                        fh, delimiter=",", comments=None, ndmin=2, max_rows=_BLOCK_ROWS
+                    )
+                if not len(block):
+                    break
+                if block.shape[1] != len(names) or not np.isfinite(block).all():
+                    raise _csv_error(path)
+                rows += len(block)
+                yield block
     except ValueError:  # not UTF-8, a bad cell or a ragged row
         raise _csv_error(path) from None
-    if not len(data) or data.shape[1] != len(names) or not np.isfinite(data).all():
+    if not rows:
         raise _csv_error(path)
-    return names, data
+
+
+def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Header names and the ``(rows, columns)`` array of a CSV of numbers:
+    the concatenation of its ``_csv_blocks``."""
+    blocks = _csv_blocks(path)
+    names = next(blocks)
+    return names, np.concatenate(list(blocks))
 
 
 def _csv_error(path: str | Path) -> DataFormatError:
-    """The error naming the first bad line of a CSV that ``_read_numeric_csv``
+    """The error naming the first bad line of a CSV that ``_csv_blocks``
     rejects (``read_text`` raises its own for a file that is not UTF-8)."""
     # splitlines() would also break at form feeds, which csv and editors do not
     header, *lines = read_text(path).split("\n")
@@ -106,10 +132,16 @@ def write_series_csv(path: str | Path, samples: np.ndarray) -> None:
             fh.write(repr(float(v)) + "\n")  # shortest exact round-trip form
 
 
-def read_eeg_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Multi-channel recording: header ``sample,F3,F4,...`` then one row
-    per sample. Returns channel name -> samples."""
-    names, data = _read_numeric_csv(path)
+def read_eeg_blocks(path: str | Path) -> tuple[list[str], Iterator[np.ndarray]]:
+    """The channel names of an EEG CSV, header ``sample,F3,F4,...`` then one
+    row per sample, and an iterator over its samples in blocks of rows, one
+    column per channel.
+
+    The header is read and checked here; each block is parsed and checked,
+    every column of it, when the iterator reaches it (see ``_csv_blocks``).
+    """
+    blocks = _csv_blocks(path)
+    names = next(blocks)
     if names[0].lower() != "sample" or len(names) < 2:
         raise DataFormatError(f"{path}: line 1: expected header 'sample,<channel>,...'")
     channels = names[1:]
@@ -121,7 +153,15 @@ def read_eeg_csv(path: str | Path) -> dict[str, np.ndarray]:
     repeated = next((c for i, c in enumerate(channels) if c in channels[:i]), None)
     if repeated is not None:
         raise DataFormatError(f"{path}: line 1: column {repeated!r} appears more than once")
-    return {name: data[:, i] for i, name in enumerate(channels, start=1)}
+    return channels, (block[:, 1:] for block in blocks)
+
+
+def read_eeg_csv(path: str | Path) -> dict[str, np.ndarray]:
+    """Multi-channel recording: channel name -> samples, the concatenation of
+    the blocks of ``read_eeg_blocks``."""
+    channels, blocks = read_eeg_blocks(path)
+    data = np.concatenate(list(blocks))
+    return {name: data[:, i] for i, name in enumerate(channels)}
 
 
 def write_eeg_csv(path: str | Path, channels: dict[str, np.ndarray]) -> None:
@@ -229,6 +269,10 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, float]:
             raw = wav.readframes(wav.getnframes())
     except (wave.Error, EOFError) as exc:
         raise DataFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    except RuntimeError:  # wave raises it bare when a chunk it skips runs past the RIFF chunk
+        raise DataFormatError(
+            f"{path}: not a readable WAV file (a chunk runs past the end of the file)"
+        ) from None
     if fs <= 0:
         raise DataFormatError(f"{path}: frame rate must be positive, got {fs}")
     if not raw:

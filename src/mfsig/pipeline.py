@@ -7,22 +7,28 @@ The unit of work is one electrode's windows of one clip and one length
 the spectrum fit as one batch of k * 3 rows, and the records are read off
 the result arrays; only a job whose batch fails is run again, a window at
 a time, to name the window that fails. Jobs are pure and independent, so
-they can run across processes. Records come back in job order; emission
-sorts them, so the emitted report is identical for any worker count.
+they can run across processes. The recording is read in blocks of rows,
+and a job runs as soon as the rows of its windows are in, so only the
+rows of windows still to come are held. Records come back in job order;
+emission sorts them, so the emitted report is identical for any worker
+count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import bands
+from .dataio import read_eeg_blocks
 from .emd import emd_denoise
 from .errors import AnalysisError, DataFormatError
 from .mfdfa import MfdfaConfig, run_mfdfa_batch
-from .protocol import DEFAULT_ANALYZED, ProtocolTimeline, segment_recording
+from .protocol import DEFAULT_ANALYZED, ProtocolTimeline, segment_recording, window_span
 from .report import AnalysisReport, WidthRecord
 from .spectrum import fit_spectra, singularity_spectrum
 
@@ -108,47 +114,142 @@ def _run_job(job: tuple) -> list[WidthRecord]:
     ]
 
 
+class _Serial:
+    """The 1-worker stand-in for a process pool: ``submit`` runs the job at
+    once, and ``result()`` of what it returns gives the records or raises
+    the job's error, as a future's does."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, job):
+        return _Done(fn, job)
+
+
+class _Done:
+    """A job run by ``_Serial``: its records, or the error it raised."""
+
+    def __init__(self, fn, job):
+        try:
+            self.records, self.error = fn(job), None
+        except AnalysisError as exc:
+            self.records, self.error = None, exc
+
+    def result(self) -> list[WidthRecord]:
+        if self.error is not None:
+            raise self.error
+        return self.records
+
+
+def _batches(conditions: list, fs: float) -> list[list[int]]:
+    """The conditions' indices grouped into one job's windows per clip and
+    window length, in order of first appearance (the baseline has clip None)."""
+    batches: dict[tuple, list] = {}
+    for i, cond in enumerate(conditions):
+        lo, hi = window_span(cond, fs)
+        batches.setdefault((cond.clip, hi - lo), []).append(i)
+    return list(batches.values())
+
+
+def _windows_as_read(
+    blocks: Iterator[np.ndarray], fs: float, conditions: list, batches: list
+) -> Iterator[dict[int, list]]:
+    """For each block of samples, one row per electrode, the batches whose
+    windows are all read once it is: batch index -> its (condition, window)
+    pairs, a window one column per electrode, each column contiguous.
+
+    Blocks are joined only when a batch is ready, and only the samples from
+    the earliest start of a window still to come are kept. A batch with a
+    window that holds no sample is never ready; once the blocks end, the
+    batches left are cut, which raises for the first of their conditions,
+    in condition order, that the recording does not cover or whose window
+    holds no sample."""
+    spans = [window_span(cond, fs) for cond in conditions]
+    ready_at = []  # the samples a batch waits for
+    for batch in batches:
+        batch_spans = [spans[i] for i in batch]
+        holds_samples = all(hi > lo for lo, hi in batch_spans)
+        ready_at.append(max(hi for _, hi in batch_spans) if holds_samples else math.inf)
+    pending = list(range(len(batches)))
+    held, start, read = [], 0, 0  # held: the blocks of the samples from start on
+    for block in blocks:
+        held.append(block)
+        read += block.shape[1]
+        ready = [b for b in pending if ready_at[b] <= read]
+        if ready:
+            held = [np.concatenate(held, axis=1)]
+            pending = [b for b in pending if b not in ready]
+        yield {
+            b: segment_recording(held[0].T, fs, [conditions[i] for i in batches[b]], start)
+            for b in ready
+        }
+        # never past the samples read, where the next block goes on
+        keep_from = min([spans[i][0] for b in pending for i in batches[b]] + [read])
+        while held and start + held[0].shape[1] <= keep_from:
+            start += held.pop(0).shape[1]
+        if held and start < keep_from:
+            held[0], start = held[0][:, keep_from - start :].copy(), keep_from
+    held = np.concatenate(held, axis=1) if held else np.empty((0, 0))
+    left = sorted(i for b in pending for i in batches[b])
+    segment_recording(held.T, fs, [conditions[i] for i in left], start)  # raises if any are left
+
+
 def analyze_recording(
-    channels: dict[str, np.ndarray],
+    recording: dict[str, np.ndarray] | str | Path,
     fs: float,
     timeline: ProtocolTimeline,
     config: RunConfig,
     subject_id: str = "S01",
     workers: int = 1,
 ) -> AnalysisReport:
-    """Per-electrode, per-condition widths for one recording.
+    """Per-electrode, per-condition widths for one recording: channel name ->
+    samples, all of one length, or the path of an EEG CSV.
 
     The baseline window (initial rest) and every stimulus window are
     analyzed; deltas against the baseline are computed at emission time.
+    A CSV is read in blocks of rows, a dict is one block. Each job runs, or
+    goes to the pool, as soon as its windows are read, and only the rows
+    of windows still to come are held (``_windows_as_read``). A CSV error,
+    then a window the recording does not cover, wins over a failing job;
+    of several failing jobs the first in job order is named.
     """
     if not config.electrodes:
         raise ValueError("the electrode list is empty")
     repeated = sorted({e for e in config.electrodes if config.electrodes.count(e) > 1})
     if repeated:
         raise ValueError(f"electrode(s) listed more than once: {', '.join(repeated)}")
+    if isinstance(recording, dict):  # one block, stacked once the missing check has passed
+        channels, blocks = list(recording), map(np.column_stack, [list(recording.values())])
+    else:
+        channels, blocks = read_eeg_blocks(recording)
     missing = [e for e in config.electrodes if e not in channels]
     if missing:
         source = f"{config.input_path}: " if config.input_path else ""
         raise DataFormatError(
             f"{source}recording is missing electrode column(s): {', '.join(missing)}"
         )
-
+    columns = [channels.index(e) for e in config.electrodes]
     conditions = [timeline.baseline()] + timeline.stimulus_conditions()
-    # one job per electrode, clip and window length; the baseline has clip None
-    batches: dict[tuple, list] = {}
-    for electrode in config.electrodes:
-        for cond, window in segment_recording(channels[electrode], fs, conditions):
-            batches.setdefault((electrode, cond.clip, len(window)), []).append((cond.label, window))
-    jobs = [
-        (subject_id, electrode, fs, windows, config)
-        for (electrode, _, _), windows in batches.items()
-    ]
+    batches = _batches(conditions, fs)
 
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(batches) * len(columns))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs))
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     else:
-        results = [_run_job(job) for job in jobs]
-    records = [r for job_records in results for r in job_records]
+        pool = _Serial()
+    with pool:
+        outcomes = {}  # (electrode, batch), which sort in job order -> the job's future
+        selected = (block.T[columns] for block in blocks)  # one contiguous row per electrode
+        for ready in _windows_as_read(selected, fs, conditions, batches):
+            for e, electrode in enumerate(config.electrodes):
+                for b, segments in ready.items():
+                    windows = [(cond.label, window[:, e]) for cond, window in segments]
+                    job = (subject_id, electrode, fs, windows, config)
+                    outcomes[e, b] = pool.submit(_run_job, job)
+        records = [r for key in sorted(outcomes) for r in outcomes[key].result()]
     return AnalysisReport(records=records, config=asdict(config))

@@ -179,31 +179,39 @@ def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
     return ProtocolTimeline(conditions=tuple(conditions))
 
 
+def window_span(cond: Condition, fs: float) -> tuple[int, int]:
+    """The samples [lo, hi) of a recording sampled at fs Hz that cond's window
+    holds: ``lo = round(start * fs)`` and ``hi = round(end * fs)``."""
+    return int(round(cond.start_s * fs)), int(round(cond.end_s * fs))
+
+
 def segment_recording(
-    samples: np.ndarray, fs: float, conditions: Iterable[Condition]
+    samples: np.ndarray, fs: float, conditions: Iterable[Condition], start: int = 0
 ) -> list[tuple[Condition, np.ndarray]]:
     """Cut a recording sampled at fs Hz into one (condition, window) pair per
     condition, each window a view of the samples.
 
-    Windows are [round(start * fs), round(end * fs)); the recording must
-    cover every condition given, and each window must hold a sample. Pass
-    ``timeline.conditions`` to cut the whole timeline.
+    ``samples`` holds the recording from its sample ``start`` on, along its
+    first axis; a window is its ``window_span``, so none may begin before
+    ``start``. The recording must cover every condition given, and each
+    window must hold a sample; the first condition, in the order given,
+    that does not is an AnalysisError. Pass ``timeline.conditions`` to cut
+    the whole timeline.
     """
     out = []
     for cond in conditions:
-        lo = int(round(cond.start_s * fs))
-        hi = int(round(cond.end_s * fs))
-        if hi > len(samples):
+        lo, hi = window_span(cond, fs)
+        if hi > start + len(samples):
             raise AnalysisError(
-                f"recording ends before condition {cond.label!r} "
-                f"({cond.start_s:g}-{cond.end_s:g} s needs {hi} samples, have {len(samples)})"
+                f"recording ends before condition {cond.label!r} ({cond.start_s:g}-"
+                f"{cond.end_s:g} s needs {hi} samples, have {start + len(samples)})"
             )
         if hi == lo:
             raise AnalysisError(
                 f"condition {cond.label!r} ({cond.start_s:g}-{cond.end_s:g} s) "
                 f"covers no sample at {fs:g} Hz"
             )
-        out.append((cond, samples[lo:hi]))
+        out.append((cond, samples[lo - start : hi - start]))
     return out
 
 

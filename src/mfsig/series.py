@@ -45,8 +45,9 @@ def profile(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] < 2:
         raise AnalysisError("profile needs at least 2 samples")
-    bad = np.argwhere(~np.isfinite(x.reshape(-1, x.shape[-1])))
-    if bad.size:
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.argwhere(~finite.reshape(-1, x.shape[-1]))
         raise AnalysisError(f"series contains a non-finite value at index {bad[0, 1]}")
     return np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
 

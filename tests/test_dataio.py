@@ -7,6 +7,7 @@ import pytest
 
 from mfsig import dataio
 from mfsig.dataio import (
+    read_eeg_blocks,
     read_eeg_csv,
     read_response_sheets,
     read_series_csv,
@@ -95,6 +96,50 @@ class TestEegCsv:
             DataFormatError, match=f"eeg.csv: line 5: column F4: '{cell}' is not a finite"
         ):
             read_eeg_csv(path)
+
+
+class TestEegBlocks:
+    def test_blocks_are_parsed_as_they_are_reached(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", 4)
+        path = tmp_path / "eeg.csv"
+        x = white_noise(10, seed=7)
+        write_eeg_csv(path, {"F3": x, "O2": -x})
+        channels, blocks = read_eeg_blocks(path)
+        assert channels == ["F3", "O2"]
+        assert [len(block) for block in blocks] == [4, 4, 2]
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 1000])
+    def test_read_eeg_csv_does_not_depend_on_the_block_size(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        # blank lines between the rows: they count toward no block
+        path = tmp_path / "eeg.csv"
+        x = white_noise(300, seed=8)
+        rows = "".join(f"{i},{v!r},{-v!r}\n\n" for i, v in enumerate(x.tolist()))
+        path.write_text("sample,F3,O2\n\n" + rows)
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", block_rows)
+        back = read_eeg_csv(path)
+        np.testing.assert_array_equal(back["F3"], x)
+        np.testing.assert_array_equal(back["O2"], -x)
+
+    def test_bad_cell_in_a_later_block_names_its_line_and_column(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", 4)
+        path = tmp_path / "eeg.csv"
+        rows = [f"{i},{i}.5,-{i}.5" for i in range(20)]
+        rows[14] = "14,14.5,oops"  # line 16, in the fourth block
+        path.write_text("sample,F3,F4\n" + "\n".join(rows) + "\n")
+        _, blocks = read_eeg_blocks(path)
+        assert [len(next(blocks)) for _ in range(3)] == [4, 4, 4]
+        with pytest.raises(
+            DataFormatError, match=re.escape(f"{path}: line 16: column F4: 'oops' is not a number")
+        ):
+            next(blocks)
+
+    def test_header_is_checked_before_the_cells(self, tmp_path):
+        path = tmp_path / "eeg.csv"
+        path.write_text("sample,F3,F3\n0,1.0,oops\n")
+        with pytest.raises(DataFormatError, match="line 1: column 'F3' appears more than once"):
+            read_eeg_blocks(path)
 
 
 class TestNumericCsvFromDisk:
@@ -244,6 +289,22 @@ class TestWav:
         path = tmp_path / "bad.wav"
         write_wav_at_rate(path, samples, rate)
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: {expected}")):
+            read_wav(path)
+
+
+    def test_chunk_running_past_the_file_names_path(self, tmp_path):
+        # the data chunk's id damaged and its size past the end of the file:
+        # wave skips it as an unknown chunk and fails with a bare RuntimeError
+        path = tmp_path / "damaged.wav"
+        write_wav(path, np.zeros(100), 8000)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"data")
+        data[at : at + 8] = b"dXta" + (10**6).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(
+            DataFormatError,
+            match=re.escape(f"{path}: not a readable WAV file (a chunk runs past the end of"),
+        ):
             read_wav(path)
 
 

@@ -2,6 +2,7 @@
 (Chen, Cheung and Yiu 1998): transformations of the input whose effect on
 the output is known exactly, without an oracle for the output itself."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from mfsig.cli import main
 from mfsig.dataio import write_eeg_csv
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline
+from mfsig.report import read_report_json
 from mfsig.synth import white_noise
 
 FS = 256.0
@@ -73,3 +75,36 @@ def test_crlf_line_ends_leave_the_report_unchanged(tmp_path):
     assert analyze_csv(tmp_path, "lf", channels, "F3,T4") == analyze_csv(
         tmp_path, "crlf", channels, "F3,T4", line_end=b"\r\n"
     )
+
+
+def analyze_records(tmp_path, name, *flags):
+    """The records of ``mfsig analyze`` of eeg.csv in tmp_path, and its report.csv."""
+    outdir = tmp_path / name
+    rc = main([
+        "analyze", str(tmp_path / "eeg.csv"), "--fs", "256", "--outdir", str(outdir), *flags
+    ])
+    assert rc == 0
+    records = [asdict(r) for r in read_report_json(outdir / "report.json").records]
+    return records, (outdir / "report.csv").read_bytes()
+
+
+def test_one_electrode_gives_its_records_of_the_full_run(tmp_path):
+    # jobs are independent: the column a job reads is its electrode's alone
+    write_eeg_csv(tmp_path / "eeg.csv", {
+        e: white_noise(N, seed=47 + i) for i, e in enumerate(["F3", "O1", "T4"])
+    })
+    full, _ = analyze_records(tmp_path, "full", "--clips", "1", "--electrodes", "F3,O1,T4")
+    alone, _ = analyze_records(tmp_path, "alone", "--clips", "1", "--electrodes", "O1")
+    assert alone == [r for r in full if r["electrode"] == "O1"]
+    assert len(alone) == 3 * 7  # three rhythms of the rest and six stimulus windows
+
+
+def test_markers_restating_the_nominal_timeline_give_the_same_records(tmp_path):
+    write_eeg_csv(tmp_path / "eeg.csv", {"F3": white_noise(N, seed=50)})
+    markers = tmp_path / "markers.json"
+    markers.write_text(json.dumps([
+        {"label": c.label, "start_s": c.start_s, "end_s": c.end_s} for c in TIMELINE.conditions
+    ]))
+    nominal = analyze_records(tmp_path, "clips", "--clips", "1", "--electrodes", "F3")
+    marked = analyze_records(tmp_path, "markers", "--markers", str(markers), "--electrodes", "F3")
+    assert marked == nominal

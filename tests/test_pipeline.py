@@ -1,13 +1,19 @@
 """analyze_recording batches every rhythm series of one electrode's windows of
 one clip and one length; its records must equal those of one window at a time."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import Future
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfsig import bands, pipeline
+from mfsig import bands, dataio, pipeline
 from mfsig.cli import main
 from mfsig.dataio import read_eeg_csv, write_eeg_csv
 from mfsig.emd import emd_denoise
@@ -18,6 +24,8 @@ from mfsig.protocol import build_timeline, segment_recording, timeline_from_mark
 from mfsig.report import WidthRecord, read_report_json, record_sort_key
 from mfsig.spectrum import fit_spectrum, singularity_spectrum
 from mfsig.synth import white_noise
+
+from memory import transient_peak
 
 FS = 256.0
 
@@ -93,7 +101,9 @@ def test_clip_with_windows_of_two_lengths_splits_by_length(tmp_path, batch_shape
         "--electrodes", "F3", "--workers", "1", "--outdir", str(outdir),
     ])
     assert rc == 0
-    assert batch_shapes == [(3, 15360), (6, 5120), (3, 2560)]
+    # each job runs once the rows of its last window are read: the 10 s window
+    # ends at 95 s, the two 20 s ones at 120 s
+    assert batch_shapes == [(3, 15360), (3, 2560), (6, 5120)]
 
     channels, timeline = read_eeg_csv(eeg), timeline_from_markers(markers)
     expected = one_window_at_a_time(channels, timeline, RunConfig(electrodes=["F3"]))
@@ -189,10 +199,12 @@ def test_pool_has_no_more_workers_than_jobs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            future = Future()
+            future.set_result(fn(job))
+            return future
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     timeline = build_timeline(1)
     n = int(timeline.total_duration_s * FS)
     channels = {"F3": white_noise(n, seed=3), "T4": white_noise(n, seed=4)}
@@ -204,3 +216,134 @@ def test_pool_has_no_more_workers_than_jobs(monkeypatch):
         assert sizes[-1] == size
         assert [asdict(r) for r in report.records] == [asdict(r) for r in serial]
     assert len(sizes) == 2
+
+
+def test_the_cli_imports_no_process_pool():
+    # the pool's modules are imported by the first run with more than one worker
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys, mfsig.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+# A short recording, less than one default block: three channels of 3328 rows,
+# a rest, and two clips with windows of two lengths.
+SHORT_ROWS = 3328
+SHORT_MARKERS = [
+    {"label": "rest", "start_s": 0, "end_s": 4},
+    {"label": "clip1_original", "start_s": 4, "end_s": 6},
+    {"label": "clip1_band3", "start_s": 6.5, "end_s": 7.5},
+    {"label": "clip1_band2", "start_s": 8, "end_s": 10},
+    {"label": "clip2_original", "start_s": 10.5, "end_s": 12.5},
+]
+
+
+def analyze_short(tmp_path, channels, *flags, markers=SHORT_MARKERS, name="out"):
+    """``mfsig analyze`` of the channels written as a CSV, on the markers;
+    returns (exit code, output directory)."""
+    eeg, markers_path, outdir = tmp_path / "eeg.csv", tmp_path / "markers.json", tmp_path / name
+    write_eeg_csv(eeg, channels)
+    markers_path.write_text(json.dumps(markers))
+    rc = main([
+        "analyze", str(eeg), "--fs", "256", "--markers", str(markers_path),
+        "--outdir", str(outdir), *flags,
+    ])
+    return rc, outdir
+
+
+def short_channels():
+    return {e: white_noise(SHORT_ROWS, seed=60 + i) for i, e in enumerate(["F3", "T4", "O1"])}
+
+
+def output_bytes(outdir):
+    return {p.relative_to(outdir): p.read_bytes() for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "block_rows, workers", [(1, "1"), (7, "1"), (7, "2"), (10 * SHORT_ROWS, "1")]
+)
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block_rows, workers):
+    channels = short_channels()
+    rc, default = analyze_short(tmp_path, channels, "--electrodes", "O1,F3", name="default")
+    assert rc == 0
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", block_rows)
+    rc, outdir = analyze_short(tmp_path, channels, "--electrodes", "O1,F3", "--workers", workers)
+    assert rc == 0
+    assert output_bytes(outdir) == output_bytes(default)
+    assert len(output_bytes(default)) == 4  # report.csv, report.json, two plot-data files
+
+
+def test_nan_in_a_column_not_analysed_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 100)
+    channels = short_channels()
+    channels["T4"][2999] = np.nan  # line 3001, in the thirtieth block
+    rc, _ = analyze_short(tmp_path, channels, "--electrodes", "F3")
+    assert rc == 1
+    expected = f"error: {tmp_path / 'eeg.csv'}: line 3001: column T4: 'nan' is not a finite number\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_a_bad_row_after_a_failing_job_is_the_error(tmp_path, monkeypatch, capsys):
+    # F3's rest job fails when its block is read; the CSV error comes later and wins
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 100)
+    channels = short_channels()
+    channels["F3"][:] = 0.0
+    eeg = tmp_path / "eeg.csv"
+    rc, _ = analyze_short(tmp_path, channels, "--electrodes", "F3,T4")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: F3 rest alpha: scale 16: ")
+    lines = eeg.read_text().split("\n")
+    lines[3200] = lines[3200] + ",5"
+    eeg.write_text("\n".join(lines))
+    markers = tmp_path / "markers.json"
+    rc = main([
+        "analyze", str(eeg), "--fs", "256", "--markers", str(markers), "--electrodes", "F3,T4",
+        "--outdir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {eeg}: line 3201: expected 4 fields, got 5\n"
+
+
+def test_of_two_failing_jobs_the_first_in_job_order_is_named(tmp_path, monkeypatch, capsys):
+    # T4's rest job fails first as the file is read; F3's clip job comes first in job order
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 100)
+    channels = short_channels()
+    channels["T4"][: 4 * 256] = 0.0
+    channels["F3"][4 * 256 :] = 0.0
+    rc, _ = analyze_short(tmp_path, channels, "--electrodes", "F3,T4")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: F3 clip1_original alpha: scale 16: all segments have zero residual variance\n"
+    )
+
+
+def test_markers_past_the_end_name_the_first_condition_not_covered(tmp_path, capsys):
+    markers = SHORT_MARKERS + [
+        {"label": "clip2_band3", "start_s": 12.5, "end_s": 13.5},
+        {"label": "clip2_band2", "start_s": 14, "end_s": 16},
+    ]
+    rc, _ = analyze_short(tmp_path, short_channels(), "--electrodes", "F3", markers=markers)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: recording ends before condition 'clip2_band3' "
+        "(12.5-13.5 s needs 3456 samples, have 3328)\n"
+    )
+
+
+def test_analyze_holds_less_than_the_recording(tmp_path, monkeypatch):
+    # 2 electrodes, 4 clips at 128 Hz: 97280 rows of 3 columns, 2.3 MB as float64.
+    # The jobs are stubbed out: a job's own temporaries do not grow with the recording.
+    fs, timeline = 128.0, build_timeline(4)
+    n = int(timeline.total_duration_s * fs)
+    eeg = tmp_path / "eeg.csv"
+    write_eeg_csv(eeg, {"F3": white_noise(n, seed=3), "T4": white_noise(n, seed=4)})
+    windows = []
+    monkeypatch.setattr(pipeline, "_run_job", lambda job: windows.append(len(job[3])) or [])
+    config = RunConfig(electrodes=["F3", "T4"])
+    _, peak = transient_peak(lambda: analyze_recording(eeg, fs, timeline, config))
+    assert windows == [1, 1] + [6] * 8  # each batch, as it is read, for both electrodes
+    assert peak < n * 3 * 8
