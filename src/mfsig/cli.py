@@ -1,9 +1,8 @@
 """Command-line interface.
 
-Subcommands: split-bands, mfdfa, analyze, synth, listening, report.
-Exit codes: 0 success, 1 data/validation error, 2 usage error. Every JSON
-output embeds the resolved configuration and a content hash of its inputs
-so runs can be reproduced byte for byte.
+Subcommands: split-bands, mfdfa, analyze, synth, listening, report; the
+exit codes are ``main``'s. Every JSON output embeds the resolved configuration
+and a content hash of its inputs so runs can be reproduced byte for byte.
 """
 
 from __future__ import annotations
@@ -342,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: exit 0, 2 on a usage error, or 1 on a data error, one
+    ``error:`` line on stderr. The data errors are ``AnalysisError`` (with its
+    ``DataFormatError``), ``ValueError``, ``OSError`` and ``MemoryError``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "synth" and args.kind == "fgn" and args.n < synth.FGN_MIN_LENGTH:

@@ -103,14 +103,16 @@ def _run_job(job: tuple) -> list[WidthRecord]:
         "monofractal_degenerate": fit.monofractal_degenerate,
         "h_nonmonotone": ~result.hurst.monotone,
     }
-    # w, fit_a, fit_b, alpha0 and h2_r2 of every row of the (window, rhythm) grid
-    values = zip(*(c.tolist() for c in (fit.width, fit.a, fit.b, fit.alpha0, h2_r2)))
+    # the record's numbers by name, one dict per row of the (window, rhythm) grid
+    columns = {"w": fit.width, "fit_a": fit.a, "fit_b": fit.b, "alpha0": fit.alpha0, "h2_r2": h2_r2}
+    numbers = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
     return [
         WidthRecord(
-            subject, electrode, rhythms[i % len(rhythms)], labels[i // len(rhythms)], *row,
+            subject_id=subject, electrode=electrode, rhythm=rhythms[i % len(rhythms)],
+            condition=labels[i // len(rhythms)], **row,
             flags=";".join(name for name, mask in flags.items() if mask[i]),
         )
-        for i, row in enumerate(values)
+        for i, row in enumerate(numbers)
     ]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,7 +68,9 @@ def cell_mean_sd(values: list[float]) -> CellStats:
 
 @dataclass(frozen=True)
 class WidthRecord:
-    """One analyzed window: who, where, which rhythm, which condition."""
+    """One analyzed window: who, where, which rhythm, which condition; the one
+    declaration of the fields that report.json, report.csv and the reader follow,
+    in order. In report.json a field with a default may be absent."""
 
     subject_id: str
     electrode: str
@@ -82,37 +84,32 @@ class WidthRecord:
     flags: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "subject": self.subject_id,
-            "electrode": self.electrode,
-            "rhythm": self.rhythm,
-            "condition": self.condition,
-            "w": self.w,
-            "fit_a": _num(self.fit_a),
-            "fit_b": _num(self.fit_b),
-            "alpha0": _num(self.alpha0),
-            "h2_r2": _num(self.h2_r2),
-            "flags": self.flags,
-        }
+        d = {}
+        for name, key, number, default in _FIELDS:
+            value = getattr(self, name)
+            null = number and default is not MISSING and not math.isfinite(value)
+            d[key] = None if null else value
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WidthRecord":
-        return cls(
-            subject_id=d["subject"],
-            electrode=d["electrode"],
-            rhythm=d["rhythm"],
-            condition=d["condition"],
-            w=_number(d["w"], "w"),
-            fit_a=_nan(d.get("fit_a"), "fit_a"),
-            fit_b=_nan(d.get("fit_b"), "fit_b"),
-            alpha0=_nan(d.get("alpha0"), "alpha0"),
-            h2_r2=_nan(d.get("h2_r2"), "h2_r2"),
-            flags=d.get("flags", ""),
-        )
+        values = {}
+        for name, key, number, default in _FIELDS:
+            value = d[key] if default is MISSING else d.get(key, default)
+            if number:
+                value = default if value is None and default is not MISSING else _number(value, key)
+            values[name] = value
+        return cls(**values)
 
 
-def _num(x: float):
-    return None if x is None or not math.isfinite(x) else x
+# (field, report.json key, whether a number, default) per field, in order; the
+# type is the annotation's text, and report.json calls subject_id "subject"
+_FIELDS = tuple(
+    (f.name, "subject" if f.name == "subject_id" else f.name, f.type == "float", f.default)
+    for f in fields(WidthRecord)
+)
+_TEXTS = [(name, key) for name, key, number, _ in _FIELDS if not number]
+_NOT_STRINGS = ", ".join(key for _, key in _TEXTS[:-1]) + f" and {_TEXTS[-1][1]} must be strings"
 
 
 def _number(x, key: str) -> float:
@@ -120,10 +117,6 @@ def _number(x, key: str) -> float:
     if isinstance(x, (bool, str)):
         raise TypeError(f"{key} must be a JSON number, got {json.dumps(x)}")
     return float(x)
-
-
-def _nan(x, key: str) -> float:
-    return float("nan") if x is None else _number(x, key)
 
 
 def record_sort_key(rec: WidthRecord) -> tuple:
@@ -175,22 +168,23 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-CSV_HEADER = (
-    "subject,electrode,rhythm,clip,condition,w,w_rest,delta_w,"
-    "fit_a,fit_b,alpha0,h2_r2,flags"
-)
+# report.csv splits a record's condition label into its clip and slot, and
+# follows its width with the subject's rest width and the delta against it
+_CSV_DERIVED = {"condition": ("clip", "condition"), "w": ("w", "w_rest", "delta_w")}
+_CSV_COLUMNS = [c for _, key, _, _ in _FIELDS for c in _CSV_DERIVED.get(key, (key,))]
+CSV_HEADER = ",".join(_CSV_COLUMNS)
 
 
 def _report_csv(rows: list) -> str:
     """One row per stimulus record, with its subject's baseline alongside."""
     lines = [CSV_HEADER]
     for rec, clip, slot, w_rest, delta in rows:
-        flags = rec.flags
+        cells = rec.to_json_dict()
+        cells.update(clip=str(clip), condition=slot, w_rest=w_rest, delta_w=delta)
         if w_rest is None:
-            flags = (flags + ";" if flags else "") + "no_baseline"
-        numbers = (rec.w, w_rest, delta, rec.fit_a, rec.fit_b, rec.alpha0, rec.h2_r2)
-        fields = [rec.subject_id, rec.electrode, rec.rhythm, str(clip), slot]
-        lines.append(",".join(fields + [_fmt(x) for x in numbers] + [flags]))
+            cells["flags"] = (rec.flags + ";" if rec.flags else "") + "no_baseline"
+        values = (cells[c] for c in _CSV_COLUMNS)
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -245,9 +239,8 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
             rec = WidthRecord.from_json_dict(d)
             if not (math.isfinite(rec.w) and rec.w >= 0):
                 raise ValueError(f"width must be finite and non-negative, got {rec.w}")
-            texts = (rec.subject_id, rec.electrode, rec.rhythm, rec.condition, rec.flags)
-            if not all(isinstance(v, str) for v in texts):
-                raise TypeError("subject, electrode, rhythm, condition and flags must be strings")
+            if not all(isinstance(getattr(rec, name), str) for name, _ in _TEXTS):
+                raise TypeError(_NOT_STRINGS)
             check_subject_id(rec.subject_id)
             check_electrode_name(rec.electrode)
             check_csv_field("rhythm", rec.rhythm)

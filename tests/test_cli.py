@@ -826,6 +826,29 @@ class TestReportCommand:
                 {"records": [dict(GOOD_RECORD, flags="nonconcave,x")]},
                 "record 0: flags 'nonconcave,x' must not contain ','",
             ),
+            *[
+                (
+                    {"records": [GOOD_RECORD, {k: v for k, v in GOOD_RECORD.items() if k != key}]},
+                    f"record 1: missing key '{key}'",
+                )
+                for key in ("subject", "electrode", "rhythm", "condition")
+            ],
+            (
+                {"records": [dict(GOOD_RECORD, fit_b=True)]},
+                "record 0: fit_b must be a JSON number, got true",
+            ),
+            (
+                {"records": [GOOD_RECORD, dict(GOOD_RECORD, alpha0="0.4")]},
+                'record 1: alpha0 must be a JSON number, got "0.4"',
+            ),
+            (
+                # a record without flags reads them as empty; record 1's are not a string
+                {"records": [
+                    {k: v for k, v in GOOD_RECORD.items() if k != "flags"},
+                    dict(GOOD_RECORD, flags=None),
+                ]},
+                "record 1: subject, electrode, rhythm, condition and flags must be strings",
+            ),
         ],
         ids=[
             "list", "records_not_list", "record_not_object", "missing_key", "null_width",
@@ -833,7 +856,8 @@ class TestReportCommand:
             "electrode_empty", "baseline_not_rest", "width_bool", "width_string",
             "fit_a_string", "h2_r2_bool", "config_not_object", "inputs_not_object",
             "no_records", "subject_comma", "subject_empty", "electrode_quote", "rhythm_newline",
-            "flags_comma",
+            "flags_comma", "missing_subject", "missing_electrode", "missing_rhythm",
+            "missing_condition", "fit_b_bool", "alpha0_string", "flags_missing_reads_empty",
         ],
     )
     def test_malformed_report_names_file_and_record(self, tmp_path, capsys, payload, expected):

@@ -10,10 +10,11 @@ import pytest
 
 from mfsig.cli import main
 from mfsig.dataio import write_eeg_csv
+from mfsig.mfdfa import MfdfaConfig, run_mfdfa
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline
 from mfsig.report import read_report_json
-from mfsig.synth import white_noise
+from mfsig.synth import fgn, white_noise
 
 FS = 256.0
 TIMELINE = build_timeline(1)
@@ -39,6 +40,36 @@ def test_power_of_two_scaling_leaves_records_bit_identical(settings):
         scaled = {e: np.ldexp(x, k) for e, x in channels.items()}
         records = analyze_recording(scaled, FS, TIMELINE, config).records
         assert [asdict(r) for r in records] == expected, k
+
+
+SIGN_SETTINGS = {
+    "defaults": {},
+    "dwt_bidirectional_emd": {"rhythm_method": "dwt", "bidirectional": True, "emd_drop": [1]},
+    "no_envelope": {"use_envelope": False},
+}
+
+
+@pytest.mark.parametrize("settings", SIGN_SETTINGS.values(), ids=SIGN_SETTINGS.keys())
+def test_sign_flip_leaves_records_bit_identical(settings):
+    # every step is linear, or even in sign up to a magnitude or a square, and
+    # IEEE rounding is symmetric in sign
+    x = white_noise(N, seed=51)
+    config = RunConfig(electrodes=["F3"], **settings)
+    expected = [asdict(r) for r in analyze_recording({"F3": x}, FS, TIMELINE, config).records]
+    records = analyze_recording({"F3": -x}, FS, TIMELINE, config).records
+    assert [asdict(r) for r in records] == expected
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_polynomial_trend_below_the_detrending_order_leaves_mfdfa_unchanged(order):
+    # DFA-m removes trends of degree m - 1 from the series, degree m from its
+    # profile (Kantelhardt et al. 2001)
+    x = fgn(8192, 0.7, seed=5)
+    trend = np.polynomial.polynomial.polyval(np.linspace(-1.0, 1.0, x.size), np.ones(order))
+    config = MfdfaConfig(detrend_order=order)
+    expected, got = run_mfdfa(x, config), run_mfdfa(x + trend, config)
+    assert np.abs(got.hurst.h - expected.hurst.h).max() <= 1e-14
+    assert np.abs(got.log_fq - expected.log_fq).max() <= 5e-14
 
 
 def analyze_csv(tmp_path, name, channels, electrodes, line_end=b"\n"):
