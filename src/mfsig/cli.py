@@ -176,9 +176,6 @@ def cmd_mfdfa(args) -> int:
 
 def cmd_analyze(args) -> int:
     fs = args.fs if args.fs is not None else dataio.read_fs_sidecar(args.input)
-    if fs is None:
-        print("error: sampling rate not given (--fs) and no sidecar JSON found", file=sys.stderr)
-        return 1
     if args.markers:
         timeline = dataio.read_markers(args.markers)
     else:

@@ -89,14 +89,6 @@ def _csv_blocks(path: str | Path) -> Iterator:
         raise _csv_error(path)
 
 
-def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Header names and the ``(rows, columns)`` array of a CSV of numbers:
-    the concatenation of its ``_csv_blocks``."""
-    blocks = _csv_blocks(path)
-    names = next(blocks)
-    return names, np.concatenate(list(blocks))
-
-
 def _csv_error(path: str | Path) -> DataFormatError:
     """The error naming the first bad line of a CSV that ``_csv_blocks``
     rejects (``read_text`` raises its own for a file that is not UTF-8)."""
@@ -118,11 +110,13 @@ def _csv_error(path: str | Path) -> DataFormatError:
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:
-    """The samples of a single-column CSV with a one-line header."""
-    names, data = _read_numeric_csv(path)
+    """The samples of a single-column CSV with a one-line header, checked
+    before its rows are parsed."""
+    blocks = _csv_blocks(path)
+    names = next(blocks)
     if len(names) != 1:
         raise DataFormatError(f"{path}: line 1: expected 1 column, got {len(names)}")
-    return data[:, 0]
+    return np.concatenate(list(blocks))[:, 0]
 
 
 def write_series_csv(path: str | Path, samples: np.ndarray) -> None:
@@ -173,14 +167,17 @@ def write_eeg_csv(path: str | Path, channels: dict[str, np.ndarray]) -> None:
             fh.write(str(i) + "," + ",".join(f"{channels[c][i]:.9g}" for c in names) + "\n")
 
 
-def read_fs_sidecar(path: str | Path) -> float | None:
-    """Sampling rate from ``<stem>.json`` next to the data file, if present.
+def read_fs_sidecar(path: str | Path) -> float:
+    """Sampling rate from ``<stem>.json`` next to the data file.
 
-    The sidecar is a JSON object whose ``fs_hz`` is a finite positive number.
+    The sidecar is a JSON object whose ``fs_hz`` is a finite positive number;
+    a missing one is a DataFormatError naming the data file and the sidecar.
     """
     sidecar = Path(path).with_suffix(".json")
     if not sidecar.exists():
-        return None
+        raise DataFormatError(
+            f"{path}: sampling rate not given (--fs) and no sidecar {sidecar} found"
+        )
     try:
         payload = json.loads(read_text(sidecar))
     except json.JSONDecodeError as exc:

@@ -16,7 +16,6 @@ count.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -157,44 +156,33 @@ def _batches(conditions: list, fs: float) -> list[list[int]]:
 
 
 def _windows_as_read(
-    blocks: Iterator[np.ndarray], fs: float, conditions: list, batches: list
+    blocks: Iterator[np.ndarray], columns: list, fs: float, conditions: list, batches: list
 ) -> Iterator[dict[int, list]]:
-    """For each block of samples, one row per electrode, the batches whose
+    """For each block of samples, one row per sample, the batches whose
     windows are all read once it is: batch index -> its (condition, window)
-    pairs, a window one column per electrode, each column contiguous.
+    pairs, a window one column per electrode of ``columns``, each contiguous.
 
-    Blocks are joined only when a batch is ready, and only the samples from
-    the earliest start of a window still to come are kept. A batch with a
-    window that holds no sample is never ready; once the blocks end, the
-    batches left are cut, which raises for the first of their conditions,
-    in condition order, that the recording does not cover or whose window
-    holds no sample."""
-    spans = [window_span(cond, fs) for cond in conditions]
-    ready_at = []  # the samples a batch waits for
-    for batch in batches:
-        batch_spans = [spans[i] for i in batch]
-        holds_samples = all(hi > lo for lo, hi in batch_spans)
-        ready_at.append(max(hi for _, hi in batch_spans) if holds_samples else math.inf)
-    pending = list(range(len(batches)))
-    held, start, read = [], 0, 0  # held: the blocks of the samples from start on
+    The samples read are held as one array, a row per electrode, from the
+    earliest start of a window still to come. A batch with a window that
+    holds no sample is never ready; once the blocks end, the batches left
+    are cut, which raises for the first of their conditions, in condition
+    order, that the recording does not cover or whose window holds no sample."""
+    # batch index -> the spans of its windows, while the batch is still to come
+    pending = {b: [window_span(conditions[i], fs) for i in bs] for b, bs in enumerate(batches)}
+    held, start, read = np.empty((len(columns), 0)), 0, 0  # held: the samples from start on
     for block in blocks:
-        held.append(block)
-        read += block.shape[1]
-        ready = [b for b in pending if ready_at[b] <= read]
-        if ready:
-            held = [np.concatenate(held, axis=1)]
-            pending = [b for b in pending if b not in ready]
+        held = np.concatenate([held, block.T[columns]], axis=1)
+        read += len(block)
+        ready = [b for b, spans in pending.items() if all(read >= hi > lo for lo, hi in spans)]
         yield {
-            b: segment_recording(held[0].T, fs, [conditions[i] for i in batches[b]], start)
+            b: segment_recording(held.T, fs, [conditions[i] for i in batches[b]], start)
             for b in ready
         }
+        for b in ready:
+            del pending[b]
         # never past the samples read, where the next block goes on
-        keep_from = min([spans[i][0] for b in pending for i in batches[b]] + [read])
-        while held and start + held[0].shape[1] <= keep_from:
-            start += held.pop(0).shape[1]
-        if held and start < keep_from:
-            held[0], start = held[0][:, keep_from - start :].copy(), keep_from
-    held = np.concatenate(held, axis=1) if held else np.empty((0, 0))
+        keep_from = min([lo for spans in pending.values() for lo, _ in spans] + [read])
+        held, start = held[:, keep_from - start :], keep_from
     left = sorted(i for b in pending for i in batches[b])
     segment_recording(held.T, fs, [conditions[i] for i in left], start)  # raises if any are left
 
@@ -246,8 +234,7 @@ def analyze_recording(
         pool = _Serial()
     with pool:
         outcomes = {}  # (electrode, batch), which sort in job order -> the job's future
-        selected = (block.T[columns] for block in blocks)  # one contiguous row per electrode
-        for ready in _windows_as_read(selected, fs, conditions, batches):
+        for ready in _windows_as_read(blocks, columns, fs, conditions, batches):
             for e, electrode in enumerate(config.electrodes):
                 for b, segments in ready.items():
                     windows = [(cond.label, window[:, e]) for cond, window in segments]

@@ -234,6 +234,7 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
         raise DataFormatError("records must be a JSON list")
     if not entries:
         raise DataFormatError("no records")
+    first: dict[tuple, int] = {}  # (subject, electrode, rhythm, (clip, slot)) -> its record
     for i, d in enumerate(entries):
         try:
             rec = WidthRecord.from_json_dict(d)
@@ -245,11 +246,16 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
             check_electrode_name(rec.electrode)
             check_csv_field("rhythm", rec.rhythm)
             check_csv_field("flags", rec.flags)
-            parse_label(rec.condition)
+            key = (rec.subject_id, rec.electrode, rec.rhythm, parse_label(rec.condition))
         except KeyError as exc:
             raise DataFormatError(f"record {i}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"record {i}: {exc}") from None
+        if first.setdefault(key, i) != i:
+            raise DataFormatError(
+                f"records {first[key]} and {i} both give subject {rec.subject_id!r} electrode "
+                f"{rec.electrode!r} rhythm {rec.rhythm!r} condition {rec.condition!r}"
+            )
         report.records.append(rec)
     return report
 

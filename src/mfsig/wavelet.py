@@ -94,12 +94,18 @@ def reconstruct_level(coeffs: WaveletCoeffs, level: int) -> np.ndarray:
 
 
 def dyadic_level_for_band(fs: float, low_hz: float, high_hz: float, max_level: int) -> int:
-    """Detail level whose dyadic band [fs/2^(l+1), fs/2^l) best overlaps the target."""
-    best, best_overlap = 1, -1.0
+    """Detail level whose dyadic band [fs/2^(l+1), fs/2^l) best overlaps the target;
+    an AnalysisError when no level down to ``max_level`` overlaps it."""
+    best, best_overlap = None, 0.0
     for lvl in range(1, max_level + 1):
         lo, hi = fs / 2 ** (lvl + 1), fs / 2**lvl
-        overlap = max(0.0, min(hi, high_hz) - max(lo, low_hz))
+        overlap = min(hi, high_hz) - max(lo, low_hz)
         if overlap > best_overlap:
             best, best_overlap = lvl, overlap
+    if best is None:
+        raise AnalysisError(
+            f"no dyadic subband down to level {max_level}, the deepest the window allows, "
+            f"overlaps {low_hz:g}-{high_hz:g} Hz at {fs:g} Hz"
+        )
     return best
 

@@ -430,10 +430,11 @@ class TestAnalyzeCommand:
             (None, "nan", 2, "argument --fs: expected a {positive}, got 'nan'"),
             (None, "0", 2, "argument --fs: expected a {positive}, got '0'"),
             (None, "-256", 2, "argument --fs: expected a {positive}, got '-256'"),
+            (None, None, 1, "{csv}: sampling rate not given (--fs) and no sidecar {json} found"),
         ],
         ids=[
             "sidecar_empty", "sidecar_list", "sidecar_bool", "sidecar_zero", "sidecar_string",
-            "sidecar_nan", "flag_inf", "flag_nan", "flag_zero", "flag_negative",
+            "sidecar_nan", "flag_inf", "flag_nan", "flag_zero", "flag_negative", "no_rate",
         ],
     )
     def test_bad_sampling_rate_is_rejected_where_read(
@@ -457,7 +458,7 @@ class TestAnalyzeCommand:
             rc = main(argv)
         assert rc == code
         positive = "finite positive JSON number" if code == 1 else "finite positive number"
-        expected = message.format(json=tmp_path / "eeg.json", positive=positive)
+        expected = message.format(csv=eeg, json=tmp_path / "eeg.json", positive=positive)
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -504,6 +505,25 @@ class TestAnalyzeCommand:
         ])
         assert rc == 1
         assert f"error: {path}: {expected}" in capsys.readouterr().err
+
+    def test_dwt_rhythm_below_the_deepest_subband_is_located(self, tmp_path, capsys):
+        # 102 samples allow 4 levels, down to 8-16 Hz: none overlaps theta's 4-7 Hz
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg, electrodes=("F3",), duration_s=11.0)
+        markers = tmp_path / "markers.json"
+        markers.write_text(json.dumps([
+            {"label": "rest", "start_s": 0.0, "end_s": 10.0},
+            {"label": "clip1_original", "start_s": 10.0, "end_s": 10.4},
+        ]))
+        rc = main([
+            "analyze", str(eeg), "--fs", "256", "--markers", str(markers), "--electrodes", "F3",
+            "--rhythm-method", "dwt", "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: F3 clip1_original: no dyadic subband down to level 4, the deepest the "
+            "window allows, overlaps 4-7 Hz at 256 Hz\n"
+        )
 
     @pytest.mark.parametrize("method", ["fft", "dwt"])
     def test_sample_too_large_to_filter_is_one_error_line(self, tmp_path, capsys, method):
@@ -849,6 +869,20 @@ class TestReportCommand:
                 ]},
                 "record 1: subject, electrode, rhythm, condition and flags must be strings",
             ),
+            (
+                {"records": [GOOD_RECORD, dict(GOOD_RECORD, w=5.0)]},
+                "records 0 and 1 both give subject 'S01' electrode 'F3' rhythm 'alpha' "
+                "condition 'rest'",
+            ),
+            (
+                # the labels are read as parse_label reads them
+                {"records": [
+                    dict(GOOD_RECORD, condition="clip1_band3"), GOOD_RECORD,
+                    dict(GOOD_RECORD, condition="clip01_band03", flags="nonconcave"),
+                ]},
+                "records 0 and 2 both give subject 'S01' electrode 'F3' rhythm 'alpha' "
+                "condition 'clip01_band03'",
+            ),
         ],
         ids=[
             "list", "records_not_list", "record_not_object", "missing_key", "null_width",
@@ -858,6 +892,7 @@ class TestReportCommand:
             "no_records", "subject_comma", "subject_empty", "electrode_quote", "rhythm_newline",
             "flags_comma", "missing_subject", "missing_electrode", "missing_rhythm",
             "missing_condition", "fit_b_bool", "alpha0_string", "flags_missing_reads_empty",
+            "repeated_record", "repeated_record_other_spelling",
         ],
     )
     def test_malformed_report_names_file_and_record(self, tmp_path, capsys, payload, expected):

@@ -197,6 +197,7 @@ class TestNumericCsvFromDisk:
         (read_series_csv, "value\r\n1.5\r\n\r\noops\r\n", "line 4: 'oops' is not a number"),
         (read_series_csv, "value\n1\x0c2\n", "line 2: '1\\x0c2' is not a number"),
         (read_series_csv, "value,other\n1.5,2.5\n", "line 1: expected 1 column, got 2"),
+        (read_series_csv, "value,other\n1.5,oops\n", "line 1: expected 1 column, got 2"),
         (read_eeg_csv, "sample,F3\n0,1.0\nt1,2.0\n", "line 3: column sample: 't1' is not a number"),
         (read_eeg_csv, "sample,F3,../x\n0,1.0,2.0\n", "line 1: column 3: electrode name '../x'"),
         (read_eeg_csv, "sample,F3,\n0,1.0,2.0\n", "line 1: column 3: electrode name ''"),
@@ -206,7 +207,7 @@ class TestNumericCsvFromDisk:
     ],
     ids=[
         "empty_cell", "digit_separator", "whitespace_line", "quoted_cell", "crlf", "form_feed",
-        "two_column_series", "non_numeric_sample", "electrode_path", "electrode_empty",
+        "two_column_series", "two_column_series_bad_cell", "non_numeric_sample", "electrode_path", "electrode_empty",
         "electrode_dotdot", "electrode_backslash", "electrode_quoted",
     ],
 )

@@ -4,6 +4,7 @@ one clip and one length; its records must equal those of one window at a time.""
 import concurrent.futures
 import json
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -17,7 +18,7 @@ from mfsig import bands, dataio, pipeline
 from mfsig.cli import main
 from mfsig.dataio import read_eeg_csv, write_eeg_csv
 from mfsig.emd import emd_denoise
-from mfsig.errors import AnalysisError
+from mfsig.errors import AnalysisError, DataFormatError
 from mfsig.mfdfa import MfdfaConfig, run_mfdfa, run_mfdfa_batch
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline, segment_recording, timeline_from_markers
@@ -332,6 +333,63 @@ def test_markers_past_the_end_name_the_first_condition_not_covered(tmp_path, cap
         "error: recording ends before condition 'clip2_band3' "
         "(12.5-13.5 s needs 3456 samples, have 3328)\n"
     )
+
+
+# Tokens a mutant inserts: non-finite and overflowing numbers, a quote, a CR, a
+# NUL, and a number too long for a float.
+MUTANT_TOKENS = [b"nan", b"1e308", b'"', b"\r", b"\x00", b"9" * 400]
+
+
+def mutate(data, rng, edges):
+    """One seeded mutant of the bytes of a file: a byte flip, a deletion, a
+    truncation or an inserted token, at a random byte or at one of ``edges``."""
+    pos = rng.choice([rng.randrange(len(data)), rng.choice(edges)])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return data[:pos] + bytes([data[pos] ^ (1 << rng.randrange(8))]) + data[pos + 1 :]
+    if kind == 1:
+        return data[:pos] + data[pos + rng.randint(1, 3) :]
+    if kind == 2:
+        return data[:pos]
+    return data[:pos] + rng.choice(MUTANT_TOKENS) + data[pos:]
+
+
+def test_mutated_csv_exits_0_or_one_error_line(tmp_path, monkeypatch, capsys):
+    # 2 channels of 256 rows at 64 Hz in blocks of 7 rows: the mutations land
+    # inside blocks and on the line starts of blocks, before and after a batch is read
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 7)
+    eeg, markers = tmp_path / "eeg.csv", tmp_path / "markers.json"
+    write_eeg_csv(eeg, {"F3": white_noise(256, seed=70), "T4": white_noise(256, seed=71)})
+    markers.write_text(json.dumps([
+        {"label": "rest", "start_s": 0, "end_s": 2},
+        {"label": "clip1_original", "start_s": 2, "end_s": 4},
+    ]))
+    seed = eeg.read_bytes()
+    starts = np.flatnonzero(np.frombuffer(seed, dtype=np.uint8) == ord("\n")) + 1
+    edges = starts[:-1:7].tolist()  # the first row of each block
+    rng = random.Random(33)
+    codes = []
+    for _ in range(80):
+        eeg.write_bytes(mutate(seed, rng, edges))
+        try:
+            read_eeg_csv(eeg)
+            rejected = False
+        except DataFormatError:
+            rejected = True
+        rc = main([
+            "analyze", str(eeg), "--fs", "64", "--markers", str(markers),
+            "--electrodes", "F3,T4", "--outdir", str(tmp_path / "out"),
+        ])
+        out = capsys.readouterr()
+        codes.append(rc)
+        if rc == 0:
+            assert not rejected and out.err == ""
+            continue
+        assert rc == 1
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
+        if rejected:
+            assert out.err.startswith(f"error: {eeg}: "), out.err
+    assert 0 < codes.count(0) < len(codes)
 
 
 def test_analyze_holds_less_than_the_recording(tmp_path, monkeypatch):

@@ -77,6 +77,8 @@ class TestSubbands:
         assert dyadic_level_for_band(256.0, 8.0, 13.0, 8) == 4   # 8-16 Hz
         assert dyadic_level_for_band(256.0, 4.0, 7.0, 8) == 5    # 4-8 Hz
         assert dyadic_level_for_band(256.0, 13.0, 30.0, 8) == 3  # 16-32 Hz
+        with pytest.raises(AnalysisError, match="down to level 4, .* overlaps 4-7 Hz"):
+            dyadic_level_for_band(256.0, 4.0, 7.0, 4)  # 8-16 Hz at the deepest
 
     def test_levels_sum_back_to_signal(self):
         x = white_noise(512, seed=3)
