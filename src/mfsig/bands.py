@@ -120,15 +120,16 @@ def rhythm_series(windows: np.ndarray, fs: float, method: str, envelope: bool) -
     subband (at 256 Hz: 8-16 / 4-8 / 16-32 Hz) from one decomposition per
     zero-padding ``-n % 2**level``, run to the deepest level with it (one
     for n a multiple of 32 at 256 Hz), so each level is padded as on its
-    own. With ``envelope`` a row is the magnitude of the analytic signal.
+    own. Either method needs at least 16 samples and every rhythm below
+    Nyquist. With ``envelope`` a row is the magnitude of the analytic signal.
     A row that overflows on finite samples near the float limit raises
     AnalysisError, not a numpy warning.
     """
     bands = [RHYTHMS[name] for name in sorted(RHYTHMS)]
     n = windows.shape[-1]
+    freqs = _rfft_freqs(n, fs, bands)
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "fft":
-            freqs = _rfft_freqs(n, fs, bands)
             keep = np.stack([_passband(freqs, band) for band in bands])
             spec = np.where(keep, np.fft.rfft(windows)[..., np.newaxis, :], 0.0)
             rows = _analytic_magnitude(spec, n) if envelope else np.fft.irfft(spec, n)

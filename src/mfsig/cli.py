@@ -147,8 +147,11 @@ def cmd_mfdfa(args) -> int:
         q_grid=args.q_grid,
         bidirectional=args.bidirectional,
     )
-    result = run_mfdfa(x, cfg)
-    fit = fit_spectrum(singularity_spectrum(result.hurst))
+    try:
+        result = run_mfdfa(x, cfg)
+        fit = fit_spectrum(singularity_spectrum(result.hurst))
+    except AnalysisError as exc:
+        raise AnalysisError(f"{args.input}: {exc}") from None
     payload = {
         "config": {
             "detrend_order": cfg.detrend_order,

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import warnings
 import wave
 from collections.abc import Iterator
@@ -180,7 +181,7 @@ def read_fs_sidecar(path: str | Path) -> float:
         )
     try:
         payload = json.loads(read_text(sidecar))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more digits than int() takes
         raise DataFormatError(f"{sidecar}: bad sidecar ({exc})") from exc
     if not isinstance(payload, dict):
         raise DataFormatError(f"{sidecar}: sidecar must be a JSON object")
@@ -188,7 +189,8 @@ def read_fs_sidecar(path: str | Path) -> float:
         raise DataFormatError(f"{sidecar}: sidecar has no fs_hz key")
     fs = payload["fs_hz"]
     is_number = isinstance(fs, (int, float)) and not isinstance(fs, bool)
-    if not (is_number and math.isfinite(fs) and fs > 0):
+    # compared exactly, so an integer too large for a float fails here too
+    if not (is_number and 0 < fs <= sys.float_info.max):
         raise DataFormatError(
             f"{sidecar}: fs_hz must be a finite positive JSON number, got {json.dumps(fs)}"
         )
@@ -256,8 +258,9 @@ def read_response_sheets(path: str | Path) -> np.ndarray:
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, float]:
     """(samples, frame rate in Hz) of a 16- or 24-bit PCM file: a mono float
-    signal in [-1, 1), stereo downmixed by channel averaging. A file with no
-    frames, or a frame rate that is not positive, is a DataFormatError."""
+    signal in [-1, 1), stereo downmixed by channel averaging. A partial last
+    frame, as in a file cut short, is dropped. A file with no whole frame, or
+    a frame rate that is not positive, is a DataFormatError."""
     try:
         with wave.open(str(path), "rb") as wav:
             n_channels = wav.getnchannels()
@@ -272,6 +275,7 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, float]:
         ) from None
     if fs <= 0:
         raise DataFormatError(f"{path}: frame rate must be positive, got {fs}")
+    raw = raw[: len(raw) - len(raw) % (n_channels * width)]
     if not raw:
         raise DataFormatError(f"{path}: no audio frames")
     if width == 2:

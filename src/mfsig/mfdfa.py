@@ -27,15 +27,15 @@ from .series import profile
 DEFAULT_Q_GRID = np.linspace(-5.0, 5.0, 41)
 DEFAULT_N_SCALES = 19
 DEFAULT_MIN_SCALE = 16
-# Bounds the temporaries of segment_fluctuations at any series length, and the
-# q blocks of log_fluctuation_function, in elements.
+# Bounds segment_fluctuations' temporaries and the cached bases, in elements.
 _BLOCK_ELEMENTS = 2**16
 
 
 def default_scales(n: int) -> np.ndarray:
-    """DEFAULT_N_SCALES log-spaced integer scales from DEFAULT_MIN_SCALE to n // 4."""
+    """DEFAULT_N_SCALES log-spaced integer scales from DEFAULT_MIN_SCALE to n // 4,
+    at least two of them: one scale fits no slope."""
     max_scale = n // 4
-    if max_scale < DEFAULT_MIN_SCALE:
+    if max_scale <= DEFAULT_MIN_SCALE:
         raise AnalysisError(
             f"series of length {n} supports no scales in [{DEFAULT_MIN_SCALE}, n/4]"
         )
@@ -154,7 +154,6 @@ def log_fluctuation_function(f2: np.ndarray, scales, lengths, q_grid: np.ndarray
     Zero-variance segments are excluded per row and scale: they would make
     ln Fq infinite for q <= 0, so their terms are exactly 0 and n counts the
     others; a row with none raises AnalysisError at the first such scale.
-    The q x row x segment terms are formed in blocks of q of at most _BLOCK_ELEMENTS.
     """
     f2 = np.asarray(f2, dtype=float)
     rows = f2.reshape(-1, f2.shape[-1])
@@ -170,7 +169,6 @@ def log_fluctuation_function(f2: np.ndarray, scales, lengths, q_grid: np.ndarray
     out = np.empty((q_grid.size, *count.shape))
     out[:] = 0.5 * (np.add.reduceat(ln_f2, starts, axis=-1) / count)
     log_count = np.log(count)
-    block = max(1, _BLOCK_ELEMENTS // rows.size)
     # an excluded segment's ln F2 is +inf for q < 0 and -inf for q > 0, so
     # that q/2 ln F2 is -inf and its exp term exactly 0
     signs = ((q_grid < 0.0, np.inf, np.minimum), (q_grid > 0.0, -np.inf, np.maximum))
@@ -178,14 +176,12 @@ def log_fluctuation_function(f2: np.ndarray, scales, lengths, q_grid: np.ndarray
         shifted = np.where(valid, ln_f2, excluded)
         extreme = reduce.reduceat(shifted, starts, axis=-1)
         shifted -= np.repeat(extreme, lengths, axis=-1)
-        qs = np.flatnonzero(sel)
-        for first in range(0, qs.size, block):
-            idx = qs[first : first + block]
-            half_q = 0.5 * q_grid[idx, np.newaxis, np.newaxis]
+        for i in np.flatnonzero(sel):
+            half_q = 0.5 * q_grid[i]
             terms = half_q * shifted
             np.exp(terms, out=terms)
             lse = half_q * extreme + np.log(np.add.reduceat(terms, starts, axis=-1))
-            out[idx] = (lse - log_count) / q_grid[idx, np.newaxis, np.newaxis]
+            out[i] = (lse - log_count) / q_grid[i]
     return np.moveaxis(out, 0, -2).reshape(*f2.shape[:-1], q_grid.size, lengths.size)
 
 

@@ -156,7 +156,8 @@ def _batches(conditions: list, fs: float) -> list[list[int]]:
 
 
 def _windows_as_read(
-    blocks: Iterator[np.ndarray], columns: list, fs: float, conditions: list, batches: list
+    blocks: Iterator[np.ndarray], columns: list, fs: float, conditions: list, batches: list,
+    source: str,
 ) -> Iterator[dict[int, list]]:
     """For each block of samples, one row per sample, the batches whose
     windows are all read once it is: batch index -> its (condition, window)
@@ -166,7 +167,8 @@ def _windows_as_read(
     earliest start of a window still to come. A batch with a window that
     holds no sample is never ready; once the blocks end, the batches left
     are cut, which raises for the first of their conditions, in condition
-    order, that the recording does not cover or whose window holds no sample."""
+    order, that the recording does not cover or whose window holds no sample,
+    the error prefixed with ``source``."""
     # batch index -> the spans of its windows, while the batch is still to come
     pending = {b: [window_span(conditions[i], fs) for i in bs] for b, bs in enumerate(batches)}
     held, start, read = np.empty((len(columns), 0)), 0, 0  # held: the samples from start on
@@ -184,7 +186,10 @@ def _windows_as_read(
         keep_from = min([lo for spans in pending.values() for lo, _ in spans] + [read])
         held, start = held[:, keep_from - start :], keep_from
     left = sorted(i for b in pending for i in batches[b])
-    segment_recording(held.T, fs, [conditions[i] for i in left], start)  # raises if any are left
+    try:  # raises if any are left
+        segment_recording(held.T, fs, [conditions[i] for i in left], start)
+    except AnalysisError as exc:
+        raise AnalysisError(f"{source}{exc}") from None
 
 
 def analyze_recording(
@@ -215,9 +220,9 @@ def analyze_recording(
         channels, blocks = list(recording), map(np.column_stack, [list(recording.values())])
     else:
         channels, blocks = read_eeg_blocks(recording)
+    source = f"{config.input_path}: " if config.input_path else ""
     missing = [e for e in config.electrodes if e not in channels]
     if missing:
-        source = f"{config.input_path}: " if config.input_path else ""
         raise DataFormatError(
             f"{source}recording is missing electrode column(s): {', '.join(missing)}"
         )
@@ -234,7 +239,7 @@ def analyze_recording(
         pool = _Serial()
     with pool:
         outcomes = {}  # (electrode, batch), which sort in job order -> the job's future
-        for ready in _windows_as_read(blocks, columns, fs, conditions, batches):
+        for ready in _windows_as_read(blocks, columns, fs, conditions, batches, source):
             for e, electrode in enumerate(config.electrodes):
                 for b, segments in ready.items():
                     windows = [(cond.label, window[:, e]) for cond, window in segments]

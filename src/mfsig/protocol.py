@@ -165,7 +165,7 @@ def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
         try:
             label = str(mk["label"])
             start, end = float(mk["start_s"]), float(mk["end_s"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"marker {i}: {exc}") from exc
         try:
             cond = Condition(start, end, *parse_label(label))

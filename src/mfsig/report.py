@@ -213,7 +213,7 @@ def read_report_json(path: str | Path) -> AnalysisReport:
         return report_from_json_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    except DataFormatError as exc:
+    except (DataFormatError, ValueError) as exc:  # also an integer too long for int()
         raise DataFormatError(f"{path}: {exc}") from None
 
 
@@ -249,7 +249,7 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
             key = (rec.subject_id, rec.electrode, rec.rhythm, parse_label(rec.condition))
         except KeyError as exc:
             raise DataFormatError(f"record {i}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"record {i}: {exc}") from None
         if first.setdefault(key, i) != i:
             raise DataFormatError(

@@ -220,6 +220,12 @@ class TestRhythmSeries:
         with pytest.raises(AnalysisError, match=message):
             rhythm_series(np.ones(8), 256.0, "fft", True)
 
+    def test_dwt_checks_the_window_as_fft_does(self):
+        with pytest.raises(AnalysisError, match="^band-pass needs at least 16 samples, got 8$"):
+            rhythm_series(np.ones(8), 256.0, "dwt", True)
+        with pytest.raises(AnalysisError, match=r"^band gamma exceeds Nyquist \(20.0 Hz\)$"):
+            rhythm_series(white_noise(256, seed=15), 40.0, "dwt", False)
+
     def test_rhythm_above_nyquist_is_named(self):
         # at 40 Hz the 13-30 Hz gamma band passes Nyquist; alpha and theta do not
         message = r"^band gamma exceeds Nyquist \(20.0 Hz\)$"

@@ -12,12 +12,14 @@ import pytest
 import mfsig
 from mfsig import bands
 from mfsig.cli import main
-from mfsig.dataio import read_eeg_csv, read_wav, write_eeg_csv, write_series_csv, write_wav
+from mfsig.dataio import (
+    read_eeg_csv, read_series_csv, read_wav, write_eeg_csv, write_series_csv, write_wav,
+)
 from mfsig.errors import AnalysisError
 from mfsig.mfdfa import DEFAULT_Q_GRID
 from mfsig.pipeline import RunConfig, analyze_recording
 from mfsig.protocol import build_timeline, timeline_from_markers
-from mfsig.synth import tone, white_noise
+from mfsig.synth import fgn, tone, white_noise
 
 from conftest import write_wav_at_rate
 from oracles import energy
@@ -91,6 +93,35 @@ class TestSynthCommand:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "series.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["fgn", "--n", "2048", "--hurst", "0.7", "--seed", "3"], fgn(2048, 0.7, 3)),
+            (["white", "--n", "500", "--seed", "4"], white_noise(500, 4)),
+            (["tone", "--freq", "440", "--fs", "8000", "--duration", "0.25"], tone(440, 8e3, 0.25)),
+        ],
+        ids=["fgn", "white", "tone"],
+    )
+    def test_kind_reads_back_at_the_requested_length(self, tmp_path, capsys, argv, expected):
+        out = tmp_path / "series.csv"
+        assert main(["synth", *argv, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {len(expected)} samples to {out}\n"
+        np.testing.assert_array_equal(read_series_csv(out), expected)
+
+    def test_fgn_with_one_seed_writes_the_same_bytes(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            assert main(["synth", "fgn", "--n", "1024", "--seed", "7", "-o", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_tone_at_nyquist_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "series.csv"
+        assert main(["synth", "tone", "--freq", "4000", "--fs", "8000", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: tone at 4000.0 Hz aliases at sample rate 8000.0 Hz (Nyquist 4000.0 Hz)\n"
+        )
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -131,6 +162,16 @@ class TestMfdfaCommand:
             f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
         )
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("n", [40, 64])
+    def test_series_too_short_for_two_scales_names_the_input(self, tmp_path, capsys, n):
+        # 64 samples reach scale 16 alone, which fits no slope
+        short = tmp_path / "short.csv"
+        write_series_csv(short, white_noise(n, seed=2))
+        assert main(["mfdfa", str(short), "-o", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {short}: series of length {n} supports no scales in [16, n/4]\n"
+        )
 
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -365,7 +406,7 @@ class TestAnalyzeCommand:
         )
         assert proc.returncode == 1
         assert proc.stderr == (
-            "error: recording ends before condition 'clip2_original' "
+            "error: eeg.csv: recording ends before condition 'clip2_original' "
             "(235-255 s needs 65280 samples, have 60160)\n"
         )
 
@@ -491,8 +532,12 @@ class TestAnalyzeCommand:
                  {"label": "clip1_band3", "start_s": 85, "end_s": 105}],
                 "markers 1 and 3 both label 'clip1_band3'",
             ),
+            (
+                {"label": "rest", "start_s": 0, "end_s": 60},
+                "marker file must be a JSON list",
+            ),
         ],
-        ids=["no_rest", "overlap", "bad_label", "infinite_time", "repeated_label"],
+        ids=["no_rest", "overlap", "bad_label", "infinite_time", "repeated_label", "not_a_list"],
     )
     def test_bad_markers_name_the_file(self, tmp_path, capsys, markers, expected):
         eeg = tmp_path / "eeg.csv"
@@ -524,6 +569,18 @@ class TestAnalyzeCommand:
             "error: F3 clip1_original: no dyadic subband down to level 4, the deepest the "
             "window allows, overlaps 4-7 Hz at 256 Hz\n"
         )
+
+    @pytest.mark.parametrize("method", ["fft", "dwt"])
+    def test_rhythm_above_nyquist_is_named_by_either_method(self, tmp_path, capsys, method):
+        # at 50 Hz gamma's 13-30 Hz passes Nyquist; no dyadic subband stands in for it
+        eeg = tmp_path / "eeg.csv"
+        make_eeg_fixture(eeg, electrodes=("F3",), fs=50.0)
+        rc = main([
+            "analyze", str(eeg), "--fs", "50", "--clips", "1", "--electrodes", "F3",
+            "--rhythm-method", method, "--outdir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: F3 rest: band gamma exceeds Nyquist (25.0 Hz)\n"
 
     @pytest.mark.parametrize("method", ["fft", "dwt"])
     def test_sample_too_large_to_filter_is_one_error_line(self, tmp_path, capsys, method):

@@ -292,6 +292,18 @@ class TestWav:
         with pytest.raises(DataFormatError, match=re.escape(f"{path}: {expected}")):
             read_wav(path)
 
+    def test_file_cut_inside_a_frame_drops_the_partial_frame(self, tmp_path):
+        # a stereo 16-bit file cut 3 bytes into its last frame
+        path = tmp_path / "cut.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(2)
+            fh.setsampwidth(2)
+            fh.setframerate(8000)
+            fh.writeframes(np.arange(20, dtype="<i2").tobytes())
+        path.write_bytes(path.read_bytes()[:-1])
+        back, fs = read_wav(path)
+        np.testing.assert_array_equal(back, (np.arange(0, 18, 2) + 0.5) / 32768.0)
+        assert fs == 8000
 
     def test_chunk_running_past_the_file_names_path(self, tmp_path):
         # the data chunk's id damaged and its size past the end of the file:

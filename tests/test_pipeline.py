@@ -27,6 +27,7 @@ from mfsig.spectrum import fit_spectrum, singularity_spectrum
 from mfsig.synth import white_noise
 
 from memory import transient_peak
+from mutants import mutate
 
 FS = 256.0
 
@@ -330,28 +331,9 @@ def test_markers_past_the_end_name_the_first_condition_not_covered(tmp_path, cap
     rc, _ = analyze_short(tmp_path, short_channels(), "--electrodes", "F3", markers=markers)
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: recording ends before condition 'clip2_band3' "
+        f"error: {tmp_path / 'eeg.csv'}: recording ends before condition 'clip2_band3' "
         "(12.5-13.5 s needs 3456 samples, have 3328)\n"
     )
-
-
-# Tokens a mutant inserts: non-finite and overflowing numbers, a quote, a CR, a
-# NUL, and a number too long for a float.
-MUTANT_TOKENS = [b"nan", b"1e308", b'"', b"\r", b"\x00", b"9" * 400]
-
-
-def mutate(data, rng, edges):
-    """One seeded mutant of the bytes of a file: a byte flip, a deletion, a
-    truncation or an inserted token, at a random byte or at one of ``edges``."""
-    pos = rng.choice([rng.randrange(len(data)), rng.choice(edges)])
-    kind = rng.randrange(4)
-    if kind == 0:
-        return data[:pos] + bytes([data[pos] ^ (1 << rng.randrange(8))]) + data[pos + 1 :]
-    if kind == 1:
-        return data[:pos] + data[pos + rng.randint(1, 3) :]
-    if kind == 2:
-        return data[:pos]
-    return data[:pos] + rng.choice(MUTANT_TOKENS) + data[pos:]
 
 
 def test_mutated_csv_exits_0_or_one_error_line(tmp_path, monkeypatch, capsys):
@@ -386,7 +368,9 @@ def test_mutated_csv_exits_0_or_one_error_line(tmp_path, monkeypatch, capsys):
             assert not rejected and out.err == ""
             continue
         assert rc == 1
-        assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
+        assert out.err.count("\n") == 1, out.err
+        # a CSV error names the file; a window's, its electrode
+        assert out.err.startswith((f"error: {eeg}: ", "error: F3 ", "error: T4 ")), out.err
         if rejected:
             assert out.err.startswith(f"error: {eeg}: "), out.err
     assert 0 < codes.count(0) < len(codes)
