@@ -183,6 +183,8 @@ def read_fs_sidecar(path: str | Path) -> float:
         payload = json.loads(read_text(sidecar))
     except ValueError as exc:  # also an integer of more digits than int() takes
         raise DataFormatError(f"{sidecar}: bad sidecar ({exc})") from exc
+    except RecursionError:
+        raise DataFormatError(f"{sidecar}: JSON nested too deeply") from None
     if not isinstance(payload, dict):
         raise DataFormatError(f"{sidecar}: sidecar must be a JSON object")
     if "fs_hz" not in payload:
@@ -208,6 +210,8 @@ def read_markers(path: str | Path) -> ProtocolTimeline:
         return timeline_from_markers(payload)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except RecursionError:
+        raise DataFormatError(f"{path}: JSON nested too deeply") from None
     except (AnalysisError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 

@@ -16,6 +16,7 @@ count.
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -95,8 +96,7 @@ def _run_job(job: tuple) -> list[WidthRecord]:
         fit = fit_spectra(singularity_spectrum(result.hurst))
     except AnalysisError as exc:
         raise _job_error(exc, job, mfdfa_config) from None
-    q2 = result.hurst.index(2.0)
-    h2_r2 = np.full(fit.width.shape, np.nan) if q2 is None else result.hurst.r2[:, q2]
+    h2_r2 = result.hurst.r2[:, result.hurst.index(2.0)]
     flags = {
         "nonconcave": ~fit.concave,
         "monofractal_degenerate": fit.monofractal_degenerate,
@@ -115,34 +115,20 @@ def _run_job(job: tuple) -> list[WidthRecord]:
     ]
 
 
-class _Serial:
+class _Serial(contextlib.nullcontext):
     """The 1-worker stand-in for a process pool: ``submit`` runs the job at
-    once, and ``result()`` of what it returns gives the records or raises
-    the job's error, as a future's does."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    once and returns its finished future, holding the records or the job's
+    error."""
 
     def submit(self, fn, job):
-        return _Done(fn, job)
+        from concurrent.futures import Future
 
-
-class _Done:
-    """A job run by ``_Serial``: its records, or the error it raised."""
-
-    def __init__(self, fn, job):
+        done = Future()
         try:
-            self.records, self.error = fn(job), None
+            done.set_result(fn(job))
         except AnalysisError as exc:
-            self.records, self.error = None, exc
-
-    def result(self) -> list[WidthRecord]:
-        if self.error is not None:
-            raise self.error
-        return self.records
+            done.set_exception(exc)
+        return done
 
 
 def _batches(conditions: list, fs: float) -> list[list[int]]:

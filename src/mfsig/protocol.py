@@ -181,7 +181,13 @@ def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
 
 def window_span(cond: Condition, fs: float) -> tuple[int, int]:
     """The samples [lo, hi) of a recording sampled at fs Hz that cond's window
-    holds: ``lo = round(start * fs)`` and ``hi = round(end * fs)``."""
+    holds: ``lo = round(start * fs)`` and ``hi = round(end * fs)``; an end
+    whose index passes the float range is an AnalysisError."""
+    if not math.isfinite(cond.end_s * fs):
+        raise AnalysisError(
+            f"condition {cond.label!r} ({cond.start_s:g}-{cond.end_s:g} s) ends past the "
+            f"largest sample index at {fs:g} Hz"
+        )
     return int(round(cond.start_s * fs)), int(round(cond.end_s * fs))
 
 

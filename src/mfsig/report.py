@@ -213,6 +213,8 @@ def read_report_json(path: str | Path) -> AnalysisReport:
         return report_from_json_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except RecursionError:
+        raise DataFormatError(f"{path}: JSON nested too deeply") from None
     except (DataFormatError, ValueError) as exc:  # also an integer too long for int()
         raise DataFormatError(f"{path}: {exc}") from None
 

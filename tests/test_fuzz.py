@@ -168,3 +168,17 @@ def test_integer_too_large_names_the_file(tmp_path, capsys, reader, digits):
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("reader", ["markers", "sidecar", "report"])
+def test_json_nested_too_deeply_names_the_file(tmp_path, capsys, reader):
+    # json.loads recurses once per bracket, so these pass the recursion limit
+    eeg, markers = short_recording(tmp_path)
+    path, argv = {
+        "markers": (markers, ["analyze", str(eeg), "--fs", "64", "--markers", str(markers)]),
+        "sidecar": (eeg.with_suffix(".json"), ["analyze", str(eeg), "--markers", str(markers)]),
+        "report": (tmp_path / "report.json", ["report", str(tmp_path / "report.json")]),
+    }[reader]
+    path.write_text("[" * 100000)
+    assert main([*argv, "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"

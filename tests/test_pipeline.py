@@ -220,16 +220,29 @@ def test_pool_has_no_more_workers_than_jobs(monkeypatch):
     assert len(sizes) == 2
 
 
-def test_the_cli_imports_no_process_pool():
-    # the pool's modules are imported by the first run with more than one worker
+def test_the_cli_imports_no_process_pool(tmp_path):
+    # the pool's modules are imported by the first run with more than one worker;
+    # a 1-worker run imports concurrent.futures for its futures, but not the pool
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = "import sys, mfsig.cli; print('concurrent.futures' in sys.modules)"
+    eeg, markers = tmp_path / "eeg.csv", tmp_path / "markers.json"
+    write_eeg_csv(eeg, short_channels())
+    markers.write_text(json.dumps(SHORT_MARKERS))
+    script = (
+        "import sys, mfsig.cli; print('concurrent.futures' in sys.modules)\n"
+        "rc = mfsig.cli.main(['analyze', *sys.argv[1:], '--electrodes', 'F3'])\n"
+        "pool = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+        "print(rc, sorted(pool))"
+    )
+    out = tmp_path / "out"
+    argv = [str(eeg), "--fs", "256", "--markers", str(markers), "--outdir", str(out)]
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    imported, wrote, ran = proc.stdout.splitlines()
+    assert imported == "False"
+    assert (wrote, ran) == (f"wrote 3 files to {out}", "0 []")
 
 
 # A short recording, less than one default block: three channels of 3328 rows,
@@ -289,13 +302,13 @@ def test_nan_in_a_column_not_analysed_is_rejected(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err == expected
 
 
-def test_a_bad_row_after_a_failing_job_is_the_error(tmp_path, monkeypatch, capsys):
+def check_a_bad_row_after_a_failing_job_is_the_error(tmp_path, monkeypatch, capsys, workers):
     # F3's rest job fails when its block is read; the CSV error comes later and wins
     monkeypatch.setattr(dataio, "_BLOCK_ROWS", 100)
     channels = short_channels()
     channels["F3"][:] = 0.0
     eeg = tmp_path / "eeg.csv"
-    rc, _ = analyze_short(tmp_path, channels, "--electrodes", "F3,T4")
+    rc, _ = analyze_short(tmp_path, channels, "--electrodes", "F3,T4", "--workers", workers)
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: F3 rest alpha: scale 16: ")
     lines = eeg.read_text().split("\n")
@@ -304,23 +317,43 @@ def test_a_bad_row_after_a_failing_job_is_the_error(tmp_path, monkeypatch, capsy
     markers = tmp_path / "markers.json"
     rc = main([
         "analyze", str(eeg), "--fs", "256", "--markers", str(markers), "--electrodes", "F3,T4",
-        "--outdir", str(tmp_path / "out"),
+        "--outdir", str(tmp_path / "out"), "--workers", workers,
     ])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {eeg}: line 3201: expected 4 fields, got 5\n"
 
 
-def test_of_two_failing_jobs_the_first_in_job_order_is_named(tmp_path, monkeypatch, capsys):
+def test_a_bad_row_after_a_failing_job_is_the_error(tmp_path, monkeypatch, capsys):
+    check_a_bad_row_after_a_failing_job_is_the_error(tmp_path, monkeypatch, capsys, "1")
+
+
+def test_a_bad_row_after_a_failing_job_is_the_error_in_the_pool(tmp_path, monkeypatch, capsys):
+    check_a_bad_row_after_a_failing_job_is_the_error(tmp_path, monkeypatch, capsys, "2")
+
+
+def check_of_two_failing_jobs_the_first_in_job_order_is_named(
+    tmp_path, monkeypatch, capsys, workers
+):
     # T4's rest job fails first as the file is read; F3's clip job comes first in job order
     monkeypatch.setattr(dataio, "_BLOCK_ROWS", 100)
     channels = short_channels()
     channels["T4"][: 4 * 256] = 0.0
     channels["F3"][4 * 256 :] = 0.0
-    rc, _ = analyze_short(tmp_path, channels, "--electrodes", "F3,T4")
+    rc, _ = analyze_short(tmp_path, channels, "--electrodes", "F3,T4", "--workers", workers)
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: F3 clip1_original alpha: scale 16: all segments have zero residual variance\n"
     )
+
+
+def test_of_two_failing_jobs_the_first_in_job_order_is_named(tmp_path, monkeypatch, capsys):
+    check_of_two_failing_jobs_the_first_in_job_order_is_named(tmp_path, monkeypatch, capsys, "1")
+
+
+def test_of_two_failing_jobs_the_first_in_job_order_is_named_in_the_pool(
+    tmp_path, monkeypatch, capsys
+):
+    check_of_two_failing_jobs_the_first_in_job_order_is_named(tmp_path, monkeypatch, capsys, "2")
 
 
 def test_markers_past_the_end_name_the_first_condition_not_covered(tmp_path, capsys):
@@ -334,6 +367,28 @@ def test_markers_past_the_end_name_the_first_condition_not_covered(tmp_path, cap
         f"error: {tmp_path / 'eeg.csv'}: recording ends before condition 'clip2_band3' "
         "(12.5-13.5 s needs 3456 samples, have 3328)\n"
     )
+
+
+@pytest.mark.parametrize("route", ["marker", "fs_flag", "sidecar"])
+def test_a_condition_ending_past_the_sample_index_range_is_named(tmp_path, capsys, route):
+    # end_s * fs overflows to inf, which no sample index holds
+    eeg, markers = tmp_path / "eeg.csv", tmp_path / "markers.json"
+    write_eeg_csv(eeg, short_channels())
+    markers.write_text(json.dumps([*SHORT_MARKERS[:1], {**SHORT_MARKERS[1], "end_s": 1e306}]))
+    eeg.with_suffix(".json").write_text('{"fs_hz": 1e306}')
+    # clip1_band4 holds the nominal timeline's first end past 1.8e308 / 1e306 s
+    nominal = "'clip1_band4' (160-180 s) ends past the largest sample index at 1e+306 Hz"
+    flags, message = {
+        "marker": (
+            ["--fs", "256", "--markers", str(markers)],
+            "'clip1_original' (4-1e+306 s) ends past the largest sample index at 256 Hz",
+        ),
+        "fs_flag": (["--fs", "1e306"], nominal),
+        "sidecar": ([], nominal),
+    }[route]
+    argv = ["analyze", str(eeg), *flags, "--electrodes", "F3", "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: condition {message}\n"
 
 
 def test_mutated_csv_exits_0_or_one_error_line(tmp_path, monkeypatch, capsys):
