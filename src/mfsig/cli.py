@@ -21,7 +21,7 @@ from .bands import normalize, rms, split_bands
 from .errors import AnalysisError
 from .mfdfa import DEFAULT_Q_GRID, MfdfaConfig, run_mfdfa
 from .pipeline import RunConfig, analyze_recording
-from .protocol import aggregate_responses, build_timeline
+from .protocol import aggregate_responses, build_timeline, window_span
 from .report import check_subject_id, emit_report, read_report_json
 from .spectrum import fit_spectrum, singularity_spectrum
 
@@ -186,6 +186,13 @@ def cmd_analyze(args) -> int:
         # end: a condition ending past (rows + 1) / fs needs more rows than there are
         rows = os.path.getsize(args.input) // 2
         timeline = build_timeline(args.clips, recording_s=(rows + 1) / fs)
+    try:  # the windows analyze_recording cuts; a later rest need not fit
+        for cond in [timeline.baseline(), *timeline.stimulus_conditions()]:
+            window_span(cond, fs)
+    except AnalysisError as exc:  # name the inputs that set the times and the rate
+        rate = "--fs" if args.fs is not None else Path(args.input).with_suffix(".json")
+        sources = f"{args.markers} and {rate}" if args.markers else rate
+        raise AnalysisError(f"{sources}: {exc}") from None
     cfg = RunConfig(
         detrend_order=args.order,
         bidirectional=args.bidirectional,

@@ -285,14 +285,10 @@ def read_wav(path: str | Path) -> tuple[np.ndarray, float]:
     if width == 2:
         data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     elif width == 3:
-        as_bytes = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
-        ints = (
-            as_bytes[:, 0].astype(np.int32)
-            | (as_bytes[:, 1].astype(np.int32) << 8)
-            | (as_bytes[:, 2].astype(np.int32) << 16)
-        )
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
-        data = ints.astype(np.float64) / float(1 << 23)
+        # each sample as the top three bytes of a little-endian int32: >> 8 sign-extends it
+        words = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
+        words[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+        data = (words.view("<i4")[:, 0] >> 8) / float(1 << 23)
     else:
         raise DataFormatError(f"{path}: only 16- or 24-bit PCM supported, got {8 * width}-bit")
     if n_channels > 1:

@@ -80,18 +80,10 @@ def _natural_spline(t: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
 def _mirrored_envelope(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Natural cubic spline through (idx, x[idx]) with mirrored end knots."""
     n = x.size
-    t = idx.astype(float)
-    v = x[idx]
-    left_t, left_v, right_t, right_v = [], [], [], []
-    for j in range(min(2, idx.size)):
-        if t[j] > 0:
-            left_t.append(-t[j])
-            left_v.append(v[j])
-        if t[-1 - j] < n - 1:
-            right_t.append(2 * (n - 1) - t[-1 - j])
-            right_v.append(v[-1 - j])
-    knots = np.concatenate([left_t[::-1], t, right_t])
-    vals = np.concatenate([left_v[::-1], v, right_v])
+    left, right = idx[1::-1], idx[:-3:-1]  # the two outermost extrema at each end
+    left, right = left[left > 0], right[right < n - 1]  # a knot on an end is not mirrored
+    knots = np.concatenate([-left, idx, 2 * (n - 1) - right]).astype(float)
+    vals = x[np.concatenate([left, idx, right])]
     return _natural_spline(knots, vals, n)
 
 

@@ -108,6 +108,10 @@ class ProtocolTimeline:
     def __post_init__(self):
         prev_end = 0.0
         for cond in self.conditions:
+            if cond.start_s < -1e-9:
+                raise ValueError(
+                    f"condition {cond.label!r} starts at {cond.start_s:g} s, before the recording"
+                )
             if cond.start_s < prev_end - 1e-9:
                 raise ValueError(f"conditions overlap at {cond.start_s}s")
             prev_end = cond.end_s

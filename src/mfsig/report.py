@@ -98,6 +98,8 @@ class WidthRecord:
             value = d[key] if default is MISSING else d.get(key, default)
             if number:
                 value = default if value is None and default is not MISSING else _number(value, key)
+            elif not isinstance(value, str):
+                raise TypeError(f"{key} must be a JSON string, got {json.dumps(value)}")
             values[name] = value
         return cls(**values)
 
@@ -108,8 +110,6 @@ _FIELDS = tuple(
     (f.name, "subject" if f.name == "subject_id" else f.name, f.type == "float", f.default)
     for f in fields(WidthRecord)
 )
-_TEXTS = [(name, key) for name, key, number, _ in _FIELDS if not number]
-_NOT_STRINGS = ", ".join(key for _, key in _TEXTS[:-1]) + f" and {_TEXTS[-1][1]} must be strings"
 
 
 def _number(x, key: str) -> float:
@@ -242,8 +242,6 @@ def report_from_json_dict(payload: dict) -> AnalysisReport:
             rec = WidthRecord.from_json_dict(d)
             if not (math.isfinite(rec.w) and rec.w >= 0):
                 raise ValueError(f"width must be finite and non-negative, got {rec.w}")
-            if not all(isinstance(getattr(rec, name), str) for name, _ in _TEXTS):
-                raise TypeError(_NOT_STRINGS)
             check_subject_id(rec.subject_id)
             check_electrode_name(rec.electrode)
             check_csv_field("rhythm", rec.rhythm)

@@ -169,6 +169,25 @@ def natural_spline(t, y, x):
     )
 
 
+def mirrored_knots_loop(idx, x):
+    """(knots, values) of EMD's envelope through (idx, x[idx]): the two
+    outermost extrema at each end mirrored about sample 0 and n - 1, one at a
+    time in Python lists, an extremum on an end not mirrored."""
+    n = x.size
+    t = idx.astype(float)
+    v = x[idx]
+    left_t, left_v, right_t, right_v = [], [], [], []
+    for j in range(min(2, idx.size)):
+        if t[j] > 0:
+            left_t.append(-t[j])
+            left_v.append(v[j])
+        if t[-1 - j] < n - 1:
+            right_t.append(2 * (n - 1) - t[-1 - j])
+            right_v.append(v[-1 - j])
+    knots = np.concatenate([left_t[::-1], t, right_t])
+    return knots, np.concatenate([left_v[::-1], v, right_v])
+
+
 def imf_sum(decomposition):
     """The residue plus every IMF of an EMD decomposition, added one at a time."""
     total = decomposition.residue.copy()

@@ -516,6 +516,11 @@ class TestAnalyzeCommand:
                 "conditions overlap at 50.0s",
             ),
             (
+                [{"label": "rest", "start_s": -10, "end_s": 60},
+                 {"label": "clip1_original", "start_s": 60, "end_s": 80}],
+                "condition 'rest' starts at -10 s, before the recording",
+            ),
+            (
                 [{"label": "rest", "start_s": 0, "end_s": 60},
                  {"label": "clipx", "start_s": 60, "end_s": 80}],
                 "marker 1: bad label 'clipx'",
@@ -537,7 +542,10 @@ class TestAnalyzeCommand:
                 "marker file must be a JSON list",
             ),
         ],
-        ids=["no_rest", "overlap", "bad_label", "infinite_time", "repeated_label", "not_a_list"],
+        ids=[
+            "no_rest", "overlap", "before_zero", "bad_label", "infinite_time", "repeated_label",
+            "not_a_list",
+        ],
     )
     def test_bad_markers_name_the_file(self, tmp_path, capsys, markers, expected):
         eeg = tmp_path / "eeg.csv"
@@ -856,7 +864,11 @@ class TestReportCommand:
             ({"records": [dict(GOOD_RECORD, condition="clipX")]}, "record 0: bad label 'clipX'"),
             (
                 {"records": [dict(GOOD_RECORD, flags=5)]},
-                "record 0: subject, electrode, rhythm, condition and flags must be strings",
+                "record 0: flags must be a JSON string, got 5",
+            ),
+            (
+                {"records": [GOOD_RECORD, dict(GOOD_RECORD, condition=["rest"])]},
+                'record 1: condition must be a JSON string, got ["rest"]',
             ),
             ({"records": [dict(GOOD_RECORD, electrode="../x")]}, "record 0: electrode name '../x'"),
             (
@@ -924,7 +936,7 @@ class TestReportCommand:
                     {k: v for k, v in GOOD_RECORD.items() if k != "flags"},
                     dict(GOOD_RECORD, flags=None),
                 ]},
-                "record 1: subject, electrode, rhythm, condition and flags must be strings",
+                "record 1: flags must be a JSON string, got null",
             ),
             (
                 {"records": [GOOD_RECORD, dict(GOOD_RECORD, w=5.0)]},
@@ -943,8 +955,8 @@ class TestReportCommand:
         ],
         ids=[
             "list", "records_not_list", "record_not_object", "missing_key", "null_width",
-            "negative_width", "bad_condition", "flags_not_string", "electrode_path",
-            "electrode_empty", "baseline_not_rest", "width_bool", "width_string",
+            "negative_width", "bad_condition", "flags_not_string", "condition_not_string",
+            "electrode_path", "electrode_empty", "baseline_not_rest", "width_bool", "width_string",
             "fit_a_string", "h2_r2_bool", "config_not_object", "inputs_not_object",
             "no_records", "subject_comma", "subject_empty", "electrode_quote", "rhythm_newline",
             "flags_comma", "missing_subject", "missing_electrode", "missing_rhythm",

@@ -244,6 +244,23 @@ class TestWav:
         back, _ = read_wav(path)
         assert np.abs(back - x).max() <= 1.0 / (1 << 23)
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_24bit_extreme_codes_read_exactly(self, tmp_path, channels):
+        # zero, the smallest step, both full-scale ends and -1 LSB, each 3-byte
+        # little-endian two's complement; stereo pairs code i with code i + 1
+        codes = [0x000000, 0x000001, 0x7FFFFF, 0x800000, 0xFFFFFF]
+        values = np.array([0.0, 2.0**-23, 1 - 2.0**-23, -1.0, -(2.0**-23)])
+        frames = codes if channels == 1 else [c for i in range(4) for c in codes[i : i + 2]]
+        path = tmp_path / "codes24.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(channels)
+            fh.setsampwidth(3)
+            fh.setframerate(8000)
+            fh.writeframes(b"".join(c.to_bytes(3, "little") for c in frames))
+        expected = values if channels == 1 else (values[:-1] + values[1:]) / 2
+        back, _ = read_wav(path)
+        assert np.array_equal(back, expected)
+
     def test_stereo_downmix(self, tmp_path):
         fs = 22050
         left = np.full(64, 0.5)

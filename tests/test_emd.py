@@ -4,11 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfsig import emd as emd_module
-from mfsig.emd import _natural_spline, emd, emd_denoise, local_extrema
+from mfsig.emd import _mirrored_envelope, _natural_spline, emd, emd_denoise, local_extrema
 from mfsig.errors import AnalysisError
 from mfsig.synth import tone, white_noise
 
-from oracles import imf_sum, local_extrema_loop, natural_spline, natural_spline_searchsorted
+from oracles import (
+    imf_sum,
+    local_extrema_loop,
+    mirrored_knots_loop,
+    natural_spline,
+    natural_spline_searchsorted,
+)
 
 FS = 256.0
 
@@ -83,6 +89,30 @@ class TestNaturalSpline:
         t, y, n = knots
         t = np.concatenate([t[:1], t[1:-1] + shift * (np.diff(t[:-1]) > 1), t[-1:]])
         assert np.array_equal(_natural_spline(t, y, n), natural_spline_searchsorted(t, y, n))
+
+
+@st.composite
+def extrema_subsets(draw):
+    """(idx, x): sorted unique indices into a window x of n samples, one, two
+    or more of them, 0 and n - 1 among them when drawn, as a direct call
+    may pass them though ``local_extrema`` never returns them."""
+    n = draw(st.integers(4, 300))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 40), unique=True))
+    x = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(n)
+    return np.array(sorted(idx), dtype=np.intp), x
+
+
+class TestMirroredEnvelope:
+    @given(extrema_subsets())
+    @example((np.array([5]), np.arange(10.0)))
+    @example((np.array([0, 9]), np.arange(10.0)))
+    @example((np.array([0, 1, 8, 9]), np.arange(10.0)))
+    @example((np.array([1, 4, 6, 8]), np.arange(10.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_list_and_loop_knots(self, case):
+        idx, x = case
+        expected = _natural_spline(*mirrored_knots_loop(idx, x), x.size)
+        assert np.array_equal(_mirrored_envelope(idx, x), expected)
 
 
 class TestEmd:

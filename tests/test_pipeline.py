@@ -378,17 +378,29 @@ def test_a_condition_ending_past_the_sample_index_range_is_named(tmp_path, capsy
     eeg.with_suffix(".json").write_text('{"fs_hz": 1e306}')
     # clip1_band4 holds the nominal timeline's first end past 1.8e308 / 1e306 s
     nominal = "'clip1_band4' (160-180 s) ends past the largest sample index at 1e+306 Hz"
+    # the message names the inputs that set the times and the rate
     flags, message = {
         "marker": (
             ["--fs", "256", "--markers", str(markers)],
-            "'clip1_original' (4-1e+306 s) ends past the largest sample index at 256 Hz",
+            f"{markers} and --fs: condition 'clip1_original' (4-1e+306 s) ends past the "
+            "largest sample index at 256 Hz",
         ),
-        "fs_flag": (["--fs", "1e306"], nominal),
-        "sidecar": ([], nominal),
+        "fs_flag": (["--fs", "1e306"], f"--fs: condition {nominal}"),
+        "sidecar": ([], f"{tmp_path / 'eeg.json'}: condition {nominal}"),
     }[route]
     argv = ["analyze", str(eeg), *flags, "--electrodes", "F3", "--outdir", str(tmp_path / "out")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: condition {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_closing_rest_ending_past_the_sample_index_range_is_not_cut(tmp_path):
+    # only the baseline and the stimulus windows are cut, so a later rest may run on
+    markers = SHORT_MARKERS + [{"label": "rest", "start_s": 12.5, "end_s": 1e306}]
+    rc, outdir = analyze_short(tmp_path, short_channels(), "--electrodes", "F3", markers=markers)
+    assert rc == 0
+    rc, plain = analyze_short(tmp_path, short_channels(), "--electrodes", "F3", name="plain")
+    assert rc == 0
+    assert (outdir / "report.csv").read_bytes() == (plain / "report.csv").read_bytes()
 
 
 def test_mutated_csv_exits_0_or_one_error_line(tmp_path, monkeypatch, capsys):
