@@ -187,7 +187,7 @@ def cmd_analyze(args) -> int:
         rows = os.path.getsize(args.input) // 2
         timeline = build_timeline(args.clips, recording_s=(rows + 1) / fs)
     try:  # the windows analyze_recording cuts; a later rest need not fit
-        for cond in [timeline.baseline(), *timeline.stimulus_conditions()]:
+        for cond in timeline.analyzed():
             window_span(cond, fs)
     except AnalysisError as exc:  # name the inputs that set the times and the rate
         rate = "--fs" if args.fs is not None else Path(args.input).with_suffix(".json")
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hurst", type=_open_interval(synth.HURST_EXPONENTS), default=0.8,
         help="fgn: Hurst exponent in ({:g}, {:g})".format(*synth.HURST_EXPONENTS),
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer(0), default=0)
     p.add_argument(
         "--freq", type=_finite, default=440.0,
         help="tone frequency (Hz); a negative exponent form needs '=': --freq=-4.4e2",

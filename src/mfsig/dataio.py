@@ -168,6 +168,20 @@ def write_eeg_csv(path: str | Path, channels: dict[str, np.ndarray]) -> None:
             fh.write(str(i) + "," + ",".join(f"{channels[c][i]:.9g}" for c in names) + "\n")
 
 
+def read_json(path: str | Path, parse):
+    """``parse`` of the JSON value a UTF-8 file holds; a malformed file, or an
+    AnalysisError or ValueError from ``parse``, is a DataFormatError naming the file."""
+    text = read_text(path)
+    try:
+        return parse(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except RecursionError:
+        raise DataFormatError(f"{path}: JSON nested too deeply") from None
+    except (AnalysisError, ValueError) as exc:  # also an integer too long for int()
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def read_fs_sidecar(path: str | Path) -> float:
     """Sampling rate from ``<stem>.json`` next to the data file.
 
@@ -179,41 +193,26 @@ def read_fs_sidecar(path: str | Path) -> float:
         raise DataFormatError(
             f"{path}: sampling rate not given (--fs) and no sidecar {sidecar} found"
         )
-    try:
-        payload = json.loads(read_text(sidecar))
-    except ValueError as exc:  # also an integer of more digits than int() takes
-        raise DataFormatError(f"{sidecar}: bad sidecar ({exc})") from exc
-    except RecursionError:
-        raise DataFormatError(f"{sidecar}: JSON nested too deeply") from None
+    return read_json(sidecar, _fs_hz)
+
+
+def _fs_hz(payload) -> float:
     if not isinstance(payload, dict):
-        raise DataFormatError(f"{sidecar}: sidecar must be a JSON object")
+        raise DataFormatError("sidecar must be a JSON object")
     if "fs_hz" not in payload:
-        raise DataFormatError(f"{sidecar}: sidecar has no fs_hz key")
+        raise DataFormatError("sidecar has no fs_hz key")
     fs = payload["fs_hz"]
     is_number = isinstance(fs, (int, float)) and not isinstance(fs, bool)
     # compared exactly, so an integer too large for a float fails here too
     if not (is_number and 0 < fs <= sys.float_info.max):
-        raise DataFormatError(
-            f"{sidecar}: fs_hz must be a finite positive JSON number, got {json.dumps(fs)}"
-        )
+        raise DataFormatError(f"fs_hz must be a finite positive JSON number, got {json.dumps(fs)}")
     return float(fs)
 
 
 def read_markers(path: str | Path) -> ProtocolTimeline:
     """The timeline of a JSON marker file (see ``timeline_from_markers``);
     every error names the file."""
-    text = read_text(path)
-    try:
-        payload = json.loads(text)
-        if not isinstance(payload, list):
-            raise DataFormatError("marker file must be a JSON list")
-        return timeline_from_markers(payload)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    except RecursionError:
-        raise DataFormatError(f"{path}: JSON nested too deeply") from None
-    except (AnalysisError, ValueError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    return read_json(path, timeline_from_markers)
 
 
 def read_response_sheets(path: str | Path) -> np.ndarray:

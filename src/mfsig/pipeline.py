@@ -213,7 +213,7 @@ def analyze_recording(
             f"{source}recording is missing electrode column(s): {', '.join(missing)}"
         )
     columns = [channels.index(e) for e in config.electrodes]
-    conditions = [timeline.baseline()] + timeline.stimulus_conditions()
+    conditions = timeline.analyzed()
     batches = _batches(conditions, fs)
 
     workers = min(workers, len(batches) * len(columns))

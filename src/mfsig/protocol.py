@@ -12,6 +12,7 @@ lists them in presentation order, and ``Condition.label`` and
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -46,6 +47,13 @@ def check_electrode_name(name: str) -> None:
             f"electrode name {name!r} must not be empty, '.' or '..', "
             "or contain '/', '\\', ',', '\"', CR or LF"
         )
+
+
+def json_number(value, key: str) -> float:
+    """float(value) of a JSON number; float() alone also takes true, false and numeric strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,10 @@ class ProtocolTimeline:
         """The initial long rest used as the no-music reference."""
         return next(cond for cond in self.conditions if cond.clip is None)
 
+    def analyzed(self) -> list:
+        """The conditions whose windows are analysed: the baseline, then the stimuli."""
+        return [self.baseline(), *self.stimulus_conditions()]
+
 
 def build_timeline(n_clips: int, recording_s: float = math.inf) -> ProtocolTimeline:
     """Full session timeline for n_clips clips.
@@ -160,15 +172,17 @@ def build_timeline(n_clips: int, recording_s: float = math.inf) -> ProtocolTimel
 def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
     """Timeline from explicit marker entries, overriding the nominal one.
 
-    Each marker is {"label": ..., "start_s": ..., "end_s": ...}; see
-    parse_label for the labels. Only "rest" may label more than one marker.
+    Each marker is {"label": ..., "start_s": ..., "end_s": ...}, the times JSON
+    numbers; see parse_label for the labels. Only "rest" may label more than one marker.
     """
+    if not isinstance(markers, list):
+        raise DataFormatError("marker file must be a JSON list")
     conditions = []
     first_marker: dict[str, int] = {}
     for i, mk in enumerate(markers):
         try:
             label = str(mk["label"])
-            start, end = float(mk["start_s"]), float(mk["end_s"])
+            start, end = json_number(mk["start_s"], "start_s"), json_number(mk["end_s"], "end_s")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"marker {i}: {exc}") from exc
         try:

@@ -16,9 +16,9 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .dataio import read_text
+from .dataio import read_json
 from .errors import AnalysisError, DataFormatError
-from .protocol import _SLOT_ORDER, STIMULUS_SLOTS, check_electrode_name, parse_label
+from .protocol import _SLOT_ORDER, STIMULUS_SLOTS, check_electrode_name, json_number, parse_label
 
 SCHEMA_VERSION = "1"
 
@@ -97,7 +97,8 @@ class WidthRecord:
         for name, key, number, default in _FIELDS:
             value = d[key] if default is MISSING else d.get(key, default)
             if number:
-                value = default if value is None and default is not MISSING else _number(value, key)
+                null = value is None and default is not MISSING
+                value = default if null else json_number(value, key)
             elif not isinstance(value, str):
                 raise TypeError(f"{key} must be a JSON string, got {json.dumps(value)}")
             values[name] = value
@@ -110,13 +111,6 @@ _FIELDS = tuple(
     (f.name, "subject" if f.name == "subject_id" else f.name, f.type == "float", f.default)
     for f in fields(WidthRecord)
 )
-
-
-def _number(x, key: str) -> float:
-    """float(x) of a JSON number; float() alone also takes true, false and numeric strings."""
-    if isinstance(x, (bool, str)):
-        raise TypeError(f"{key} must be a JSON number, got {json.dumps(x)}")
-    return float(x)
 
 
 def record_sort_key(rec: WidthRecord) -> tuple:
@@ -208,15 +202,7 @@ def _report_json(report: AnalysisReport, records: list, cells: dict) -> str:
 
 def read_report_json(path: str | Path) -> AnalysisReport:
     """The report a report.json holds; a malformed file is named in the error."""
-    text = read_text(path)
-    try:
-        return report_from_json_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    except RecursionError:
-        raise DataFormatError(f"{path}: JSON nested too deeply") from None
-    except (DataFormatError, ValueError) as exc:  # also an integer too long for int()
-        raise DataFormatError(f"{path}: {exc}") from None
+    return read_json(path, report_from_json_dict)
 
 
 def report_from_json_dict(payload: dict) -> AnalysisReport:

@@ -541,10 +541,20 @@ class TestAnalyzeCommand:
                 {"label": "rest", "start_s": 0, "end_s": 60},
                 "marker file must be a JSON list",
             ),
+            (
+                [{"label": "rest", "start_s": 0, "end_s": 60},
+                 {"label": "clip1_original", "start_s": "60", "end_s": 80}],
+                'marker 1: start_s must be a JSON number, got "60"',
+            ),
+            (
+                [{"label": "rest", "start_s": 0, "end_s": True},
+                 {"label": "clip1_original", "start_s": 60, "end_s": 80}],
+                "marker 0: end_s must be a JSON number, got true",
+            ),
         ],
         ids=[
             "no_rest", "overlap", "before_zero", "bad_label", "infinite_time", "repeated_label",
-            "not_a_list",
+            "not_a_list", "time_string", "time_bool",
         ],
     )
     def test_bad_markers_name_the_file(self, tmp_path, capsys, markers, expected):
@@ -856,7 +866,10 @@ class TestReportCommand:
                 {"records": [GOOD_RECORD, {k: v for k, v in GOOD_RECORD.items() if k != "w"}]},
                 "record 1: missing key 'w'",
             ),
-            ({"records": [dict(GOOD_RECORD, w=None)]}, "record 0: float() argument"),
+            (
+                {"records": [dict(GOOD_RECORD, w=None)]},
+                "record 0: w must be a JSON number, got null",
+            ),
             (
                 {"records": [GOOD_RECORD, dict(GOOD_RECORD, w=-0.1)]},
                 "record 1: width must be finite and non-negative, got -0.1",
@@ -1086,6 +1099,7 @@ class TestUsageErrors:
                 for value in ("nan", "inf", "-inf")
             ),
             (["synth", "white", "--n", "0"], "argument --n: must be at least 1, got 0"),
+            (["synth", "white", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
             (["synth", "cascade", "--k", "40"], "argument --k: must lie in [1, 24], got 40"),
             (
                 ["synth", "cascade", "--a", "2"],
@@ -1112,8 +1126,8 @@ class TestUsageErrors:
             "workers_word", "analyze_order_0", "mfdfa_order_0", "mfdfa_order_neg",
             "rms_nan", "rms_inf", "rms_0", "rms_neg", "transition_nan", "transition_inf",
             "transition_neg", "freq_nan", "freq_inf", "freq_neg_inf", "amplitude_nan",
-            "amplitude_inf", "amplitude_neg_inf", "white_n_0", "cascade_k_40", "cascade_a_2",
-            "fgn_hurst_1_5", "fgn_n_3", "subject_comma", "subject_quote",
+            "amplitude_inf", "amplitude_neg_inf", "white_n_0", "seed_neg", "cascade_k_40",
+            "cascade_a_2", "fgn_hurst_1_5", "fgn_n_3", "subject_comma", "subject_quote",
             "subject_lf", "subject_cr", "subject_empty",
         ],
     )

@@ -145,40 +145,50 @@ def test_mutated_wav(tmp_path, capsys):
     assert counts["ok"] and counts["rejected"], counts
 
 
+def json_input(tmp_path, reader):
+    """The path of a short recording's markers, its sidecar or a report.json,
+    as ``reader`` names it, and the mfsig argv that reads it."""
+    eeg, markers = short_recording(tmp_path)
+    report = tmp_path / "report.json"
+    return {
+        "markers": (markers, ["analyze", str(eeg), "--fs", "64", "--markers", str(markers)]),
+        "sidecar": (eeg.with_suffix(".json"), ["analyze", str(eeg), "--markers", str(markers)]),
+        "report": (report, ["report", str(report)]),
+    }[reader]
+
+
 @pytest.mark.parametrize("digits", [400, 5000], ids=["past_the_float_range", "past_int_digits"])
 @pytest.mark.parametrize("reader", ["markers", "sidecar", "report"])
 def test_integer_too_large_names_the_file(tmp_path, capsys, reader, digits):
     # a JSON integer is read exactly: float() of one past 1.8e308 overflows, and
     # int() takes at most 4300 digits
-    eeg, markers = short_recording(tmp_path)
+    path, argv = json_input(tmp_path, reader)
     number = "9" * digits
-    if reader == "markers":
-        path = markers
-        path.write_text(f'[{{"label": "rest", "start_s": 0, "end_s": {number}}}]')
-        argv = ["analyze", str(eeg), "--fs", "64", "--markers", str(path)]
-    elif reader == "sidecar":
-        path = eeg.with_suffix(".json")
-        path.write_text(f'{{"fs_hz": {number}}}')
-        argv = ["analyze", str(eeg), "--markers", str(markers)]
-    else:
-        path = tmp_path / "report.json"
-        record = '"subject": "S01", "electrode": "F3", "rhythm": "alpha", "condition": "rest"'
-        path.write_text(f'{{"records": [{{{record}, "w": 0.5, "fit_a": {number}}}]}}')
-        argv = ["report", str(path)]
+    record = '"subject": "S01", "electrode": "F3", "rhythm": "alpha", "condition": "rest"'
+    path.write_text({
+        "markers": f'[{{"label": "rest", "start_s": 0, "end_s": {number}}}]',
+        "sidecar": f'{{"fs_hz": {number}}}',
+        "report": f'{{"records": [{{{record}, "w": 0.5, "fit_a": {number}}}]}}',
+    }[reader])
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("reader", ["markers", "sidecar", "report"])
-def test_json_nested_too_deeply_names_the_file(tmp_path, capsys, reader):
-    # json.loads recurses once per bracket, so these pass the recursion limit
-    eeg, markers = short_recording(tmp_path)
-    path, argv = {
-        "markers": (markers, ["analyze", str(eeg), "--fs", "64", "--markers", str(markers)]),
-        "sidecar": (eeg.with_suffix(".json"), ["analyze", str(eeg), "--markers", str(markers)]),
-        "report": (tmp_path / "report.json", ["report", str(tmp_path / "report.json")]),
-    }[reader]
-    path.write_text("[" * 100000)
+@pytest.mark.parametrize(
+    "reader,text,message",
+    [
+        # json.loads recurses once per bracket, so the first text passes the recursion limit
+        pytest.param(reader, text, message, id=reader + suffix)
+        for text, message, suffix in [
+            ("[" * 100000, "JSON nested too deeply", ""),
+            ('{"a": 1,\n', "invalid JSON at line 2", "-invalid_json"),
+        ]
+        for reader in ("markers", "sidecar", "report")
+    ],
+)
+def test_json_nested_too_deeply_names_the_file(tmp_path, capsys, reader, text, message):
+    path, argv = json_input(tmp_path, reader)
+    path.write_text(text)
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
