@@ -121,9 +121,9 @@ def cmd_split_bands(args) -> int:
 
 def _q_grid(parser: argparse.ArgumentParser, args) -> np.ndarray | None:
     """``mfdfa``'s q grid: None without q flags, else the flags' range with the
-    default grid's ends and step filling unset flags. A usage error when the
-    range is empty, or when the step does not divide it; a ValueError or
-    MemoryError when the grid has too many points to build."""
+    default grid's ends and step filling unset flags. A usage error when the range
+    is empty, when the step does not divide it, or when it holds fewer than 3 q
+    values; a ValueError or MemoryError when the grid has too many points to build."""
     if args.q_min is None and args.q_max is None and args.q_step is None:
         return None
     lo = float(DEFAULT_Q_GRID[0]) if args.q_min is None else args.q_min
@@ -136,6 +136,11 @@ def _q_grid(parser: argparse.ArgumentParser, args) -> np.ndarray | None:
         raise ValueError(f"q grid from {lo:g} to {hi:g} in steps of {step:g} is too large")
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
         parser.error(f"argument --q-step: {step:g} does not divide the q range {lo:g} to {hi:g}")
+    if round(steps) < 2:
+        parser.error(
+            f"argument --q-step: the q range {lo:g} to {hi:g} in steps of {step:g} holds fewer "
+            "than the 3 q values the spectrum fit needs"
+        )
     return np.linspace(lo, hi, int(round(steps)) + 1)
 
 
@@ -161,16 +166,38 @@ def cmd_mfdfa(args) -> int:
             "input_path": str(args.input),
         },
         "inputs": {"path": str(args.input), "sha256": dataio.sha256_file(args.input)},
-        "mfdfa": result.to_json_dict(),
-        "spectrum": fit.to_json_dict(),
+        "mfdfa": {
+            "scales": result.scales.tolist(),
+            "q": result.q_grid.tolist(),
+            "log_fq": result.log_fq.tolist(),
+            "h": result.hurst.h.tolist(),
+            "r2": result.hurst.r2.tolist(),
+            "stderr": [v if math.isfinite(v) else None for v in result.hurst.stderr.tolist()],
+            "h_monotone": result.hurst.monotone,
+            "zero_variance_segments": result.zero_variance_segments,
+        },
+        "spectrum": {
+            "A": fit.a,
+            "B": fit.b,
+            "C": 1.0,
+            "alpha0": fit.alpha0,
+            "W": fit.width,
+            "root_alpha_1": fit.root_alpha_1,
+            "root_alpha_2": fit.root_alpha_2,
+            "raw_alpha_width": fit.raw_width,
+            "concave": fit.concave,
+            "monofractal_degenerate": fit.monofractal_degenerate,
+        },
     }
     out = Path(args.output)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.csv:
+        rows = zip(result.q_grid.tolist(), np.exp(result.log_fq).tolist(), result.log_fq.tolist())
         with open(args.csv, "w") as fh:
             fh.write("q,s,fq,log_fq\n")
-            for q, s, fq, log_fq in result.to_csv_rows():
-                fh.write(f"{q:.6g},{s},{fq:.6g},{log_fq:.6g}\n")
+            for q, fq_at_q, log_fq_at_q in rows:
+                for s, fq, log_fq in zip(result.scales.tolist(), fq_at_q, log_fq_at_q):
+                    fh.write(f"{q:.6g},{s},{fq:.6g},{log_fq:.6g}\n")
     i = result.hurst.index(2.0)
     summary = "" if i is None else f"h(2) = {result.h[i]:.4f}  "
     print(f"{summary}W = {fit.width:.4f}  -> {out}")

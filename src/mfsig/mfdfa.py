@@ -242,10 +242,6 @@ class MfdfaResult:
     zero_variance_segments: int | np.ndarray = 0
 
     @property
-    def fq(self) -> np.ndarray:
-        return np.exp(self.log_fq)
-
-    @property
     def h(self) -> np.ndarray:
         return self.hurst.h
 
@@ -254,25 +250,6 @@ class MfdfaResult:
         if i is None:
             raise ValueError(f"q = {q} is not on the configured grid")
         return float(self.h[i])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scales": self.scales.tolist(),
-            "q": self.q_grid.tolist(),
-            "log_fq": self.log_fq.tolist(),
-            "h": self.hurst.h.tolist(),
-            "r2": self.hurst.r2.tolist(),
-            "stderr": [v if math.isfinite(v) else None for v in self.hurst.stderr.tolist()],
-            "h_monotone": self.hurst.monotone,
-            "zero_variance_segments": self.zero_variance_segments,
-        }
-
-    def to_csv_rows(self):
-        """One (q, s, fq, log_fq) row per grid point."""
-        fq = self.fq
-        for i, q in enumerate(self.q_grid):
-            for j, s in enumerate(self.scales):
-                yield float(q), int(s), float(fq[i, j]), float(self.log_fq[i, j])
 
 
 def run_mfdfa_batch(samples: np.ndarray, config: MfdfaConfig | None = None) -> MfdfaResult:

@@ -150,18 +150,17 @@ def _windows_as_read(
     pairs, a window one column per electrode of ``columns``, each contiguous.
 
     The samples read are held as one array, a row per electrode, from the
-    earliest start of a window still to come. A batch with a window that
-    holds no sample is never ready; once the blocks end, the batches left
-    are cut, which raises for the first of their conditions, in condition
-    order, that the recording does not cover or whose window holds no sample,
-    the error prefixed with ``source``."""
+    earliest start of a window still to come. Once the blocks end, the
+    batches left are cut, which raises for the first of their conditions, in
+    condition order, that the recording does not cover, the error prefixed
+    with ``source``."""
     # batch index -> the spans of its windows, while the batch is still to come
     pending = {b: [window_span(conditions[i], fs) for i in bs] for b, bs in enumerate(batches)}
     held, start, read = np.empty((len(columns), 0)), 0, 0  # held: the samples from start on
     for block in blocks:
         held = np.concatenate([held, block.T[columns]], axis=1)
         read += len(block)
-        ready = [b for b, spans in pending.items() if all(read >= hi > lo for lo, hi in spans)]
+        ready = [b for b, spans in pending.items() if all(read >= hi for _, hi in spans)]
         yield {
             b: segment_recording(held.T, fs, [conditions[i] for i in batches[b]], start)
             for b in ready

@@ -183,11 +183,8 @@ def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
         try:
             label = str(mk["label"])
             start, end = json_number(mk["start_s"], "start_s"), json_number(mk["end_s"], "end_s")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataFormatError(f"marker {i}: {exc}") from exc
-        try:
             cond = Condition(start, end, *parse_label(label))
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"marker {i}: {exc}") from exc
         j = first_marker.setdefault(cond.label, i)
         if cond.clip is not None and j != i:
@@ -200,13 +197,20 @@ def timeline_from_markers(markers: list[dict]) -> ProtocolTimeline:
 def window_span(cond: Condition, fs: float) -> tuple[int, int]:
     """The samples [lo, hi) of a recording sampled at fs Hz that cond's window
     holds: ``lo = round(start * fs)`` and ``hi = round(end * fs)``; an end
-    whose index passes the float range is an AnalysisError."""
+    whose index passes the float range, or a window that holds no sample, is
+    an AnalysisError."""
     if not math.isfinite(cond.end_s * fs):
         raise AnalysisError(
             f"condition {cond.label!r} ({cond.start_s:g}-{cond.end_s:g} s) ends past the "
             f"largest sample index at {fs:g} Hz"
         )
-    return int(round(cond.start_s * fs)), int(round(cond.end_s * fs))
+    lo, hi = int(round(cond.start_s * fs)), int(round(cond.end_s * fs))
+    if hi == lo:
+        raise AnalysisError(
+            f"condition {cond.label!r} ({cond.start_s:g}-{cond.end_s:g} s) "
+            f"covers no sample at {fs:g} Hz"
+        )
+    return lo, hi
 
 
 def segment_recording(
@@ -217,10 +221,9 @@ def segment_recording(
 
     ``samples`` holds the recording from its sample ``start`` on, along its
     first axis; a window is its ``window_span``, so none may begin before
-    ``start``. The recording must cover every condition given, and each
-    window must hold a sample; the first condition, in the order given,
-    that does not is an AnalysisError. Pass ``timeline.conditions`` to cut
-    the whole timeline.
+    ``start``. The recording must cover every condition given; the first
+    condition, in the order given, that it does not cover is an
+    AnalysisError. Pass ``timeline.conditions`` to cut the whole timeline.
     """
     out = []
     for cond in conditions:
@@ -229,11 +232,6 @@ def segment_recording(
             raise AnalysisError(
                 f"recording ends before condition {cond.label!r} ({cond.start_s:g}-"
                 f"{cond.end_s:g} s needs {hi} samples, have {start + len(samples)})"
-            )
-        if hi == lo:
-            raise AnalysisError(
-                f"condition {cond.label!r} ({cond.start_s:g}-{cond.end_s:g} s) "
-                f"covers no sample at {fs:g} Hz"
             )
         out.append((cond, samples[lo - start : hi - start]))
     return out

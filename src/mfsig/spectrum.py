@@ -78,20 +78,6 @@ class SpectrumFit:
     concave: bool = True
     monofractal_degenerate: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "A": self.a,
-            "B": self.b,
-            "C": 1.0,
-            "alpha0": self.alpha0,
-            "W": self.width,
-            "root_alpha_1": self.root_alpha_1,
-            "root_alpha_2": self.root_alpha_2,
-            "raw_alpha_width": self.raw_width,
-            "concave": self.concave,
-            "monofractal_degenerate": self.monofractal_degenerate,
-        }
-
 
 def fit_spectra(spec: SingularitySpectrum) -> SpectrumFit:
     """Least-squares quadratic around the maximum of each spectrum row.

@@ -232,6 +232,13 @@ class TestRhythmSeries:
         with pytest.raises(AnalysisError, match=message):
             rhythm_series(white_noise(256, seed=15), 40.0, "fft", False)
 
+    @pytest.mark.parametrize("method", ["fft", "dwt"])
+    def test_rhythm_starting_above_nyquist_is_named(self, method):
+        # at 10 Hz alpha (8-13 Hz), first in sorted order, starts past the 5 Hz Nyquist
+        message = r"^band alpha starts at or above Nyquist \(5.0 Hz\)$"
+        with pytest.raises(AnalysisError, match=message):
+            rhythm_series(white_noise(256, seed=15), 10.0, method, False)
+
     @pytest.mark.parametrize("method, n", [("fft", 5120), ("dwt", 4104), ("dwt", 5120)])
     @pytest.mark.parametrize("with_envelope", [False, True], ids=["band", "envelope"])
     def test_stacked_windows_match_one_window_at_a_time(self, method, n, with_envelope):

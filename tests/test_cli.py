@@ -138,8 +138,15 @@ class TestMfdfaCommand:
         payload = json.loads(out.read_text())
         assert set(payload) == {"config", "inputs", "mfdfa", "spectrum"}
         assert payload["inputs"]["sha256"]
-        assert len(payload["mfdfa"]["h"]) == 41
-        assert (tmp_path / "fq.csv").read_text().startswith("q,s,fq,log_fq")
+        mfdfa, spectrum = payload["mfdfa"], payload["spectrum"]
+        assert set(mfdfa) >= {"scales", "q", "log_fq", "h", "r2"}
+        assert len(mfdfa["h"]) == 41
+        assert np.shape(mfdfa["log_fq"]) == (len(mfdfa["q"]), len(mfdfa["scales"]))
+        assert set(spectrum) >= {"A", "B", "alpha0", "W"}
+        assert spectrum["C"] == 1.0
+        table = (tmp_path / "fq.csv").read_text()
+        assert table.startswith("q,s,fq,log_fq")
+        assert table.count("\n") == 1 + len(mfdfa["q"]) * len(mfdfa["scales"])
 
     def test_sample_near_the_float_limit_is_analyzed(self, tmp_path, capsys):
         # one finite 1e308 cell: the profile reaches 1e308 and F2 would overflow
@@ -191,6 +198,10 @@ class TestMfdfaCommand:
             (["--q-max", "inf"], "--q-max"),
             (["--q-step", "inf"], "--q-step"),
             (["--q-step", "nan"], "--q-step"),
+            # fewer than the 3 q values the spectrum fit needs
+            (["--q-min", "1", "--q-max", "1"], "--q-step"),
+            (["--q-min", "1", "--q-max", "1.25"], "--q-step"),
+            (["--q-step", "10"], "--q-step"),
         ],
     )
     def test_bad_q_range_is_usage_error(self, tmp_path, capsys, flags, named):
@@ -551,10 +562,20 @@ class TestAnalyzeCommand:
                  {"label": "clip1_original", "start_s": 60, "end_s": 80}],
                 "marker 0: end_s must be a JSON number, got true",
             ),
+            (
+                [{"label": "rest", "start_s": 0, "end_s": 60},
+                 {"label": "clip1_original", "start_s": 60, "end_s": 60}],
+                "marker 1: condition must have positive duration",
+            ),
+            (
+                # the label is read first, so it is the one named
+                [{"label": "rest", "start_s": 0, "end_s": 60}, {"start_s": "x"}],
+                "marker 1: 'label'",
+            ),
         ],
         ids=[
             "no_rest", "overlap", "before_zero", "bad_label", "infinite_time", "repeated_label",
-            "not_a_list", "time_string", "time_bool",
+            "not_a_list", "time_string", "time_bool", "zero_duration", "missing_label",
         ],
     )
     def test_bad_markers_name_the_file(self, tmp_path, capsys, markers, expected):

@@ -210,7 +210,7 @@ class TestRunMfdfa:
         scales = np.array([16, 32, 64, 128, 256, 512, 1024])
         uni = run_mfdfa(x, MfdfaConfig(scales=scales, bidirectional=False))
         bi = run_mfdfa(x, MfdfaConfig(scales=scales, bidirectional=True))
-        np.testing.assert_allclose(uni.fq, bi.fq, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(uni.log_fq), np.exp(bi.log_fq), rtol=1e-12)
 
     def test_q2_equals_plain_dfa(self):
         x = white_noise(8192, seed=23)
@@ -220,18 +220,13 @@ class TestRunMfdfa:
         assert result.h_at(2.0) == pytest.approx(ref, abs=1e-9)
 
     def test_power_mean_monotone_across_whole_grid(self, white_result):
-        diffs = np.diff(white_result.fq, axis=0)
-        assert np.all(diffs >= -1e-9 * np.abs(white_result.fq[:-1]))
+        fq = np.exp(white_result.log_fq)
+        diffs = np.diff(fq, axis=0)
+        assert np.all(diffs >= -1e-9 * np.abs(fq[:-1]))
 
-    def test_json_shape(self, white_result):
-        payload = white_result.to_json_dict()
-        assert set(payload) >= {"scales", "q", "log_fq", "h", "r2"}
-        assert len(payload["log_fq"]) == len(payload["q"])
-        assert len(payload["log_fq"][0]) == len(payload["scales"])
-
-    def test_csv_rows(self, white_result):
-        rows = list(white_result.to_csv_rows())
-        assert len(rows) == len(white_result.q_grid) * len(white_result.scales)
+    def test_h_at_a_q_off_the_grid_is_named(self):
+        with pytest.raises(ValueError, match=r"^q = 0.1 is not on the configured grid$"):
+            run_mfdfa(white_noise(4096, seed=1)).h_at(0.1)
 
 
 def flat_start_series(seed, n, flat):

@@ -393,6 +393,28 @@ def test_a_condition_ending_past_the_sample_index_range_is_named(tmp_path, capsy
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("route", ["marker", "fs_flag", "sidecar"])
+def test_a_window_holding_no_sample_is_named_with_its_sources(tmp_path, capsys, route):
+    # start and end round to the same sample index, so the window is empty
+    eeg, markers = tmp_path / "eeg.csv", tmp_path / "markers.json"
+    write_eeg_csv(eeg, short_channels())
+    markers.write_text(json.dumps([*SHORT_MARKERS[:1], {**SHORT_MARKERS[1], "end_s": 4.001}]))
+    eeg.with_suffix(".json").write_text('{"fs_hz": 0.01}')
+    nominal = "'clip1_original' (60-80 s) covers no sample at 0.01 Hz"
+    flags, message = {
+        "marker": (
+            ["--fs", "256", "--markers", str(markers)],
+            f"{markers} and --fs: condition 'clip1_original' (4-4.001 s) covers no sample "
+            "at 256 Hz",
+        ),
+        "fs_flag": (["--fs", "0.01"], f"--fs: condition {nominal}"),
+        "sidecar": ([], f"{tmp_path / 'eeg.json'}: condition {nominal}"),
+    }[route]
+    argv = ["analyze", str(eeg), *flags, "--electrodes", "F3", "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_a_closing_rest_ending_past_the_sample_index_range_is_not_cut(tmp_path):
     # only the baseline and the stimulus windows are cut, so a later rest may run on
     markers = SHORT_MARKERS + [{"label": "rest", "start_s": 12.5, "end_s": 1e306}]

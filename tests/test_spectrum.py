@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -136,16 +134,10 @@ class TestFitSpectrum:
         fit = fit_spectrum(singularity_spectrum(white_result.hurst))
         assert fit.width <= 0.3
 
-    def test_json_keys(self):
-        payload = fit_spectrum(parabola_spectrum(-4.0, 0.0)).to_json_dict()
-        assert set(payload) >= {"A", "B", "alpha0", "W"}
-        assert payload["C"] == 1.0
-
     def test_one_spectrum_fit_holds_python_scalars(self):
         fit = fit_spectrum(parabola_spectrum(-4.0, 0.0))
         assert all(type(getattr(fit, k)) is float for k in ("a", "b", "alpha0", "width"))
         assert type(fit.concave) is bool and type(fit.monofractal_degenerate) is bool
-        json.dumps(fit.to_json_dict())
 
 
 def stacked(*spectra):
