@@ -119,7 +119,7 @@ def cmd_split_bands(args) -> int:
     return 0
 
 
-def _q_grid(parser: argparse.ArgumentParser, args) -> np.ndarray | None:
+def _q_grid(args) -> np.ndarray | None:
     """``mfdfa``'s q grid: None without q flags, else the flags' range with the
     default grid's ends and step filling unset flags. A usage error when the range
     is empty, when the step does not divide it, or when it holds fewer than 3 q
@@ -130,26 +130,28 @@ def _q_grid(parser: argparse.ArgumentParser, args) -> np.ndarray | None:
     hi = float(DEFAULT_Q_GRID[-1]) if args.q_max is None else args.q_max
     step = float(DEFAULT_Q_GRID[1] - DEFAULT_Q_GRID[0]) if args.q_step is None else args.q_step
     if not hi >= lo:
-        parser.error(f"argument --q-max: {hi:g} is below --q-min {lo:g}")
+        args.usage_error(f"argument --q-max: {hi:g} is below --q-min {lo:g}")
     steps = (hi - lo) / step
     if not steps < np.iinfo(np.intp).max:  # also when hi - lo overflows
         raise ValueError(f"q grid from {lo:g} to {hi:g} in steps of {step:g} is too large")
+    q_range = f"the q range {lo:g} to {hi:g}"
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-        parser.error(f"argument --q-step: {step:g} does not divide the q range {lo:g} to {hi:g}")
+        args.usage_error(f"argument --q-step: {step:g} does not divide {q_range}")
     if round(steps) < 2:
-        parser.error(
-            f"argument --q-step: the q range {lo:g} to {hi:g} in steps of {step:g} holds fewer "
-            "than the 3 q values the spectrum fit needs"
+        args.usage_error(
+            f"argument --q-step: {q_range} in steps of {step:g} holds fewer than the 3 q values "
+            "the spectrum fit needs"
         )
     return np.linspace(lo, hi, int(round(steps)) + 1)
 
 
 def cmd_mfdfa(args) -> int:
+    q_grid = _q_grid(args)
     x = dataio.read_series_csv(args.input)
     cfg = MfdfaConfig(
         detrend_order=args.order,
         scales=args.scales or None,
-        q_grid=args.q_grid,
+        q_grid=q_grid,
         bidirectional=args.bidirectional,
     )
     try:
@@ -228,7 +230,7 @@ def cmd_analyze(args) -> int:
         emd_drop=args.emd_drop or [],
         input_path=str(args.input),
     )
-    if args.electrodes:
+    if args.electrodes is not None:
         cfg.electrodes = [e.strip() for e in args.electrodes.split(",") if e.strip()]
     report = analyze_recording(
         args.input, fs, timeline, cfg, subject_id=args.subject, workers=args.workers
@@ -243,16 +245,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.kind == "fgn" and args.n < synth.FGN_MIN_LENGTH:
+        args.usage_error(f"argument --n: fgn needs at least {synth.FGN_MIN_LENGTH}, got {args.n}")
     if args.kind == "cascade":
         x = synth.binomial_cascade(args.k, args.a)
     elif args.kind == "fgn":
         x = synth.fgn(args.n, args.hurst, args.seed)
     elif args.kind == "white":
         x = synth.white_noise(args.n, args.seed)
-    elif args.kind == "tone":
+    else:  # tone, the last of the kinds argparse allows
         x = synth.tone(args.freq, args.fs, args.duration, args.amplitude)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.kind)
     dataio.write_series_csv(args.output, x)
     print(f"wrote {len(x)} samples to {args.output}")
     return 0
@@ -371,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", type=Path, default=".", help="output directory (default: .)")
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
@@ -378,13 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: exit 0, 2 on a usage error, or 1 on a data error, one
     ``error:`` line on stderr. The data errors are ``AnalysisError`` (with its
     ``DataFormatError``), ``ValueError``, ``OSError`` and ``MemoryError``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "synth" and args.kind == "fgn" and args.n < synth.FGN_MIN_LENGTH:
-        parser.error(f"argument --n: fgn needs at least {synth.FGN_MIN_LENGTH}, got {args.n}")
+    args, unrecognized = build_parser().parse_known_args(argv)
+    if unrecognized:  # argparse's own message, under the subcommand's usage line
+        args.usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
     try:
-        if args.command == "mfdfa":
-            args.q_grid = _q_grid(parser, args)
         return args.func(args)
     except (AnalysisError, MemoryError, OSError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

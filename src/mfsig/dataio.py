@@ -300,7 +300,7 @@ def write_wav(path: str | Path, samples: np.ndarray, fs: float) -> None:
     scaled = np.clip(samples, -1.0, 1.0) * 32767.0
     pcm = np.round(scaled).astype("<i2")
     try:
-        with wave.open(str(path), "wb") as wav:
+        with open(path, "wb") as fh, wave.open(fh, "wb") as wav:
             wav.setnchannels(1)
             wav.setsampwidth(2)
             wav.setframerate(int(round(fs)))

@@ -39,8 +39,8 @@ def default_scales(n: int) -> np.ndarray:
         raise AnalysisError(
             f"series of length {n} supports no scales in [{DEFAULT_MIN_SCALE}, n/4]"
         )
-    grid = np.geomspace(DEFAULT_MIN_SCALE, max_scale, DEFAULT_N_SCALES)
-    return np.unique(np.round(grid).astype(int))
+    scales = np.round(np.geomspace(DEFAULT_MIN_SCALE, max_scale, DEFAULT_N_SCALES)).astype(int)
+    return scales[np.r_[True, np.diff(scales) > 0]]  # the rounded grid never decreases
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class MfdfaConfig:
 
 def _polynomial_basis(s: int, m: int) -> np.ndarray:
     """Orthonormal basis (s x (m+1)) of the order-m polynomials on s points."""
-    basis, _ = np.linalg.qr(np.polynomial.polynomial.polyvander(np.linspace(-1.0, 1.0, s), m))
+    basis, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, s), m + 1, increasing=True))
     return basis
 
 

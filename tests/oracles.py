@@ -10,7 +10,7 @@ import numpy as np
 
 from mfsig.bands import RHYTHMS, BandSpec, fft_bandpass
 from mfsig.errors import AnalysisError
-from mfsig.mfdfa import _BLOCK_ELEMENTS, _detrend_basis
+from mfsig.mfdfa import _BLOCK_ELEMENTS, DEFAULT_MIN_SCALE, DEFAULT_N_SCALES, _detrend_basis
 from mfsig.wavelet import DEC_HI, DEC_LO, dwt, dyadic_level_for_band, reconstruct_level
 
 _MASK64 = (1 << 64) - 1
@@ -351,6 +351,20 @@ def log_fq_scale_by_scale(f2_per_scale, scales, q_grid):
             exc.args = (f"scale {s}: {exc}",)
             raise
     return np.stack(columns, axis=-1)
+
+
+def polyvander_basis(s, m):
+    """The detrending basis at scale s, order m, from numpy.polynomial's
+    Vandermonde matrix."""
+    basis, _ = np.linalg.qr(np.polynomial.polynomial.polyvander(np.linspace(-1.0, 1.0, s), m))
+    return basis
+
+
+def unique_default_scales(n):
+    """The default scales of a length-n series, np.unique dropping the
+    repeats of the rounded grid."""
+    grid = np.geomspace(DEFAULT_MIN_SCALE, n // 4, DEFAULT_N_SCALES)
+    return np.unique(np.round(grid).astype(int))
 
 
 def synthesis_step_four_wide(approx, detail):

@@ -64,6 +64,12 @@ class TestFftBandpass:
         with pytest.raises(AnalysisError, match="exceeds Nyquist"):
             fft_bandpass(x, 100.0, BandSpec(10.0, 60.0, "too_high"))
 
+    def test_bad_band_edges_rejected(self):
+        with pytest.raises(ValueError, match="^band low edge must be >= 0, got -1.0$"):
+            BandSpec(-1.0, 2.0)
+        with pytest.raises(ValueError, match="^band x: high edge must exceed low edge$"):
+            BandSpec(5.0, 5.0, "x")
+
     def test_idempotent(self):
         once = fft_bandpass(white_noise(2048, seed=2), FS_AUDIO, BAND2)
         twice = fft_bandpass(once, FS_AUDIO, BAND2)
@@ -310,3 +316,7 @@ class TestNormalize:
     def test_silent_input(self):
         with pytest.raises(AnalysisError, match="cannot normalize an all-zero signal"):
             normalize(np.zeros(64), 0.1)
+
+    def test_non_positive_target_rejected(self):
+        with pytest.raises(ValueError, match="^target RMS must be positive$"):
+            normalize(np.ones(4), 0.0)

@@ -210,7 +210,9 @@ class TestMfdfaCommand:
         with pytest.raises(SystemExit) as exc:
             main(["mfdfa", str(series_csv), "-o", str(tmp_path / "r.json"), *flags])
         assert exc.value.code == 2
-        assert f"argument {named}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mfsig mfdfa ")
+        assert f"argument {named}" in err
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -319,6 +321,15 @@ class TestSplitBandsCommand:
         assert capsys.readouterr().err == f"error: {wav}: {message}\n"
         assert not outdir.exists()
 
+    def test_unwritable_band_is_one_error_line(self, tmp_path):
+        write_wav(tmp_path / "clip.wav", tone(2500.0, 44100.0, 0.1), 44100.0)
+        (tmp_path / "out" / "band1.wav").mkdir(parents=True)
+        proc = run_capped(tmp_path, "split-bands", "clip.wav", "--outdir", "out")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: out/band1.wav: cannot write WAV (")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_silent_clip_writes_five_silent_bands(self, tmp_path):
         # no band of a silent clip is boosted, as none is above the -60 dB threshold
         wav, outdir = tmp_path / "silence.wav", tmp_path / "bands"
@@ -377,12 +388,15 @@ class TestAnalyzeCommand:
         assert "listed more than once: F3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_empty_electrode_list_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag", [["--electrodes", ","], ["--electrodes="]], ids=["comma", "empty"]
+    )
+    def test_empty_electrode_list_rejected(self, tmp_path, capsys, flag):
         eeg = tmp_path / "eeg.csv"
         make_eeg_fixture(eeg)
         rc = main([
             "analyze", str(eeg), "--fs", "256", "--clips", "1",
-            "--electrodes", ",", "--outdir", str(tmp_path / "out"),
+            *flag, "--outdir", str(tmp_path / "out"),
         ])
         assert rc == 1
         assert "electrode list is empty" in capsys.readouterr().err
@@ -1105,7 +1119,7 @@ class TestUsageErrors:
             (["mfdfa", "{csv}", "--order", "-1"], "argument --order: must be at least 1, got -1"),
             *(
                 (["split-bands", "{wav}", "--rms", value], f"argument --rms: {POSITIVE}, got {value!r}")
-                for value in ("nan", "inf", "0", "-1")
+                for value in ("nan", "inf", "0", "-1", "abc")
             ),
             *(
                 (
@@ -1145,11 +1159,11 @@ class TestUsageErrors:
         ids=[
             "mfdfa_fs", "rhythm_method", "synth_kind", "synth_fs_inf", "workers_0", "workers_neg",
             "workers_word", "analyze_order_0", "mfdfa_order_0", "mfdfa_order_neg",
-            "rms_nan", "rms_inf", "rms_0", "rms_neg", "transition_nan", "transition_inf",
-            "transition_neg", "freq_nan", "freq_inf", "freq_neg_inf", "amplitude_nan",
-            "amplitude_inf", "amplitude_neg_inf", "white_n_0", "seed_neg", "cascade_k_40",
-            "cascade_a_2", "fgn_hurst_1_5", "fgn_n_3", "subject_comma", "subject_quote",
-            "subject_lf", "subject_cr", "subject_empty",
+            "rms_nan", "rms_inf", "rms_0", "rms_neg", "rms_word", "transition_nan",
+            "transition_inf", "transition_neg", "freq_nan", "freq_inf", "freq_neg_inf",
+            "amplitude_nan", "amplitude_inf", "amplitude_neg_inf", "white_n_0", "seed_neg",
+            "cascade_k_40", "cascade_a_2", "fgn_hurst_1_5", "fgn_n_3", "subject_comma",
+            "subject_quote", "subject_lf", "subject_cr", "subject_empty",
         ],
     )
     def test_exits_2_naming_the_argument(self, tmp_path, capsys, argv, message):
@@ -1160,7 +1174,9 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([arg.format(csv=series_csv, wav=wav) for arg in argv])
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mfsig {argv[0]} ")
+        assert message in err
 
 
 LIST = "expected comma-separated integers"
@@ -1181,10 +1197,11 @@ class TestIntegerListFlags:
             (["mfdfa", "--scales", "32,16"], "--scales", SCALES),
             (["mfdfa", "--scales", "16"], "--scales", SCALES),
             (["analyze", "--fs", "256", "--clips", "0"], "--clips", "must be at least 1, got 0"),
+            (["mfdfa", "--q-step", "10"], "--q-step", "the q range -5 to 5 in steps of 10"),
         ],
         ids=[
             "scales", "emd_drop", "scales_empty", "emd_drop_empty", "emd_drop_0",
-            "emd_drop_neg", "scales_0", "scales_decreasing", "scales_one", "clips_0",
+            "emd_drop_neg", "scales_0", "scales_decreasing", "scales_one", "clips_0", "q_step_10",
         ],
     )
     def test_bad_list_is_usage_error_before_input_is_read(

@@ -143,6 +143,10 @@ class TestEmd:
         with pytest.raises(AnalysisError, match="EMD needs >= 64 samples"):
             emd(np.sin(np.arange(32.0)))
 
+    def test_no_imfs_asked_for(self):
+        with pytest.raises(ValueError, match="^max_imfs must be >= 1$"):
+            emd(white_noise(256, 1), max_imfs=0)
+
     def test_first_imf_is_near_proper_mode(self):
         t = np.arange(int(8 * FS)) / FS
         x = emd(np.sin(2 * np.pi * 2.0 * t) + np.sin(2 * np.pi * 40.0 * t)).imfs[0]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,11 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfsig.errors import AnalysisError
+from mfsig import mfdfa
 from mfsig.mfdfa import (
     _BLOCK_ELEMENTS,
     DEFAULT_Q_GRID,
     MfdfaConfig,
     _detrend_basis,
+    _polynomial_basis,
+    default_scales,
     hurst_exponents,
     log_fluctuation_function,
     run_mfdfa,
@@ -25,8 +33,10 @@ from oracles import (
     log_fq_scale_by_scale,
     normal_equations_residual_ms,
     plain_dfa_slope,
+    polyvander_basis,
     power_mean_fq,
     segment_fluctuations_out_of_place,
+    unique_default_scales,
 )
 
 
@@ -401,7 +411,35 @@ class TestSegmentFluctuations:
 
 
 class TestAgainstEarlierKernels:
-    """The F2 and ln Fq kernels against their earlier forms in tests/oracles.py."""
+    """The F2 and ln Fq kernels, the detrending basis and the default scales
+    against their earlier forms in tests/oracles.py."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("s", [5, 16, 20, 1280, 4096, 6502, 65536])
+    def test_basis_equals_polyvander_basis(self, s, m):
+        assert np.array_equal(_polynomial_basis(s, m), polyvander_basis(s, m))
+
+    def test_default_scales_equal_unique_scales(self):
+        for n in [*range(68, 3000, 7), 5120, 15360, 2**18, 2**20]:
+            assert np.array_equal(default_scales(n), unique_default_scales(n)), n
+
+    def test_first_run_imports_neither_masked_arrays_nor_polynomials(self):
+        # numpy 1.x imports both with numpy itself: there the sets before and after are equal
+        src = str(Path(mfdfa.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        script = (
+            "import sys, mfsig.cli\n"
+            "from mfsig.mfdfa import run_mfdfa\n"
+            "from mfsig.synth import white_noise\n"
+            "before = set(sys.modules)\n"
+            "run_mfdfa(white_noise(5120, seed=1))\n"
+            "print(sorted({'numpy.ma', 'numpy.polynomial'} & (set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -461,6 +499,14 @@ class TestConfig:
     def test_rejects_decreasing_scales(self):
         with pytest.raises(ValueError):
             MfdfaConfig(scales=np.array([64, 32]))
+
+    def test_rejects_order_0(self):
+        with pytest.raises(ValueError, match="^detrend order must be >= 1, got 0$"):
+            MfdfaConfig(detrend_order=0)
+
+    def test_rejects_decreasing_q_grid(self):
+        with pytest.raises(ValueError, match="^q grid must be strictly increasing$"):
+            MfdfaConfig(q_grid=[1.0, 0.0])
 
     def test_rejects_small_scale_for_order(self):
         x = white_noise(4096, seed=1)

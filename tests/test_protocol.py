@@ -22,6 +22,10 @@ class TestTimeline:
         timeline = build_timeline(4)
         assert timeline.total_duration_s == 760.0  # about 12.7 minutes
 
+    def test_no_clips_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one clip$"):
+            build_timeline(0)
+
     @pytest.mark.parametrize("recording_s,clips", [(204.9, 1), (205.0, 2), (400.0, 3)])
     def test_stops_after_the_first_clip_past_the_recording(self, recording_s, clips):
         # clip c's last stimulus ends at 205 + 175 (c - 1) s

@@ -39,6 +39,10 @@ class TestBinomialCascade:
         with pytest.raises(ValueError):
             binomial_cascade(10, 0.4)
 
+    def test_rejects_depth_0(self):
+        with pytest.raises(ValueError, match=r"^cascade depth k must lie in \[1, 24\], got 0$"):
+            binomial_cascade(0, 0.75)
+
 
 class TestCascadeOracles:
     def test_h2_value(self):
@@ -113,6 +117,10 @@ class TestWhiteNoiseAndTone:
         samples = white_noise(65536, seed=3)
         assert samples.var() == pytest.approx(1.0, rel=0.03)
         assert abs(samples.mean()) <= 0.02
+
+    def test_white_noise_rejects_n_0(self):
+        with pytest.raises(ValueError, match="^white_noise needs n >= 1$"):
+            white_noise(0, 1)
 
     def test_tone_shape(self):
         x = tone(10, 256, 8, amplitude=1.0)

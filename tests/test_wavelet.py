@@ -48,6 +48,12 @@ class TestRoundTrip:
         with pytest.raises(AnalysisError, match="levels exceed what a length-256 signal supports"):
             dwt(white_noise(256, seed=1), 7)  # floor(log2(256)) - 2 = 6
 
+    def test_bad_level_rejected(self):
+        with pytest.raises(ValueError, match="^levels must be >= 1$"):
+            dwt(np.zeros(64), 0)
+        with pytest.raises(ValueError, match="^level 3 outside 1..2$"):
+            reconstruct_level(dwt(np.zeros(64), 2), 3)
+
 
 class TestImpulse:
     def test_single_level_equals_convolution_oracle(self):
