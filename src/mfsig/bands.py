@@ -42,11 +42,11 @@ STIMULUS_BANDS = (
 )
 
 
-# EEG rhythms analyzed per window, keyed by name.
+# EEG rhythms analyzed per window, keyed by name, in rhythm_series' row order.
 RHYTHMS = {
     "alpha": BandSpec(8.0, 13.0, "alpha"),
-    "theta": BandSpec(4.0, 7.0, "theta"),
     "gamma": BandSpec(13.0, 30.0, "gamma"),
+    "theta": BandSpec(4.0, 7.0, "theta"),
 }
 
 
@@ -113,7 +113,7 @@ def split_bands(audio: np.ndarray, fs: float, transition_hz: float = 0.0) -> dic
 
 def rhythm_series(windows: np.ndarray, fs: float, method: str, envelope: bool) -> np.ndarray:
     """The rhythm series of windows (..., n) sampled at fs Hz: (..., 3, n), a
-    row per rhythm in sorted order.
+    row per rhythm in ``RHYTHMS`` order.
 
     ``method="fft"`` masks one rfft of each window at each rhythm's exact
     band edges; ``"dwt"`` rebuilds each rhythm's nearest dyadic wavelet
@@ -125,7 +125,7 @@ def rhythm_series(windows: np.ndarray, fs: float, method: str, envelope: bool) -
     A row that overflows on finite samples near the float limit raises
     AnalysisError, not a numpy warning.
     """
-    bands = [RHYTHMS[name] for name in sorted(RHYTHMS)]
+    bands = list(RHYTHMS.values())
     n = windows.shape[-1]
     freqs = _rfft_freqs(n, fs, bands)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -243,7 +243,9 @@ def read_response_sheets(path: str | Path) -> np.ndarray:
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
         if not 1 <= clip <= N_CLIPS_SHEET:
-            raise DataFormatError(f"{path}: line {lineno}: clip must be 1..4, got {clip}")
+            raise DataFormatError(
+                f"{path}: line {lineno}: clip must be 1..{N_CLIPS_SHEET}, got {clip}"
+            )
         if any(c not in (0, 1) for c in cells):
             raise DataFormatError(f"{path}: line {lineno}: cells must be 0 or 1")
         first = first_line.setdefault((subject, clip), lineno)

@@ -67,7 +67,7 @@ def _job_error(exc: AnalysisError, job: tuple, mfdfa_config: MfdfaConfig) -> Ana
             rows = _rhythm_rows([window], fs, config)[0]
         except AnalysisError as failure:
             return type(failure)(f"{electrode} {label}: {failure}")
-        for rhythm, row in zip(sorted(bands.RHYTHMS), rows):
+        for rhythm, row in zip(bands.RHYTHMS, rows):
             try:
                 result = run_mfdfa_batch(row[np.newaxis], mfdfa_config)
                 fit_spectra(singularity_spectrum(result.hurst))
@@ -83,12 +83,11 @@ def _run_job(job: tuple) -> list[WidthRecord]:
     The windows are EMD-denoised first when configured; one
     ``bands.rhythm_series`` call turns them into their rhythm series, which
     go through MFDFA and the spectrum fit as one batch; a failure is located
-    by ``_job_error``. Returns the records in window order and sorted rhythm
-    order.
+    by ``_job_error``. Returns the records by window, then in RHYTHMS order.
     """
     subject, electrode, fs, windows, config = job
     mfdfa_config = MfdfaConfig(config.detrend_order, bidirectional=config.bidirectional)
-    rhythms = sorted(bands.RHYTHMS)
+    rhythms = list(bands.RHYTHMS)
     labels = [label for label, _ in windows]
     try:
         rows = _rhythm_rows([window for _, window in windows], fs, config)

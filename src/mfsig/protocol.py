@@ -26,9 +26,8 @@ PART_TO_BAND = {1: 3, 2: 2, 3: 5, 4: 4, 5: 1}
 
 # Stimulus slots in presentation order: the original, then parts 1..5.
 STIMULUS_SLOTS = ("original",) + tuple(f"band{PART_TO_BAND[p]}" for p in sorted(PART_TO_BAND))
-_SLOT_ORDER = {slot: i for i, slot in enumerate(STIMULUS_SLOTS)}
 
-N_PARTS = 5
+N_PARTS = len(PART_TO_BAND)
 N_CLIPS_SHEET = 4
 
 INITIAL_REST_S = 60.0

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .dataio import read_json
 from .errors import AnalysisError, DataFormatError
-from .protocol import _SLOT_ORDER, STIMULUS_SLOTS, check_electrode_name, json_number, parse_label
+from .protocol import STIMULUS_SLOTS, check_electrode_name, json_number, parse_label
 
 SCHEMA_VERSION = "1"
 
@@ -117,7 +117,7 @@ def record_sort_key(rec: WidthRecord) -> tuple:
     """Subject, electrode, rest first, then clip and presentation slot, then
     rhythm; a band outside the protocol sorts after its clip's known slots."""
     clip, slot = parse_label(rec.condition)
-    order = _SLOT_ORDER.get(slot, len(STIMULUS_SLOTS))
+    order = STIMULUS_SLOTS.index(slot) if slot in STIMULUS_SLOTS else len(STIMULUS_SLOTS)
     return (rec.subject_id, rec.electrode, clip is not None, clip or 0, order, rec.rhythm)
 
 
@@ -208,11 +208,11 @@ def read_report_json(path: str | Path) -> AnalysisReport:
 def report_from_json_dict(payload: dict) -> AnalysisReport:
     if not isinstance(payload, dict):
         raise DataFormatError("report must be a JSON object")
-    baseline = payload.get("baseline_condition", BASELINE_CONDITION)
-    if baseline != BASELINE_CONDITION:
-        raise DataFormatError(
-            f"baseline_condition must be {BASELINE_CONDITION!r}, got {baseline!r}"
-        )
+    written = {"schema_version": SCHEMA_VERSION, "baseline_condition": BASELINE_CONDITION}
+    for key, known in written.items():
+        value = payload.get(key, known)  # an absent key reads as the value this version writes
+        if value != known:
+            raise DataFormatError(f"{key} must be {known!r}, got {value!r}")
     report = AnalysisReport(config=payload.get("config", {}), inputs=payload.get("inputs", {}))
     for key in ("config", "inputs"):
         if not isinstance(getattr(report, key), dict):

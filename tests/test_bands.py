@@ -176,6 +176,8 @@ class TestExtractRhythm:
         assert (RHYTHMS["alpha"].low_hz, RHYTHMS["alpha"].high_hz) == (8.0, 13.0)
         assert (RHYTHMS["theta"].low_hz, RHYTHMS["theta"].high_hz) == (4.0, 7.0)
         assert (RHYTHMS["gamma"].low_hz, RHYTHMS["gamma"].high_hz) == (13.0, 30.0)
+        # rhythm_series' rows, and so the first failing rhythm named, come in sorted order
+        assert list(RHYTHMS) == sorted(RHYTHMS)
 
 
 class TestRhythmSeries:

@@ -928,6 +928,10 @@ class TestReportCommand:
                 "baseline_condition must be 'rest', got 'silence'",
             ),
             (
+                {"schema_version": "2", "records": [GOOD_RECORD]},
+                "schema_version must be '1', got '2'",
+            ),
+            (
                 {"records": [dict(GOOD_RECORD, w=True)]},
                 "record 0: w must be a JSON number, got true",
             ),
@@ -1004,8 +1008,8 @@ class TestReportCommand:
         ids=[
             "list", "records_not_list", "record_not_object", "missing_key", "null_width",
             "negative_width", "bad_condition", "flags_not_string", "condition_not_string",
-            "electrode_path", "electrode_empty", "baseline_not_rest", "width_bool", "width_string",
-            "fit_a_string", "h2_r2_bool", "config_not_object", "inputs_not_object",
+            "electrode_path", "electrode_empty", "baseline_not_rest", "schema_not_1", "width_bool",
+            "width_string", "fit_a_string", "h2_r2_bool", "config_not_object", "inputs_not_object",
             "no_records", "subject_comma", "subject_empty", "electrode_quote", "rhythm_newline",
             "flags_comma", "missing_subject", "missing_electrode", "missing_rhythm",
             "missing_condition", "fit_b_bool", "alpha0_string", "flags_missing_reads_empty",

@@ -154,6 +154,27 @@ class TestEmd:
         n_cross = np.count_nonzero(np.diff(np.sign(x[x != 0])) != 0)
         assert abs(maxima.size + minima.size - n_cross) <= 1
 
+    def test_sifting_stops_when_the_candidate_runs_out_of_extrema(self, monkeypatch):
+        # a seeded search found this input: its first sifting iteration leaves a
+        # candidate with too few extrema to sift again, though the SD test asks for more
+        rng = np.random.default_rng(346)
+        t = np.linspace(0, 1, 64)
+        x = np.sin(rng.uniform(2, 6) * np.pi * t) + 0.05 * rng.standard_normal(64) * t**4
+        x = x + 5 * rng.uniform(-1, 1) * t**2
+        calls = []
+        original = emd_module._mirrored_envelope
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(emd_module, "_mirrored_envelope", counted)
+        result = emd(x, max_imfs=1)
+        assert len(calls) == 2  # one sifting iteration, two envelopes
+        maxima, minima = local_extrema(result.imfs[0])
+        assert maxima.size < 2 or minima.size < 2
+        np.testing.assert_allclose(result.imfs[0] + result.residue, x, rtol=0, atol=1e-12)
+
 
 class TestEmdDenoise:
     @given(st.integers(0, 2**16), st.integers(-900, 900))
